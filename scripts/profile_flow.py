@@ -7,15 +7,10 @@ For each design this script
    wall-clock breakdown (rd.route / rd.inflate / rd.nesterov / ...);
 2. re-routes the placed netlist with both routing engines (``scalar``
    reference and ``batched``), checks that their demand maps are
-   bit-identical, and records the speedup;
-3. microbenchmarks each kernel family of the backend layer
-   (wa / raster / netmove / route) on this design's recorded call
-   arguments, ``reference`` vs ``fastnp`` (see
-   ``scripts/bench_kernels.py`` for the full multi-size protocol).
+   bit-identical, and records the speedup.
 
 Everything lands in one JSON file (default ``results/BENCH_route.json``)
-whose ``summary`` block carries the geometric-mean routing and
-per-kernel speedups.  See EXPERIMENTS.md ("Stage profiling") for how to
+whose ``summary`` block carries the geometric-mean routing speedup.  See EXPERIMENTS.md ("Stage profiling") for how to
 read the output.
 """
 
@@ -47,65 +42,6 @@ def _route_once(netlist, grid: Grid2D, engine: str) -> tuple[float, object, dict
     return time.perf_counter() - t0, result, profiler.as_dict()
 
 
-def _kernel_microbench(netlist, grid: Grid2D, congestion, rounds: int = 7) -> dict:
-    """Per-kernel-family reference-vs-fastnp timings on this design.
-
-    Records the argument tuples the public call sites pass to the
-    kernel layer (same recorder as ``bench_kernels.py``), gates
-    ``fastnp`` on bitwise equality while warming its auto-tuners, then
-    times both backends in paired interleaved rounds.
-    """
-    from bench_kernels import FAMILIES, _recording_reference, _same
-    from repro.core.netmove import NetMoveConfig, virtual_cell_positions
-    from repro.density.rasterize import CellRasterizer
-    from repro.kernels import TUNE_SAMPLES, base
-    from repro.kernels.fastnp import FastNumpyBackend
-    from repro.kernels.reference import ReferenceBackend
-    from repro.wirelength.wa import wa_wirelength_and_grad
-
-    rec, calls = _recording_reference()
-    base._active = rec  # route get_backend() through the recorder
-    try:
-        GlobalRouter(grid, RouterConfig(engine="batched")).route(netlist)
-        CellRasterizer(
-            grid, netlist.x, netlist.y, netlist.cell_width, netlist.cell_height
-        ).charge_map()
-        virtual_cell_positions(netlist, grid, congestion, NetMoveConfig())
-        wa_wirelength_and_grad(netlist, 0.5 * grid.dx)
-    finally:
-        base._active = None
-
-    ref, fast = ReferenceBackend(), FastNumpyBackend()
-    # equality gate doubling as tuner warm-up (covers both variants of
-    # every tuned kernel and locks the tuner before timing)
-    for _ in range(2 * TUNE_SAMPLES + 2):
-        for mname, tuples in calls.items():
-            for args in tuples:
-                got = getattr(fast, mname)(*args)
-                want = getattr(ref, mname)(*args)
-                assert _same(got, want), f"fastnp {mname} diverged"
-
-    out = {}
-    for family, mname in FAMILIES.items():
-        samples = {"reference": [], "fastnp": []}
-        for _ in range(rounds):
-            for label, backend in (("reference", ref), ("fastnp", fast)):
-                fn = getattr(backend, mname)
-                t0 = time.perf_counter()
-                for args in calls[mname]:
-                    fn(*args)
-                samples[label].append(time.perf_counter() - t0)
-        ref_s = np.asarray(samples["reference"])
-        fast_s = np.asarray(samples["fastnp"])
-        out[family] = {
-            "n_calls": len(calls[mname]),
-            "reference_ms": float(np.median(ref_s) * 1e3),
-            "fastnp_ms": float(np.median(fast_s) * 1e3),
-            "speedup": float(np.median(ref_s / fast_s)),
-        }
-    return out
-
-
 def profile_design(name: str, scale: float, seed: int, iters: int) -> dict:
     netlist = suite_design(name, scale=scale, seed=seed)
 
@@ -134,7 +70,6 @@ def profile_design(name: str, scale: float, seed: int, iters: int) -> dict:
         "n_nets": netlist.n_nets,
         "grid": dim,
         "rd_profile": profiler.as_dict(),
-        "kernels": _kernel_microbench(netlist, grid, res_batched.congestion_map),
         "route": {
             "segments": res_batched.n_segments,
             "scalar_s": t_scalar,
@@ -164,28 +99,13 @@ def main() -> int:
         t0 = time.time()
         designs[name] = profile_design(name, args.scale, args.seed, args.iters)
         r = designs[name]["route"]
-        kern = "  ".join(
-            f"{fam} {e['speedup']:.2f}x"
-            for fam, e in designs[name]["kernels"].items()
-        )
         print(
             f"[{time.strftime('%H:%M:%S')}] {name}: scalar {r['scalar_s']:.2f}s "
             f"batched {r['batched_s']:.2f}s speedup {r['speedup']:.1f}x "
-            f"exact={r['demand_maps_exact']} ({time.time() - t0:.0f}s total)\n"
-            f"  kernels: {kern}",
+            f"exact={r['demand_maps_exact']} ({time.time() - t0:.0f}s total)",
             flush=True,
         )
 
-    kernel_geomeans = {
-        fam: float(
-            np.exp(
-                np.mean(
-                    np.log([d["kernels"][fam]["speedup"] for d in designs.values()])
-                )
-            )
-        )
-        for fam in next(iter(designs.values()))["kernels"]
-    }
     speedups = np.array([d["route"]["speedup"] for d in designs.values()])
     payload = {
         "bench": "route",
@@ -200,7 +120,6 @@ def main() -> int:
             "all_demand_maps_exact": all(
                 d["route"]["demand_maps_exact"] for d in designs.values()
             ),
-            "kernel_geomean_speedup": kernel_geomeans,
         },
     }
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)

@@ -19,11 +19,6 @@ dse     design-space exploration: run/submit grid sweeps, ingest and
 ``place`` and ``route`` accept ``--check-invariants {off,warn,raise}``
 to arm the numeric-contract layer (see :mod:`repro.utils.contracts`);
 the flag overrides the ``REPRO_CHECK_INVARIANTS`` environment default.
-
-``place``, ``route`` and ``bench`` accept ``--kernel-backend
-{auto,reference,fastnp,numba}`` to select the hot-path kernel backend
-(see :mod:`repro.kernels`); the flag overrides the
-``REPRO_KERNEL_BACKEND`` environment default (``auto``).
 """
 
 from __future__ import annotations
@@ -31,20 +26,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-
-def _configure_kernels(args: argparse.Namespace, metrics) -> None:
-    """Select the kernel backend from ``--kernel-backend``.
-
-    ``None`` (flag absent) keeps the ``REPRO_KERNEL_BACKEND``
-    environment default; the resolved choice is exported back into the
-    environment so worker subprocesses inherit it, and a
-    ``kernel.backend`` telemetry event records the decision when a
-    registry is attached.
-    """
-    from repro.service.runner import configure_kernels
-
-    configure_kernels(getattr(args, "kernel_backend", None), metrics)
 
 
 def _load_validated(path: str):
@@ -84,7 +65,6 @@ def _cmd_place(args: argparse.Namespace) -> int:
         checkpoint=args.checkpoint,
         metrics_out=args.metrics_out,
         check_invariants=args.check_invariants,
-        kernel_backend=args.kernel_backend,
     ))
     for line in outcome.summary_lines():
         print(line)
@@ -110,7 +90,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
         compare=args.compare,
         metrics_out=args.metrics_out,
         check_invariants=args.check_invariants,
-        kernel_backend=args.kernel_backend,
     ))
     for line in outcome.summary_lines():
         print(line)
@@ -130,7 +109,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
         engine=args.engine,
         metrics_out=args.metrics_out,
         check_invariants=args.check_invariants,
-        kernel_backend=args.kernel_backend,
     ))
     for line in outcome.summary_lines():
         print(line)
@@ -299,9 +277,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if unknown:
         raise SystemExit(f"error: unknown suite designs: {', '.join(unknown)}")
 
-    # resolve the backend before the sweep so workers inherit the
-    # exported REPRO_KERNEL_BACKEND selection
-    _configure_kernels(args, None)
     result = run_sweep(
         names,
         kind=kind,
@@ -521,12 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="numeric-contract checking mode (default: the "
                         "REPRO_CHECK_INVARIANTS environment variable, or off)")
-    p.add_argument("--kernel-backend",
-                   choices=("auto", "reference", "fastnp", "numba"),
-                   default=None,
-                   help="hot-path kernel backend (default: the "
-                        "REPRO_KERNEL_BACKEND environment variable, or auto; "
-                        "numba falls back to reference when unavailable)")
     p.set_defaults(func=_cmd_place)
 
     p = sub.add_parser(
@@ -564,11 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="numeric-contract checking mode (default: the "
                         "REPRO_CHECK_INVARIANTS environment variable, or off)")
-    p.add_argument("--kernel-backend",
-                   choices=("auto", "reference", "fastnp", "numba"),
-                   default=None,
-                   help="hot-path kernel backend (default: the "
-                        "REPRO_KERNEL_BACKEND environment variable, or auto)")
     p.set_defaults(func=_cmd_eco)
 
     p = sub.add_parser("route", help="route a placed design")
@@ -585,11 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="numeric-contract checking mode (default: the "
                         "REPRO_CHECK_INVARIANTS environment variable, or off)")
-    p.add_argument("--kernel-backend",
-                   choices=("auto", "reference", "fastnp", "numba"),
-                   default=None,
-                   help="hot-path kernel backend (default: the "
-                        "REPRO_KERNEL_BACKEND environment variable, or auto)")
     p.set_defaults(func=_cmd_route)
 
     p = sub.add_parser("bench", help="run a Table I/II sweep (parallelizable)")
@@ -608,12 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the merged per-design telemetry stream "
                         "(one JSONL segment per design, input order)")
-    p.add_argument("--kernel-backend",
-                   choices=("auto", "reference", "fastnp", "numba"),
-                   default=None,
-                   help="hot-path kernel backend for the sweep workers "
-                        "(default: the REPRO_KERNEL_BACKEND environment "
-                        "variable, or auto)")
     p.add_argument("--job-timeout", type=float, default=None, metavar="S",
                    help="per-design wall-clock deadline in seconds, "
                         "supervisor-enforced (pooled runs; default: none)")

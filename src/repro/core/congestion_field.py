@@ -34,12 +34,7 @@ class CongestionField:
     and scratch buffers instead of rebuilding a solver each time.
     """
 
-    def __init__(
-        self,
-        grid: Grid2D,
-        utilization: np.ndarray,
-        fft_workers: int | None = None,
-    ) -> None:
+    def __init__(self, grid: Grid2D, utilization: np.ndarray) -> None:
         if utilization.shape != grid.shape:
             raise ValueError(
                 f"utilization shape {utilization.shape} != grid {grid.shape}"
@@ -48,7 +43,7 @@ class CongestionField:
         self.utilization = utilization
         self.potential, self.field_x, self.field_y = SpectralWorkspace.for_grid(
             grid
-        ).solve(utilization, workers=fft_workers)
+        ).solve(utilization)
         if CONTRACTS.enabled:
             site = "congestion_field"
             CONTRACTS.check_array(site, "potential", self.potential, finite=True)

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.congestion_field import CongestionField
 from repro.geometry.grid import Grid2D
-from repro.kernels import get_backend
 from repro.netlist.netlist import Netlist
 from repro.utils.contracts import CONTRACTS
 
@@ -42,7 +41,7 @@ def multi_pin_cell_gradients(
 
     pin_counts = netlist.cell_pin_counts()
     n_bar = float(pin_counts.mean())
-    cell_cong = get_backend().sample_nearest(congestion, grid, netlist.x, netlist.y)
+    cell_cong = grid.value_at(congestion, netlist.x, netlist.y)
     selected = (pin_counts > n_bar) & (cell_cong > threshold) & netlist.movable
     if selected.any():
         ids = np.flatnonzero(selected)

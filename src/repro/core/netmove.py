@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.congestion_field import CongestionField
 from repro.geometry.grid import Grid2D
-from repro.kernels import get_backend
 from repro.netlist.netlist import Netlist
 from repro.utils.contracts import CONTRACTS
 
@@ -57,6 +56,55 @@ def _two_pin_endpoints(netlist: Netlist):
     p1 = netlist.net_pin_order[starts]
     p2 = netlist.net_pin_order[starts + 1]
     return two_pin, p1, p2
+
+
+def _virtual_cells(x1, y1, x2, y2, k, congestion, grid):
+    """Most congested interior sample of every segment (Eq. 7-8).
+
+    Samples segment ``e`` at ``k[e]`` evenly spaced interior points,
+    reads the congestion map at each and arg-maxes per net.  Returns
+    ``(xv, yv, best_congestion)``.  The bin index repeats
+    :meth:`Grid2D.index_of` operation for operation (subtract, divide,
+    floor, int64 cast, clip) and reads the map through one flat gather.
+    When any sample is non-finite it calls ``index_of`` itself, whose
+    sanitizing and contract reporting then apply.
+    """
+    n = len(x1)
+    s_max = int(k.max())
+    steps = np.arange(1, s_max + 1)[None, :]  # (1, S)
+    kcol = k[:, None]
+    t = steps / (kcol + 1.0)
+    sx = x1[:, None] + t * (x2 - x1)[:, None]
+    sy = y1[:, None] + t * (y2 - y1)[:, None]
+
+    region = grid.region
+    fx = (sx.reshape(-1) - region.xlo) / grid.dx
+    fy = (sy.reshape(-1) - region.ylo) / grid.dy
+    # np.min/np.max propagate NaN and expose +/-Inf
+    if np.isfinite([fx.min(), fx.max(), fy.min(), fy.max()]).all():
+        flat = np.clip(np.floor(fx).astype(np.int64), 0, grid.nx - 1)
+        flat *= grid.ny
+        flat += np.clip(np.floor(fy).astype(np.int64), 0, grid.ny - 1)
+    else:
+        ii, jj = grid.index_of(sx.reshape(-1), sy.reshape(-1))
+        flat = ii * grid.ny + jj
+    cval = np.take(congestion.reshape(-1), flat).reshape(n, s_max)
+    cval[steps > kcol] = -np.inf
+    best = np.argmax(cval, axis=1)
+    rows = np.arange(n)
+    return sx[rows, best], sy[rows, best], cval[rows, best]
+
+
+def _scatter_pair(n, cells, vx, vy):
+    """Per-cell sums of ``(vx, vy)`` over ``cells``, length ``n``.
+
+    ``bincount`` adds the entries in input order onto zero, the same
+    summation sequence as ``np.add.at`` onto a zeroed array.
+    """
+    return (
+        np.bincount(cells, weights=vx, minlength=n),
+        np.bincount(cells, weights=vy, minlength=n),
+    )
 
 
 def virtual_cell_positions(
@@ -96,9 +144,8 @@ def virtual_cell_positions(
     ).astype(np.int64)
     k = np.clip(k, 1, cfg.max_samples)
 
-    # Eq. (7)-(8): interior sampling, congestion lookup and per-net
-    # arg-max run in the active kernel backend
-    xv, yv, cbest = get_backend().netmove_virtual(x1, y1, x2, y2, k, congestion, grid)
+    # Eq. (7)-(8): interior sampling, congestion lookup, per-net arg-max
+    xv, yv, cbest = _virtual_cells(x1, y1, x2, y2, k, congestion, grid)
     active = cbest > cfg.min_congestion
     return {
         "net_ids": two_pin,
@@ -185,9 +232,8 @@ def two_pin_net_gradients(
     perp_y = dot * ny
 
     # Eq. (9): scale by L / (2 d_iv) per endpoint.  Both endpoints'
-    # deposits are concatenated (p1 block first) into one kernel-layer
-    # scatter; entry order matches the original sequential per-endpoint
-    # np.add.at calls, so the accumulated sums are bit-identical.
+    # deposits are concatenated (p1 block first) into one scatter whose
+    # entry order matches sequential per-endpoint accumulation.
     d1 = np.hypot(xv - x1, yv - y1)
     scale1 = np.clip(length / (2.0 * np.maximum(d1, 1e-12)), 0.0, cfg.max_scale)
     d2 = np.hypot(xv - x2, yv - y2)
@@ -195,7 +241,7 @@ def two_pin_net_gradients(
     cells = np.concatenate((netlist.pin_cell[p1], netlist.pin_cell[p2]))
     vx = np.concatenate((scale1 * perp_x, scale2 * perp_x))
     vy = np.concatenate((scale1 * perp_y, scale2 * perp_y))
-    get_backend().scatter_add_pair(grad_x, grad_y, cells, vx, vy)
+    grad_x, grad_y = _scatter_pair(n_cells, cells, vx, vy)
 
     grad_x[netlist.cell_fixed] = 0.0
     grad_y[netlist.cell_fixed] = 0.0

@@ -51,10 +51,6 @@ class ElectrostaticSystem:
     static_charge:
         Optional precomputed charge map of fixed cells/macros added to
         every solve (they repel movable cells but feel no force).
-    fft_workers:
-        Optional ``scipy.fft`` thread count for the spectral solve
-        (forwarded to :class:`~repro.density.poisson.PoissonSolver`);
-        ``None`` keeps scipy's single-threaded default.
     """
 
     def __init__(
@@ -62,13 +58,12 @@ class ElectrostaticSystem:
         grid: Grid2D,
         target_density: float = 1.0,
         static_charge: np.ndarray | None = None,
-        fft_workers: int | None = None,
     ) -> None:
         if not 0.0 < target_density <= 1.0 + 1e-9:
             raise ValueError("target_density must be in (0, 1]")
         self.grid = grid
         self.target_density = target_density
-        self.solver = PoissonSolver(grid, workers=fft_workers)
+        self.solver = PoissonSolver(grid)
         if static_charge is not None and static_charge.shape != grid.shape:
             raise ValueError("static_charge shape mismatch")
         self.static_charge = static_charge

@@ -17,113 +17,40 @@ All transforms use unnormalized scipy conventions; correctness of the
 bookkeeping is pinned by tests against a brute-force basis evaluation
 and against finite differences.
 
-Two code paths produce **bit-identical** results (asserted by
-``tests/test_spectral_workspace.py`` at ``atol=0``):
-
-* the *reference* path — the original straight-line implementation,
-  kept as :meth:`PoissonSolver.solve_reference` for equivalence tests
-  and before/after benchmarking;
-* the *workspace* path — :class:`SpectralWorkspace`, one cached
-  instance per grid geometry, which memoizes the eigenvalue
-  denominators, reuses preallocated scratch buffers for every
-  elementwise step (the transforms' outputs are the only per-solve
-  allocations, and two of them *are* the returned arrays), and
-  optionally fans the 1-D transforms out over ``scipy.fft`` worker
-  threads.
-
-Every fusion trick in the workspace preserves the exact floating-point
-operation sequence of the reference: ``out=`` variants of the same
-ufuncs, slice copies instead of ``np.roll``, in-place division into
-scipy-owned output arrays.  Nothing reorders a reduction or merges a
-transform, which is why the golden suite passes unchanged.
-
-Three of the solve's stages additionally have *two* interchangeable
-implementations each — a strided/direct form and a
-transposed-contiguous form — that are bitwise equal (pocketfft's 1-D
-kernels are layout-independent, and the forward ``dctn`` composes
-exactly from per-axis ``dct`` passes).  Which form is faster depends
-on grid size and on the host's cache/allocator state, and the ranking
-is not stable enough to hard-code; the workspace therefore
-**auto-tunes**: its first solves alternate the variants of each stage
-under a timer and then lock in the fastest.  Because every variant is
-bit-identical, tuning only ever affects wall-clock, never results.
+:class:`SpectralWorkspace` (one cached instance per grid geometry)
+memoizes the eigenvalue denominators and reuses preallocated scratch
+buffers for every elementwise step; the transforms' outputs are the
+only per-solve allocations, and two of them *are* the returned arrays.
+Every fusion keeps the floating-point operation sequence of the
+straight-line solve (``out=`` variants of the same ufuncs, slice
+copies instead of ``np.roll``, in-place division into scipy-owned
+output arrays), so results are bit-identical to it; ``tests/oracle.py``
+keeps that solve and the tests compare against it at ``atol=0``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
 
 from repro.geometry.grid import Grid2D
 
-# The workspace path calls straight into scipy's pocketfft backend when
-# available, skipping the public API's uarray dispatch layer (~8us per
-# call — a measurable slice of a small-grid solve that issues seven
-# transforms).  The backend functions are the exact implementations the
-# public wrappers dispatch to, so results are bitwise unchanged; the
-# reference path keeps the public API either way.
+# Call straight into scipy's pocketfft backend when available, skipping
+# the public API's uarray dispatch layer (~8us per call — a measurable
+# slice of a small-grid solve that issues seven transforms).  The
+# backend functions are the exact implementations the public wrappers
+# dispatch to, so results are bitwise unchanged.
 try:  # pragma: no cover — depends on scipy internals
-    from scipy.fft._pocketfft.realtransforms import dct as _dct
     from scipy.fft._pocketfft.realtransforms import dctn as _dctn
     from scipy.fft._pocketfft.realtransforms import dst as _dst
     from scipy.fft._pocketfft.realtransforms import idct as _idct
     from scipy.fft._pocketfft.realtransforms import idctn as _idctn
 except ImportError:  # pragma: no cover — scipy moved its internals
-    _dct, _dctn, _dst, _idct, _idctn = (
-        sfft.dct, sfft.dctn, sfft.dst, sfft.idct, sfft.idctn,
-    )
-
-
-def _idxst(coeffs: np.ndarray, axis: int) -> np.ndarray:
-    """Inverse sine transform matching scipy's unnormalized ``idct``.
-
-    Given DCT-style coefficients ``c`` along ``axis``, returns::
-
-        out[i] = (1/M) * sum_{u=1}^{M-1} c[u] sin(pi u (2i+1) / (2M))
-
-    which is exactly the series obtained by differentiating the
-    ``idct``-normalized cosine expansion term-by-term (the ``u = 0``
-    term vanishes).
-    """
-    m = coeffs.shape[axis]
-    shifted = np.roll(coeffs, -1, axis=axis)
-    # zero the (now trailing) former u=0 slot
-    idx = [slice(None)] * coeffs.ndim
-    idx[axis] = m - 1
-    shifted[tuple(idx)] = 0.0
-    return sfft.dst(shifted, type=3, axis=axis) / (2.0 * m)
-
-
-#: Source-row block width for transposed copies.  The grids of interest
-#: have power-of-two pitches, so a naive ``dst[...] = src.T`` walks the
-#: destination at a stride that aliases into a handful of cache sets
-#: and thrashes; copying a block of rows at a time keeps the working
-#: set resident (measured 2-4x faster at 512-1024 grids, identical
-#: data movement).
-_T_BLOCK = 64
-
-
-def _t_blocks(n: int):
-    """Yield ``(lo, hi)`` source-row block bounds covering ``range(n)``.
-
-    Grids small enough to sit in cache skip the blocking (one bound
-    pair) — the aliasing pathology only appears once a row outgrows a
-    4KB page.
-    """
-    if n <= 256:
-        if n > 0:
-            yield 0, n
-        return
-    for lo in range(0, n, _T_BLOCK):
-        yield lo, min(lo + _T_BLOCK, n)
-
-
-#: Timed samples collected per stage variant before the workspace
-#: locks in the faster one.
-_TUNE_SAMPLES = 3
+    from scipy.fft import dctn as _dctn
+    from scipy.fft import dst as _dst
+    from scipy.fft import idct as _idct
+    from scipy.fft import idctn as _idctn
 
 
 class SpectralWorkspace:
@@ -132,16 +59,11 @@ class SpectralWorkspace:
     Holds everything a Poisson solve needs that does not depend on the
     charge map: the Laplacian eigenvalue denominators ``w_u^2 + w_v^2``
     (the expensive part of solver construction), the frequency row and
-    column vectors, and nine preallocated scratch arrays for the
+    column vectors, and six preallocated scratch arrays for the
     elementwise stages between transforms.  One workspace per grid
     geometry is cached process-wide (:meth:`for_grid`), so the density
     engine and the per-round congestion field share buffers instead of
     each reallocating and recomputing them.
-
-    Three stages (forward transform, x-field, y-field) each carry two
-    bitwise-identical implementations; the workspace's first solves
-    time them alternately and lock in the faster per stage (see
-    :attr:`variants` and the module docstring).
 
     Thread safety: a workspace's scratch buffers make :meth:`solve`
     non-reentrant.  The flow is single-threaded per process (the
@@ -169,43 +91,14 @@ class SpectralWorkspace:
         denom = self._wu**2 + self._wv**2
         denom[0, 0] = 1.0  # the DC mode is projected out, value unused
         self._inv_denom = 1.0 / denom
-        self._wvt = self._wv.T  # column view for transposed-layout stages
-        # scratch for the elementwise stages; reused across solves.
-        # The (ny, nx) buffers hold transposed-layout intermediates: the
-        # transposed variants route strided axis-0 transforms through
-        # contiguous axis-1 transforms on transposed data.
+        # scratch for the elementwise stages; reused across solves
         self._bal = np.empty((nx, ny))
-        self._balt = np.empty((ny, nx))
         self._coef = np.empty((nx, ny))
         self._cx = np.empty((nx, ny))
         self._cy = np.empty((nx, ny))
-        self._cyt = np.empty((ny, nx))
         self._shift_x = np.empty((nx, ny))
-        self._shift_xt = np.empty((ny, nx))
         self._shift_y = np.empty((nx, ny))
         self.n_solves = 0
-        # per-stage variant choice: None = still tuning.  All variants
-        # of a stage are bitwise identical, so the choice (and the
-        # alternation while tuning) never affects results.
-        self._variant: dict = {"fwd": None, "ex": None, "ey": None}
-        self._tune: dict = {
-            "fwd": {"direct": [], "transposed": []},
-            "ex": {"strided": [], "transposed": []},
-            "ey": {"strided": [], "transposed": []},
-        }
-        self._stages = {
-            "fwd": {"direct": self._fwd_direct,
-                    "transposed": self._fwd_transposed},
-            "ex": {"strided": self._ex_strided,
-                   "transposed": self._ex_transposed},
-            "ey": {"strided": self._ey_strided,
-                   "transposed": self._ey_transposed},
-        }
-
-    @property
-    def variants(self) -> dict:
-        """Current per-stage variant choice (``None`` = still tuning)."""
-        return dict(self._variant)
 
     # ------------------------------------------------------------- cache
     @classmethod
@@ -223,154 +116,59 @@ class SpectralWorkspace:
             ws = _WORKSPACES[key] = cls(grid.nx, grid.ny, grid.dx, grid.dy)
         return ws
 
-    # ------------------------------------------------------ stage variants
-    #
-    # Each stage's variants are bitwise identical (pinned at atol=0 by
-    # tests/test_spectral_workspace.py across all eight combinations):
-    # the transposed forms route pocketfft's strided axis-0 transforms
-    # through contiguous axis-1 transforms on transposed scratch
-    # (pocketfft's 1-D kernels are layout-independent), and the forward
-    # dctn composes exactly from per-axis dct passes because the
-    # forward transform carries no normalization.
-
-    def _fwd_direct(self, rho, mean, workers):
+    # ------------------------------------------------------------ stages
+    def _forward(self, rho: np.ndarray, mean: float) -> np.ndarray:
         """Forward 2-D DCT of the balanced charge, as one dctn call."""
         np.subtract(rho, mean, out=self._bal)
-        return _dctn(self._bal, type=2, overwrite_x=True, workers=workers)
+        return _dctn(self._bal, type=2, overwrite_x=True)
 
-    def _fwd_transposed(self, rho, mean, workers):
-        """Forward 2-D DCT as two contiguous axis-1 passes."""
-        nx, ny = self.shape
-        for lo, hi in _t_blocks(nx):
-            np.subtract(rho[lo:hi, :].T, mean, out=self._balt[:, lo:hi])
-        d1t = _dct(self._balt, type=2, axis=1, overwrite_x=True,
-                   workers=workers)
-        for lo, hi in _t_blocks(ny):
-            self._coef[:, lo:hi] = d1t[lo:hi, :].T
-        return _dct(self._coef, type=2, axis=1, overwrite_x=True,
-                    workers=workers)
-
-    def _ex_strided(self, workers):
-        """x-field exactly as the reference orders it (DST along axis 0)."""
+    def _field_x(self) -> np.ndarray:
+        """x-field: IDCT along axis 1, then the IDXST along axis 0."""
         nx = self.shape[0]
-        bx = _idct(self._cx, type=2, axis=1, overwrite_x=True,
-                   workers=workers)
-        # IDXST shift: slice copy instead of the reference's np.roll
+        bx = _idct(self._cx, type=2, axis=1, overwrite_x=True)
+        # IDXST shift: slice copy instead of np.roll, former u=0 zeroed
         self._shift_x[:-1, :] = bx[1:, :]
         self._shift_x[-1, :] = 0.0
-        ex = _dst(self._shift_x, type=3, axis=0, workers=workers)
+        ex = _dst(self._shift_x, type=3, axis=0)
         np.divide(ex, 2.0 * nx, out=ex)
         return ex
 
-    def _ex_transposed(self, workers):
-        """x-field with the axis-0 DST rerouted through transposed scratch."""
-        nx, ny = self.shape
-        bx = _idct(self._cx, type=2, axis=1, overwrite_x=True,
-                   workers=workers)
-        # IDXST shift fused with the transpose: row u+1 of bx lands in
-        # column u, the former u=0 slot (now trailing) is zeroed
-        for lo, hi in _t_blocks(nx - 1):
-            self._shift_xt[:, lo:hi] = bx[lo + 1:hi + 1, :].T
-        self._shift_xt[:, -1] = 0.0
-        ext = _dst(self._shift_xt, type=3, axis=1, overwrite_x=True,
-                   workers=workers)
-        # transpose back and normalize in one pass into the fresh
-        # caller-owned array
-        ex = np.empty((nx, ny))
-        for lo, hi in _t_blocks(ny):
-            np.divide(ext[lo:hi, :].T, 2.0 * nx, out=ex[:, lo:hi])
-        return ex
-
-    def _ey_strided(self, coef, workers):
-        """y-field exactly as the reference orders it (IDCT along axis 0)."""
+    def _field_y(self, coef: np.ndarray) -> np.ndarray:
+        """y-field: IDCT along axis 0, then the IDXST along axis 1."""
         ny = self.shape[1]
         np.multiply(coef, self._wv, out=self._cy)
-        by = _idct(self._cy, type=2, axis=0, overwrite_x=True,
-                   workers=workers)
+        by = _idct(self._cy, type=2, axis=0, overwrite_x=True)
         self._shift_y[:, :-1] = by[:, 1:]
         self._shift_y[:, -1] = 0.0
-        ey = _dst(self._shift_y, type=3, axis=1, workers=workers)
+        ey = _dst(self._shift_y, type=3, axis=1)
         np.divide(ey, 2.0 * ny, out=ey)
         return ey
-
-    def _ey_transposed(self, coef, workers):
-        """y-field with the axis-0 IDCT rerouted through transposed scratch."""
-        nx, ny = self.shape
-        for lo, hi in _t_blocks(nx):
-            np.multiply(coef[lo:hi, :].T, self._wvt, out=self._cyt[:, lo:hi])
-        byt = _idct(self._cyt, type=2, axis=1, overwrite_x=True,
-                    workers=workers)
-        # back to row-major with the axis-1 IDXST shift fused in
-        for lo, hi in _t_blocks(ny - 1):
-            self._shift_y[:, lo:hi] = byt[lo + 1:hi + 1, :].T
-        self._shift_y[:, -1] = 0.0
-        ey = _dst(self._shift_y, type=3, axis=1, workers=workers)
-        np.divide(ey, 2.0 * ny, out=ey)
-        return ey
-
-    def _run(self, stage: str, *args):
-        """Run ``stage`` via its locked variant, or time one while tuning.
-
-        While a stage is untuned, calls alternate between its variants
-        (least-sampled first) under a ``perf_counter`` timer; once every
-        variant has :data:`_TUNE_SAMPLES` samples the variant with the
-        best (minimum) sample is locked in.  Min-of-samples is the
-        robust statistic here: timing noise on a busy host only ever
-        inflates samples.
-        """
-        methods = self._stages[stage]
-        locked = self._variant[stage]
-        if locked is not None:
-            return methods[locked](*args)
-        samples = self._tune[stage]
-        name = min(samples, key=lambda k: len(samples[k]))
-        t0 = time.perf_counter()
-        out = methods[name](*args)
-        samples[name].append(time.perf_counter() - t0)
-        if all(len(v) >= _TUNE_SAMPLES for v in samples.values()):
-            self._variant[stage] = min(samples, key=lambda k: min(samples[k]))
-        return out
 
     # ------------------------------------------------------------- solve
-    def solve(
-        self, rho: np.ndarray, workers: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def solve(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve Eq. (1) for ``rho``; returns fresh ``(psi, ex, ey)``.
 
-        Bit-identical to :meth:`PoissonSolver.solve_reference` — same
-        transforms, same ufuncs, same operation order — but every
-        elementwise intermediate lands in workspace scratch, and the
-        transforms whose outputs feed straight back into scratch run
-        in-place (``overwrite_x=True``; scipy then returns the input
-        buffer itself).  Only the returned arrays allocate:
+        Every elementwise intermediate lands in workspace scratch, and
+        the transforms whose outputs feed straight back into scratch
+        run in-place (``overwrite_x=True``; scipy then returns the
+        input buffer itself).  Only the returned arrays allocate:
         ``psi``/``ex``/``ey`` are fresh and owned by the caller —
         deliberately **not** aliased to scratch, so a later solve on
-        the same workspace never mutates them (asserted by the
-        cache-reuse test).
-
-        The forward and field stages dispatch through the auto-tuner
-        (:meth:`_run`): the first few solves sample both bitwise-equal
-        implementations of each stage and lock in the faster.
-
-        ``workers`` is forwarded to ``scipy.fft`` and parallelizes the
-        independent 1-D transforms across threads (identical results —
-        each line is computed by the same kernel).  ``None`` keeps
-        scipy's single-threaded default.
+        the same workspace never mutates them.
         """
         if rho.shape != self.shape:
             raise ValueError(f"rho shape {rho.shape} != grid {self.shape}")
         self.n_solves += 1
-        mean = rho.mean()
-        a = self._run("fwd", rho, mean, workers)
+        a = self._forward(rho, rho.mean())
         coef = np.multiply(a, self._inv_denom, out=self._coef)
         coef[0, 0] = 0.0
 
         # E = -grad(psi): differentiating cos(w_u x)cos(w_v y) gives
         # -w_u sin cos (x) and -w_v cos sin (y); the minus signs cancel.
         np.multiply(coef, self._wu, out=self._cx)
-        psi = _idctn(coef, type=2, workers=workers)
-        ex = self._run("ex", workers)
-        ey = self._run("ey", coef, workers)
+        psi = _idctn(coef, type=2)
+        ex = self._field_x()
+        ey = self._field_y(coef)
         return psi, ex, ey
 
 
@@ -390,30 +188,17 @@ def spectral_cache_size() -> int:
 
 @dataclass
 class PoissonSolver:
-    """Reusable spectral Poisson solver bound to one grid.
+    """Spectral Poisson solver bound to one grid.
 
-    By default delegates to the process-wide cached
-    :class:`SpectralWorkspace` for the grid's geometry; construct with
-    ``use_workspace=False`` for a self-contained instance running the
-    original reference implementation (used by the equivalence tests
-    and the before/after benchmark).
+    Delegates to the process-wide cached :class:`SpectralWorkspace`
+    for the grid's geometry.
     """
 
     grid: Grid2D
-    use_workspace: bool = True
-    workers: int | None = None
     _ws: SpectralWorkspace = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.use_workspace:
-            self._ws = SpectralWorkspace.for_grid(self.grid)
-        else:
-            g = self.grid
-            self._ws = SpectralWorkspace(g.nx, g.ny, g.dx, g.dy)
-        # kept as attributes for the reference path and introspection
-        self._wu = self._ws._wu
-        self._wv = self._ws._wv
-        self._inv_denom = self._ws._inv_denom
+        self._ws = SpectralWorkspace.for_grid(self.grid)
 
     def solve(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Solve for potential and field.
@@ -430,35 +215,7 @@ class PoissonSolver:
             Potential and the field components ``E = -grad(psi)``,
             all of the grid's shape.  ``psi`` has zero mean.
         """
-        if self.use_workspace:
-            return self._ws.solve(rho, workers=self.workers)
-        return self.solve_reference(rho)
-
-    def solve_reference(
-        self, rho: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Original straight-line solve (fresh temporaries every call).
-
-        The numeric ground truth the workspace path is pinned against:
-        ``tests/test_spectral_workspace.py`` asserts exact (``atol=0``)
-        agreement, and ``scripts/bench_spectral.py`` uses it as the
-        "before" timing.
-        """
-        if rho.shape != self.grid.shape:
-            raise ValueError(f"rho shape {rho.shape} != grid {self.grid.shape}")
-        balanced = rho - rho.mean()
-        a = sfft.dctn(balanced, type=2)
-        coef = a * self._inv_denom
-        coef[0, 0] = 0.0
-        psi = sfft.idctn(coef, type=2)
-
-        # E = -grad(psi): differentiating cos(w_u x)cos(w_v y) gives
-        # -w_u sin cos (x) and -w_v cos sin (y); the minus signs cancel.
-        cx = coef * self._wu
-        cy = coef * self._wv
-        ex = _idxst(sfft.idct(cx, type=2, axis=1), axis=0)
-        ey = _idxst(sfft.idct(cy, type=2, axis=0), axis=1)
-        return psi, ex, ey
+        return self._ws.solve(rho)
 
 
 def solve_poisson_fd(grid: Grid2D, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

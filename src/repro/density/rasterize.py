@@ -12,9 +12,7 @@ Implements the ePlace density model ingredients:
 
 Cells spanning few bins (after smoothing, standard cells span at most
 3x3) take a fully vectorized broadcast path; the handful of macros and
-large fixed blocks take an exact per-cell loop.  The vectorized overlap
-build dispatches through the pluggable kernel layer
-(:mod:`repro.kernels`, ``raster_overlaps``).
+large fixed blocks take an exact per-cell loop.
 """
 
 from __future__ import annotations
@@ -24,10 +22,34 @@ import math
 import numpy as np
 
 from repro.geometry.grid import Grid2D
-from repro.kernels import get_backend
 
 _SQRT2 = math.sqrt(2.0)
 _MAX_VECTOR_SPAN = 6  # cells spanning more bins than this go to the slow path
+
+
+def _raster_overlaps(
+    ids, xlo, xhi, ylo, yhi, i0, j0, kx, ky, scale,
+    base_x, base_y, dx, dy, nx, ny,
+):
+    """Flattened bin indices, weights and owning cells of the small cells.
+
+    All per-cell arrays are already sliced to the subset ``ids``.  One
+    ``(kx, ky, n)`` broadcast covers every ``(di, dj)`` bin offset of
+    every cell; its C-order ravel gives the canonical entry order
+    (``di`` outer, ``dj`` inner, cells innermost), which fixes the
+    summation order of the scatter/gather bincounts.
+    """
+    di = np.arange(kx, dtype=np.int64)[:, None]
+    dj = np.arange(ky, dtype=np.int64)[:, None]
+    left_x = base_x + (i0 + di) * dx  # (kx, n)
+    lx = np.clip(np.minimum(xhi, left_x + dx) - np.maximum(xlo, left_x), 0.0, dx)
+    col = np.clip(i0 + di, 0, nx - 1)
+    left_y = base_y + (j0 + dj) * dy  # (ky, n)
+    ly = np.clip(np.minimum(yhi, left_y + dy) - np.maximum(ylo, left_y), 0.0, dy)
+    row = np.clip(j0 + dj, 0, ny - 1)
+    bin_idx = (col[:, None, :] * ny + row[None, :, :]).reshape(-1)
+    weights = ((lx[:, None, :] * ly[None, :, :]) * scale).reshape(-1)
+    return bin_idx, weights, np.tile(ids, kx * ky)
 
 
 class CellRasterizer:
@@ -116,13 +138,7 @@ class CellRasterizer:
         return np.clip(np.minimum(hi, left + pitch) - np.maximum(lo, left), 0.0, pitch)
 
     def _build_small_overlaps(self):
-        """Flattened bin indices and charge weights for the vectorized set.
-
-        Delegates the overlap build to the active kernel backend; the
-        reference backend is the original chunked di/dj loop moved
-        verbatim, so the entry order (di outer, dj inner, cells within)
-        is unchanged.
-        """
+        """Flattened bin indices and charge weights for the vectorized set."""
         ids = self._small_ids
         if len(ids) == 0:
             return np.empty(0, dtype=np.int64), np.empty((0,), dtype=np.float64)
@@ -131,7 +147,7 @@ class CellRasterizer:
         j0 = self._j0[ids]
         kx = int((self._i1[ids] - i0).max()) + 1
         ky = int((self._j1[ids] - j0).max()) + 1
-        bin_idx, weights, cell_of_entry = get_backend().raster_overlaps(
+        bin_idx, weights, cell_of_entry = _raster_overlaps(
             ids,
             self._xlo[ids],
             self._xhi[ids],

@@ -39,8 +39,6 @@ from repro.core.rd_placer import RDConfig
 from repro.place.config import GPConfig
 from repro.route.config import RouterConfig
 
-_KERNEL_BACKENDS = ("reference", "fastnp", "numba", "auto")
-
 
 @dataclass(frozen=True)
 class Knob:
@@ -115,8 +113,6 @@ def _knob_table() -> dict:
              "Global-router estimation engine", choices=("batched", "scalar")),
         Knob("router.rrr_rounds", "router", "rrr_rounds", "int",
              "Rip-up-and-reroute rounds in the congestion estimator"),
-        Knob("kernel.backend", "kernel", "backend", "str",
-             "Hot-path kernel backend", choices=_KERNEL_BACKENDS),
     )
     return {k.name: k for k in knobs}
 
@@ -145,7 +141,6 @@ class KnobBinding:
 
     gp_config: GPConfig
     rd_config: RDConfig
-    kernel_backend: str | None
 
 
 def apply_knobs(knobs: dict, gp_base: GPConfig | None = None,
@@ -173,8 +168,7 @@ def apply_knobs(knobs: dict, gp_base: GPConfig | None = None,
         router=replace(rd.router, **by_section.get("router", {})),
         **by_section.get("rd", {}),
     )
-    backend = by_section.get("kernel", {}).get("backend")
-    return KnobBinding(gp_config=gp, rd_config=rd, kernel_backend=backend)
+    return KnobBinding(gp_config=gp, rd_config=rd)
 
 
 @dataclass(frozen=True)

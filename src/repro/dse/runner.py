@@ -40,9 +40,7 @@ def run_unit(unit: DseUnit, ctx=None) -> dict:
     to a private in-memory registry whose events ride back on the
     payload, exceptions become traceback strings, and
     :class:`~repro.jobs.spec.JobCancelled` is re-raised so a supervised
-    worker reports ``cancelled`` rather than a unit failure.  A
-    ``kernel.backend`` knob is applied for the duration of the unit and
-    the previous process-wide selection restored afterwards.
+    worker reports ``cancelled`` rather than a unit failure.
     """
     from repro.jobs.spec import JobCancelled
     from repro.utils.metrics import MemorySink, MetricsRegistry
@@ -58,24 +56,13 @@ def run_unit(unit: DseUnit, ctx=None) -> dict:
     metrics.start_run(**start_fields)
     error = None
     rows: list = []
-    restore_backend = None
     try:
         binding = apply_knobs(unit.knobs)
-        if binding.kernel_backend is not None:
-            from repro import kernels
-
-            restore_backend = kernels.requested_backend()
-            kernels.configure(binding.kernel_backend, metrics)
         rows = _run_unit_flow(unit, binding, metrics)
     except JobCancelled:
         raise
     except BaseException:
         error = traceback.format_exc()
-    finally:
-        if restore_backend is not None:
-            from repro import kernels
-
-            kernels.configure(restore_backend)
     metrics.close()
     events = [json.loads(line) for line in sink.lines]
     return {
@@ -282,13 +269,9 @@ def submit_grid(spec: GridSpec, root: str, designs_dir=None,
     client = ServiceClient(root=root)
     entries = []
     for unit in units:
-        knobs = dict(unit.knobs)
-        backend = knobs.pop("kernel.backend", None)
         request = {"input": str(paths[unit.design]), "routability": True}
-        if knobs:
-            request["overrides"] = knobs
-        if backend is not None:
-            request["kernel_backend"] = backend
+        if unit.knobs:
+            request["overrides"] = dict(unit.knobs)
         entries.append(client.submit(
             request, kind="place", priority=priority,
             job_id=_unit_filename(unit.unit_id)[:-5]))

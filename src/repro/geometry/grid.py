@@ -134,7 +134,7 @@ class Grid2D:
                 f"map shape {scalar_map.shape} != grid shape {(self.nx, self.ny)}"
             )
         i, j = self.index_of(x, y)
-        return scalar_map[i, j]
+        return np.take(scalar_map.reshape(-1), i * self.ny + j)
 
     def bilinear_at(self, scalar_map: np.ndarray, x, y):
         """Sample a scalar map with bilinear interpolation between bin centers.

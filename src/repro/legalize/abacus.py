@@ -94,12 +94,14 @@ def abacus_refine(
         weights = np.maximum(netlist.cell_area[cids], 1e-9)
         targets = desired_x[cids] - widths / 2
         lefts = _place_segment(targets, widths, weights, seg.xlo, seg.xhi)
-        # integer-site snapping: cell widths are site multiples, so all
-        # overlap/boundary arithmetic stays exact in site units
+        # integer-site snapping keeps overlap/boundary arithmetic exact
+        # in site units; a cell width that is not a site multiple (an
+        # ECO resize of 7 sites by 1.5 gives 10.5) occupies the sites it
+        # touches, so it rounds up
         sw = rowmap.site_width
         start_site = int(np.ceil(seg.xlo / sw - 1e-9))
         end_site = int(np.floor(seg.xhi / sw + 1e-9))
-        w_sites = np.rint(widths / sw).astype(np.int64)
+        w_sites = np.ceil(widths / sw - 1e-9).astype(np.int64)
         li = np.rint(lefts / sw).astype(np.int64)
         li[0] = max(li[0], start_site)
         for i in range(1, len(li)):

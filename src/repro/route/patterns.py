@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels import get_backend
-
 # RoutedPathBatch.family codes
 FAMILY_EMPTY = 0  # degenerate segment, both endpoints in one G-cell
 FAMILY_H = 1  # single horizontal run
@@ -449,21 +447,35 @@ class PatternRouter:
     def _best_hvh_batch(self, i1, j1, i2, j2):
         """Vector form of :meth:`_best_hvh`: per-segment (cost, bend).
 
-        The candidate-cost evaluation and arg-min run in the active
-        kernel backend (the candidate matrix itself is cheap integer
-        bookkeeping and stays here).
+        Ties keep the lowest candidate, exactly like ``np.argmin``.
         """
         ms = self._candidate_matrix(i1, i2, self.nx)
-        return get_backend().route_best_bends(
-            self._hpre, self._vpre, ms, i1, j1, i2, j2, self.via_cost, "hvh"
+        i1c, i2c = i1[:, None], i2[:, None]
+        j1c, j2c = j1[:, None], j2[:, None]
+        c = (
+            self._h_run_cost(j1c, i1c, ms)
+            + self._v_run_cost(ms, j1c, j2c)
+            + self._h_run_cost(j2c, ms, i2c)
+            + self.via_cost * ((ms != i1c).astype(float) + (ms != i2c))
         )
+        k = np.argmin(c, axis=1)
+        rows = np.arange(len(k))
+        return c[rows, k], ms[rows, k]
 
     def _best_vhv_batch(self, i1, j1, i2, j2):
         """Vector form of :meth:`_best_vhv`: per-segment (cost, bend)."""
         rs = self._candidate_matrix(j1, j2, self.ny)
-        return get_backend().route_best_bends(
-            self._hpre, self._vpre, rs, i1, j1, i2, j2, self.via_cost, "vhv"
+        i1c, i2c = i1[:, None], i2[:, None]
+        j1c, j2c = j1[:, None], j2[:, None]
+        c = (
+            self._v_run_cost(i1c, j1c, rs)
+            + self._h_run_cost(rs, i1c, i2c)
+            + self._v_run_cost(i2c, rs, j2c)
+            + self.via_cost * ((rs != j1c).astype(float) + (rs != j2c))
         )
+        k = np.argmin(c, axis=1)
+        rows = np.arange(len(k))
+        return c[rows, k], rs[rows, k]
 
     def _best_hvh(self, i1, j1, i2, j2) -> RoutedPath:
         """Horizontal - vertical - horizontal, bend column ``m``."""

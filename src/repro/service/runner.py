@@ -2,7 +2,7 @@
 
 :func:`run_place_job` and :func:`run_route_job` are the complete
 ``repro place`` / ``repro route`` flows — load + validate, telemetry,
-contracts, kernel selection, the placement/routing itself, output
+contracts, the placement/routing itself, output
 files — factored out of :mod:`repro.cli` so the service daemon
 executes *exactly* the code the CLI executes.  That identity is the
 service's conformance contract: a job submitted over the API produces
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 
 # ----------------------------------------------------------------------
-# shared plumbing (telemetry / contracts / kernels)
+# shared plumbing (telemetry / contracts)
 # ----------------------------------------------------------------------
 def open_metrics(
     path: str | None,
@@ -88,18 +88,6 @@ def configure_contracts(mode: str | None, metrics) -> None:
     contracts.configure(mode=mode, metrics=metrics)
 
 
-def configure_kernels(backend: str | None, metrics) -> None:
-    """Select the kernel backend (``None`` keeps the environment default).
-
-    The resolved choice is exported back into the environment so worker
-    subprocesses inherit it, and a ``kernel.backend`` telemetry event
-    records the decision when a registry is attached.
-    """
-    from repro import kernels
-
-    kernels.configure(backend, metrics=metrics)
-
-
 def load_validated(path: str):
     """Load a design file and structurally validate it.
 
@@ -146,7 +134,6 @@ class PlaceRequest:
     checkpoint: str | None = None
     metrics_out: str | None = None
     check_invariants: str | None = None
-    kernel_backend: str | None = None
     metrics_buffer_lines: int = 256
     overrides: dict | None = None
 
@@ -243,7 +230,6 @@ def run_place_job(req: PlaceRequest, netlist=None) -> PlaceOutcome:
         buffer_lines=req.metrics_buffer_lines,
     )
     configure_contracts(req.check_invariants, metrics)
-    configure_kernels(req.kernel_backend, metrics)
     outcome = PlaceOutcome(out=req.out, routability=req.routability)
     if req.routability:
         rd_kwargs = {}
@@ -257,8 +243,6 @@ def run_place_job(req: PlaceRequest, netlist=None) -> PlaceOutcome:
 
             binding = apply_knobs(req.overrides, gp_base=gp, rd_base=rd)
             gp, rd = binding.gp_config, binding.rd_config
-            if binding.kernel_backend is not None:
-                configure_kernels(binding.kernel_backend, metrics)
         placer = RoutabilityDrivenPlacer(
             netlist, rd, profiler=profiler, metrics=metrics,
         )
@@ -278,8 +262,6 @@ def run_place_job(req: PlaceRequest, netlist=None) -> PlaceOutcome:
 
             binding = apply_knobs(req.overrides, gp_base=gp)
             gp = binding.gp_config
-            if binding.kernel_backend is not None:
-                configure_kernels(binding.kernel_backend, metrics)
         initial_placement(netlist, gp.seed)
         converge_placement(netlist, gp, profiler=profiler, metrics=metrics)
         congestion = None
@@ -325,7 +307,6 @@ class EcoRequest:
     compare: bool = False
     metrics_out: str | None = None
     check_invariants: str | None = None
-    kernel_backend: str | None = None
     metrics_buffer_lines: int = 256
 
 
@@ -422,7 +403,6 @@ def run_eco_job(req: EcoRequest, netlist=None) -> EcoOutcome:
         buffer_lines=req.metrics_buffer_lines,
     )
     configure_contracts(req.check_invariants, metrics)
-    configure_kernels(req.kernel_backend, metrics)
     rd_kwargs = {}
     if req.rounds is not None:
         rd_kwargs["max_rounds"] = req.rounds
@@ -489,7 +469,6 @@ class RouteRequest:
     engine: str = "batched"
     metrics_out: str | None = None
     check_invariants: str | None = None
-    kernel_backend: str | None = None
     metrics_buffer_lines: int = 256
 
 
@@ -552,7 +531,6 @@ def run_route_job(req: RouteRequest, netlist=None) -> RouteOutcome:
         buffer_lines=req.metrics_buffer_lines,
     )
     configure_contracts(req.check_invariants, metrics)
-    configure_kernels(req.kernel_backend, metrics)
     config = RouterConfig(engine=req.engine)
     result = GlobalRouter(
         grid, config, profiler=profiler, metrics=metrics
@@ -579,14 +557,14 @@ def run_route_job(req: RouteRequest, netlist=None) -> RouteOutcome:
 #: (output / checkpoint / metrics paths) is daemon-owned.
 CLIENT_PLACE_FIELDS = (
     "input", "routability", "iters", "rounds", "iters_per_round",
-    "check_invariants", "kernel_backend", "overrides",
+    "check_invariants", "overrides",
 )
 CLIENT_ROUTE_FIELDS = (
-    "input", "grid", "engine", "check_invariants", "kernel_backend",
+    "input", "grid", "engine", "check_invariants",
 )
 CLIENT_ECO_FIELDS = (
     "input", "baseline", "baseline_checkpoint", "rounds", "iters_per_round",
-    "halo", "compare", "check_invariants", "kernel_backend",
+    "halo", "compare", "check_invariants",
 )
 
 

@@ -511,7 +511,6 @@ class PlacementService:
 
     # -- inline --------------------------------------------------------
     def _tick_inline(self) -> None:
-        from repro import kernels
         from repro.utils import heartbeat
 
         for job_id in self._take_cancel_intents():
@@ -542,11 +541,6 @@ class PlacementService:
 
                 raise JobCancelled("service cancel")
 
-        # each inline job must behave like a fresh process: snapshot the
-        # kernel-backend env export (configure() writes the resolved
-        # choice back) and drop the cached backend afterwards, so job N
-        # and job N+1 resolve — and emit — identically
-        kernel_env = os.environ.get(kernels.ENV_VAR)
         ctx = JobContext(
             job_id=entry.job_id,
             attempt=attempt,
@@ -572,11 +566,6 @@ class PlacementService:
                 error, value = traceback.format_exc(), None
         finally:
             heartbeat.clear_handler()
-            if kernel_env is None:
-                os.environ.pop(kernels.ENV_VAR, None)
-            else:
-                os.environ[kernels.ENV_VAR] = kernel_env
-            kernels.reset()
             with self._cancel_lock:
                 self._inline_job = None
                 self._inline_cancel = None

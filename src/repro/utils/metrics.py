@@ -114,8 +114,6 @@ EVENT_FIELDS: dict = {
     # one per numeric-contract violation (warn/raise modes; see
     # repro.utils.contracts)
     "contract.violation": ("site", "contract", "detail"),
-    # one per kernel-backend selection (see repro.kernels.configure)
-    "kernel.backend": ("requested", "resolved", "numba_available"),
     # design-space-exploration sweeps (see repro.dse) — schema v2
     "dse.sweep": ("sweep", "n_units", "n_points", "n_designs"),
     "dse.shard": ("sweep", "unit", "index", "design"),

@@ -100,30 +100,6 @@ def _no_leaked_injector():
 
 
 @pytest.fixture(autouse=True)
-def _reset_kernels():
-    """Restore the kernel-backend selection between tests.
-
-    Tests that call :func:`repro.kernels.configure` change process-wide
-    state (the cached backend instance *and* the exported
-    ``REPRO_KERNEL_BACKEND`` environment variable); neither may leak
-    into later tests.  An externally-set env var (e.g. a CI matrix leg
-    running the whole suite under ``REPRO_KERNEL_BACKEND=fastnp``) is
-    put back so it keeps governing subsequent tests.
-    """
-    import os
-
-    from repro import kernels
-
-    prev = os.environ.get(kernels.ENV_VAR)
-    yield
-    if prev is None:
-        os.environ.pop(kernels.ENV_VAR, None)
-    else:
-        os.environ[kernels.ENV_VAR] = prev
-    kernels.reset()
-
-
-@pytest.fixture(autouse=True)
 def _reset_contracts():
     """Restore the shared contract checker between tests.
 

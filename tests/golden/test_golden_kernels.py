@@ -20,8 +20,8 @@ Covered kernels:
   (:mod:`~repro.core.pgrails`, :mod:`~repro.core.pinaccess`);
 * the WA wirelength objective and gradient, Sec. II-A
   (:func:`~repro.wirelength.wa.wa_wirelength_and_grad`) — this one
-  also pins the pluggable kernel layer (:mod:`repro.kernels`): any
-  backend drift beyond 1e-9 fails here.
+  also pins the column-sweep WA layout: any drift beyond 1e-9 fails
+  here.
 """
 
 from __future__ import annotations

@@ -1,0 +1,262 @@
+"""Straight-line reference forms of the hot kernels, as test oracles.
+
+Each function below is the original, unrestructured numpy code of one
+hot kernel: ``np.{maximum,minimum}.reduceat`` WA, the chunked
+``(di, dj)`` raster loop, ``Grid2D.index_of`` sampling, ``np.add.at``
+scatters, 2-D fancy-index map lookups, the broadcast bend evaluation
+and the ``np.roll``-based spectral solve.  The product modules keep one
+faster layout per kernel that reproduces these operation sequences, and
+the tests pin them to the oracle at ``atol=0``: :func:`oracle_kernels`
+swaps every oracle into its call site, so a test can run the public
+entry point once each way and compare the bits.
+"""
+
+from __future__ import annotations
+
+import contextlib
+
+import numpy as np
+from scipy import fft as sfft
+
+from repro.core import netmove
+from repro.density import rasterize
+from repro.geometry import Grid2D
+from repro.route.patterns import PatternRouter
+from repro.wirelength import wa
+
+
+# ---------------------------------------------------------------- WA
+def wa_axis(coords, layout, gamma):
+    """Per-net WA wirelength and per-pin gradient along one axis.
+
+    ``layout`` supplies the net-sorted CSR structure (``order``,
+    ``starts``, ``seg``, ``degrees``, ``n_nets``); the gradient is
+    returned in original pin order.
+    """
+    order, starts, seg = layout.order, layout.starts, layout.seg
+    n_nets = layout.n_nets
+    c = coords[order]
+    safe_starts = np.minimum(starts, max(len(order) - 1, 0))
+    if len(order):
+        mx = np.maximum.reduceat(c, safe_starts)
+        mn = np.minimum.reduceat(c, safe_starts)
+    else:
+        mx = np.zeros(n_nets)
+        mn = np.zeros(n_nets)
+
+    a = np.exp((c - mx[seg]) / gamma)
+    b = np.exp(-(c - mn[seg]) / gamma)
+
+    s_plus = np.bincount(seg, weights=a, minlength=n_nets)
+    p_plus = np.bincount(seg, weights=c * a, minlength=n_nets)
+    s_minus = np.bincount(seg, weights=b, minlength=n_nets)
+    p_minus = np.bincount(seg, weights=c * b, minlength=n_nets)
+
+    valid = layout.degrees >= 2
+    s_plus_safe = np.where(s_plus > 0, s_plus, 1.0)
+    s_minus_safe = np.where(s_minus > 0, s_minus, 1.0)
+    wa_plus = p_plus / s_plus_safe
+    wa_minus = p_minus / s_minus_safe
+    wl = np.where(valid, wa_plus - wa_minus, 0.0)
+
+    grad_plus = a * (1.0 + (c - wa_plus[seg]) / gamma) / s_plus_safe[seg]
+    grad_minus = b * (1.0 - (c - wa_minus[seg]) / gamma) / s_minus_safe[seg]
+    grad_ordered = np.where(valid[seg], grad_plus - grad_minus, 0.0)
+
+    grad = np.zeros_like(grad_ordered)
+    grad[order] = grad_ordered
+    return wl, grad
+
+
+# --------------------------------------------------------- rasterize
+def _overlap_1d(lo, hi, base, pitch, k0, offset):
+    """Overlap length of [lo, hi] with bin (k0 + offset) along one axis."""
+    left = base + (k0 + offset) * pitch
+    return np.clip(np.minimum(hi, left + pitch) - np.maximum(lo, left), 0.0, pitch)
+
+
+def raster_overlaps(
+    ids, xlo, xhi, ylo, yhi, i0, j0, kx, ky, scale,
+    base_x, base_y, dx, dy, nx, ny,
+):
+    """Chunked ``(di, dj)`` overlap loop of the small-cell raster set."""
+    idx_chunks = []
+    w_chunks = []
+    for di in range(kx):
+        lx = _overlap_1d(xlo, xhi, base_x, dx, i0, di)
+        col = np.clip(i0 + di, 0, nx - 1)
+        for dj in range(ky):
+            ly = _overlap_1d(ylo, yhi, base_y, dy, j0, dj)
+            row = np.clip(j0 + dj, 0, ny - 1)
+            idx_chunks.append(col * ny + row)
+            w_chunks.append(lx * ly * scale)
+    cell_of_entry = np.tile(ids, kx * ky)
+    return np.concatenate(idx_chunks), np.concatenate(w_chunks), cell_of_entry
+
+
+# ----------------------------------------------------------- netmove
+def virtual_cells(x1, y1, x2, y2, k, congestion, grid):
+    """Eq. (7)-(8) sampling matrix, ``index_of`` lookup, arg-max."""
+    n = len(x1)
+    s_max = int(k.max())
+    steps = np.arange(1, s_max + 1)[None, :]  # (1, S)
+    valid = steps <= k[:, None]
+    t = steps / (k[:, None] + 1.0)
+    sx = x1[:, None] + t * (x2 - x1)[:, None]
+    sy = y1[:, None] + t * (y2 - y1)[:, None]
+
+    ii, jj = grid.index_of(sx.ravel(), sy.ravel())
+    cval = congestion[ii, jj].reshape(n, s_max)
+    cval = np.where(valid, cval, -np.inf)
+    best = np.argmax(cval, axis=1)
+    rows = np.arange(n)
+    return sx[rows, best], sy[rows, best], cval[rows, best]
+
+
+def scatter_pair(n, cells, vx, vy):
+    """Unbuffered fancy-index accumulation (``np.add.at``) onto zeros."""
+    grad_x = np.zeros(n)
+    grad_y = np.zeros(n)
+    np.add.at(grad_x, cells, vx)
+    np.add.at(grad_y, cells, vy)
+    return grad_x, grad_y
+
+
+def value_at(grid, scalar_map, x, y):
+    """Nearest-bin lookup by 2-D fancy indexing."""
+    if scalar_map.shape != (grid.nx, grid.ny):
+        raise ValueError(
+            f"map shape {scalar_map.shape} != grid shape {(grid.nx, grid.ny)}"
+        )
+    i, j = grid.index_of(x, y)
+    return scalar_map[i, j]
+
+
+# ------------------------------------------------------------- route
+def _h_run_cost(hpre, j, i0, i1):
+    """Prefix-sum cost of the horizontal run ``[min,max](i0,i1)`` at row j."""
+    lo = np.minimum(i0, i1)
+    hi = np.maximum(i0, i1)
+    return hpre[hi + 1, j] - hpre[lo, j]
+
+
+def _v_run_cost(vpre, i, j0, j1):
+    """Prefix-sum cost of the vertical run ``[min,max](j0,j1)`` at column i."""
+    lo = np.minimum(j0, j1)
+    hi = np.maximum(j0, j1)
+    return vpre[i, hi + 1] - vpre[i, lo]
+
+
+def route_best_bends(hpre, vpre, cand, i1, j1, i2, j2, via_cost, family):
+    """Broadcast candidate evaluation; ties keep the lowest candidate."""
+    if family == "hvh":
+        j1c, j2c = j1[:, None], j2[:, None]
+        c = (
+            _h_run_cost(hpre, j1c, i1[:, None], cand)
+            + _v_run_cost(vpre, cand, j1c, j2c)
+            + _h_run_cost(hpre, j2c, cand, i2[:, None])
+            + via_cost
+            * ((cand != i1[:, None]).astype(float) + (cand != i2[:, None]))
+        )
+    elif family == "vhv":
+        i1c, i2c = i1[:, None], i2[:, None]
+        c = (
+            _v_run_cost(vpre, i1c, j1[:, None], cand)
+            + _h_run_cost(hpre, cand, i1c, i2c)
+            + _v_run_cost(vpre, i2c, cand, j2[:, None])
+            + via_cost
+            * ((cand != j1[:, None]).astype(float) + (cand != j2[:, None]))
+        )
+    else:
+        raise ValueError(f"unknown candidate family {family!r}")
+    k = np.argmin(c, axis=1)
+    rows = np.arange(len(k))
+    return c[rows, k], cand[rows, k]
+
+
+def _best_hvh_batch(router, i1, j1, i2, j2):
+    """Oracle stand-in for :meth:`PatternRouter._best_hvh_batch`."""
+    ms = router._candidate_matrix(i1, i2, router.nx)
+    return route_best_bends(
+        router._hpre, router._vpre, ms, i1, j1, i2, j2, router.via_cost, "hvh"
+    )
+
+
+def _best_vhv_batch(router, i1, j1, i2, j2):
+    """Oracle stand-in for :meth:`PatternRouter._best_vhv_batch`."""
+    rs = router._candidate_matrix(j1, j2, router.ny)
+    return route_best_bends(
+        router._hpre, router._vpre, rs, i1, j1, i2, j2, router.via_cost, "vhv"
+    )
+
+
+# ----------------------------------------------------------- poisson
+def idxst(coeffs, axis):
+    """Inverse sine transform matching scipy's unnormalized ``idct``.
+
+    Given DCT-style coefficients ``c`` along ``axis``, returns::
+
+        out[i] = (1/M) * sum_{u=1}^{M-1} c[u] sin(pi u (2i+1) / (2M))
+
+    the series obtained by differentiating the ``idct``-normalized
+    cosine expansion term by term (the ``u = 0`` term vanishes).
+    """
+    m = coeffs.shape[axis]
+    shifted = np.roll(coeffs, -1, axis=axis)
+    # zero the (now trailing) former u=0 slot
+    idx = [slice(None)] * coeffs.ndim
+    idx[axis] = m - 1
+    shifted[tuple(idx)] = 0.0
+    return sfft.dst(shifted, type=3, axis=axis) / (2.0 * m)
+
+
+def solve_poisson(grid, rho):
+    """Straight-line spectral solve with fresh temporaries every call."""
+    if rho.shape != grid.shape:
+        raise ValueError(f"rho shape {rho.shape} != grid {grid.shape}")
+    nx, ny = grid.nx, grid.ny
+    wu = (np.pi * np.arange(nx) / (nx * grid.dx))[:, None]
+    wv = (np.pi * np.arange(ny) / (ny * grid.dy))[None, :]
+    denom = wu**2 + wv**2
+    denom[0, 0] = 1.0
+    inv_denom = 1.0 / denom
+
+    balanced = rho - rho.mean()
+    a = sfft.dctn(balanced, type=2)
+    coef = a * inv_denom
+    coef[0, 0] = 0.0
+    psi = sfft.idctn(coef, type=2)
+
+    # E = -grad(psi): differentiating cos(w_u x)cos(w_v y) gives
+    # -w_u sin cos (x) and -w_v cos sin (y); the minus signs cancel.
+    cx = coef * wu
+    cy = coef * wv
+    ex = idxst(sfft.idct(cx, type=2, axis=1), axis=0)
+    ey = idxst(sfft.idct(cy, type=2, axis=0), axis=1)
+    return psi, ex, ey
+
+
+# ------------------------------------------------------------- swap
+#: (owner, attribute, oracle) for every hot kernel's call site.
+CALL_SITES = (
+    (wa, "_wa_axis", wa_axis),
+    (rasterize, "_raster_overlaps", raster_overlaps),
+    (netmove, "_virtual_cells", virtual_cells),
+    (netmove, "_scatter_pair", scatter_pair),
+    (Grid2D, "value_at", value_at),
+    (PatternRouter, "_best_hvh_batch", _best_hvh_batch),
+    (PatternRouter, "_best_vhv_batch", _best_vhv_batch),
+)
+
+
+@contextlib.contextmanager
+def oracle_kernels():
+    """Run every hot kernel's call site on its oracle inside the block."""
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in CALL_SITES]
+    try:
+        for owner, name, fn in CALL_SITES:
+            setattr(owner, name, fn)
+        yield
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)

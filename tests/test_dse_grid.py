@@ -59,6 +59,8 @@ class TestSpecParsing:
         (lambda r: r.update(designs=[]), "designs"),
         (lambda r: r.update(designs=["nope"]), "unknown design"),
         (lambda r: r.update(grid={"bogus.knob": [1]}), "unknown grid knob"),
+        (lambda r: r.update(grid={"kernel.backend": ["fastnp"]}),
+         "unknown grid knob"),
         (lambda r: r.update(grid={"inflation.alpha": []}), "no values"),
         (lambda r: r.update(grid={"inflation.alpha": ["hot"]}), "number"),
         (lambda r: r.update(paired={"rd.max_rounds": [1], "gp.seed": [1, 2]}),
@@ -137,6 +139,8 @@ class TestKnobBinding:
         assert validate_knobs({"rd.max_rounds": 3}) == {"rd.max_rounds": 3}
         with pytest.raises(ValueError, match="unknown knob"):
             validate_knobs({"bogus": 1})
+        with pytest.raises(ValueError, match="unknown knob"):
+            validate_knobs({"kernel.backend": "fastnp"})
         with pytest.raises(ValueError, match="integer"):
             validate_knobs({"rd.max_rounds": 2.5})
         with pytest.raises(ValueError, match="number"):
@@ -152,7 +156,6 @@ class TestKnobBinding:
             "rd.max_rounds": 3,
             "gp.target_density": 0.8,
             "router.engine": "scalar",
-            "kernel.backend": "reference",
         })
         rd = binding.rd_config
         assert rd.inflation.alpha == 0.7
@@ -162,7 +165,6 @@ class TestKnobBinding:
         assert rd.router.engine == "scalar"
         assert binding.gp_config.target_density == 0.8
         assert rd.gp is binding.gp_config
-        assert binding.kernel_backend == "reference"
 
     def test_apply_knobs_layers_on_bases(self):
         gp = GPConfig(max_iters=77, seed=5)
@@ -171,7 +173,6 @@ class TestKnobBinding:
         assert binding.gp_config.max_iters == 77
         assert binding.rd_config.iters_per_round == 9
         assert binding.rd_config.inflation.alpha == 0.5
-        assert binding.kernel_backend is None
 
     def test_every_registered_knob_applies(self):
         for name, knob in KNOBS.items():
@@ -179,9 +180,7 @@ class TestKnobBinding:
             if knob.choices:
                 sample = knob.choices[0]
             binding = apply_knobs({name: sample})
-            if knob.section == "kernel":
-                assert binding.kernel_backend == sample
-            elif knob.section == "gp":
+            if knob.section == "gp":
                 assert getattr(binding.gp_config, knob.attr) == sample
             elif knob.section == "rd":
                 assert getattr(binding.rd_config, knob.attr) == sample

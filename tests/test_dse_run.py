@@ -126,12 +126,25 @@ class TestServiceOverrides:
             "overrides": {"inflation.alpha": 0.3}}}
         assert validate_job_payload(payload) == "place"
 
-    def test_payload_validation_rejects_unknown_knobs(self):
+    @pytest.mark.parametrize("kind,request_extra,match", [
+        ("place", {"overrides": {"bogus.knob": 1}}, "bad 'overrides'"),
+        # the kernel-backend knob and request field no longer exist
+        ("place", {"overrides": {"kernel.backend": "fastnp"}},
+         "unknown knob 'kernel.backend'"),
+        ("place", {"kernel_backend": "fastnp"},
+         "unknown request field.*kernel_backend"),
+        ("route", {"kernel_backend": "fastnp"},
+         "unknown request field.*kernel_backend"),
+        ("eco", {"baseline": "b.bl", "kernel_backend": "fastnp"},
+         "unknown request field.*kernel_backend"),
+    ])
+    def test_payload_validation_rejects_unknown_knobs(
+        self, kind, request_extra, match
+    ):
         from repro.service.runner import validate_job_payload
 
-        payload = {"kind": "place", "request": {
-            "input": "x.bl", "overrides": {"bogus.knob": 1}}}
-        with pytest.raises(ValueError, match="bad 'overrides'"):
+        payload = {"kind": kind, "request": {"input": "x.bl", **request_extra}}
+        with pytest.raises(ValueError, match=match):
             validate_job_payload(payload)
 
     def test_place_request_applies_overrides(self, tmp_path):

@@ -1,34 +1,27 @@
-"""Registry behavior and per-kernel equivalence of the backend layer.
+"""Each hot kernel's call site against its test oracle, bit for bit.
 
-Two halves:
+Every hot kernel (WA wirelength, density rasterization, the Alg. 1/2
+net-moving gradients, the batched router's bend evaluation) has one
+fixed layout in its product module.  These tests drive the *public*
+call sites (``wa_wirelength_and_grad``, ``CellRasterizer``, Alg. 1/2
+gradients, the batched router) once as shipped and once with the
+straight-line forms of :mod:`tests.oracle` swapped in, and require
+``atol=0`` agreement.  WA calls are repeated so the cached per-netlist
+layout and its scratch reuse are covered too.
 
-* **registry** — selection order (configure > env > auto), the numba
-  fallback rules, the exported env var, telemetry emission and the
-  :class:`~repro.kernels.KernelTuner` lock-in contract;
-* **equivalence** — every registered fast backend reproduces the
-  ``reference`` backend on all four routed hot paths, driven through
-  the *public* call sites (``wa_wirelength_and_grad``,
-  ``CellRasterizer``, Alg. 1/2 gradients, the batched router).  The
-  ``fastnp`` backend must be **bit-identical** (``atol=0``); the
-  optional ``numba`` backend is held to 1e-12 (libm vs numpy SIMD
-  exponentials differ by ULPs) and runs only where numba imports
-  (``-m numba`` CI job).
-
-Each equivalence test repeats the fast-backend call ``2 *
-TUNE_SAMPLES + 2`` times so tuned kernels are compared in *both*
-layout variants and again after the tuner locks in.
+:class:`TestNoKernelSelection` pins the other half of that design:
+nothing selects among layouts any more, so the former selection
+options (CLI flag, environment variable, solver keywords, telemetry
+event) are rejected or inert.
 """
 
 from __future__ import annotations
 
-import contextlib
-import logging
-import os
-
 import numpy as np
 import pytest
 
-from repro import kernels
+from repro.bench.harness import kernel_info
+from repro.cli import build_parser
 from repro.core.congestion_field import CongestionField
 from repro.core.multipin import multi_pin_cell_gradients
 from repro.core.netmove import (
@@ -36,69 +29,49 @@ from repro.core.netmove import (
     two_pin_net_gradients,
     virtual_cell_positions,
 )
+from repro.density.electrostatic import ElectrostaticSystem
+from repro.density.poisson import PoissonSolver, SpectralWorkspace
 from repro.density.rasterize import CellRasterizer
-from repro.geometry import Grid2D
-from repro.kernels import ENV_VAR, TUNE_SAMPLES, KernelTuner
+from repro.geometry import Grid2D, Rect
 from repro.place.initial import initial_placement
 from repro.route import GlobalRouter, RouterConfig
 from repro.synth import toy_design
-from repro.utils.metrics import MetricsRegistry, validate_event
+from repro.utils.metrics import EVENT_FIELDS, validate_event
 from repro.wirelength.wa import wa_wirelength_and_grad
+from tests.oracle import oracle_kernels
 
-#: Repetitions that walk a tuned kernel through both variants' timing
-#: samples and past the lock-in point.
-N_TUNE_CALLS = 2 * TUNE_SAMPLES + 2
+#: Repeated calls on one netlist, exercising the cached WA layout.
+N_REPEAT_CALLS = 4
 
-FAST_BACKENDS = [
-    pytest.param("fastnp", id="fastnp"),
-    pytest.param(
-        "numba",
-        id="numba",
-        marks=[
-            pytest.mark.numba,
-            pytest.mark.skipif(
-                not kernels.numba_available(), reason="numba not installed"
-            ),
-        ],
-    ),
+
+def _assert_match(got, want, label):
+    """Bit-identity with the oracle (NaN payloads and signed zeros too)."""
+    got = np.asarray(got)
+    want = np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, label
+    assert got.tobytes() == want.tobytes(), (
+        f"{label}: output is not bit-identical to the oracle"
+    )
+
+
+#: (cells, design seed, grid nx, grid ny) of each equivalence scene: the
+#: golden 16x16 scenario, a larger non-square grid and an odd-sized one
+#: whose bins do not divide the die evenly.
+SCENES = [
+    pytest.param((150, 5, 16, 16), id="toy150-16x16"),
+    pytest.param((300, 11, 24, 20), id="toy300-24x20"),
+    pytest.param((120, 3, 9, 13), id="toy120-9x13"),
 ]
 
 
-@contextlib.contextmanager
-def use_backend(name):
-    """Activate backend ``name``, restoring env var and cache on exit."""
-    prev = os.environ.get(ENV_VAR)
-    try:
-        yield kernels.configure(name)
-    finally:
-        if prev is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = prev
-        kernels.reset()
-
-
-def _assert_match(backend, got, want, label):
-    """Bit-identity for fastnp; 1e-12 for the JIT backend."""
-    got = np.asarray(got)
-    want = np.asarray(want)
-    if backend == "fastnp":
-        assert np.array_equal(got, want), (
-            f"{label}: fastnp output is not bit-identical to reference"
-        )
-    else:
-        np.testing.assert_allclose(
-            got, want, rtol=1e-12, atol=1e-12, err_msg=label
-        )
-
-
-@pytest.fixture(scope="module")
-def scene():
-    """Placed toy design with one real routing pass (reference backend)."""
-    with use_backend("reference"):
-        netlist = toy_design(150, seed=5)
+@pytest.fixture(scope="module", params=SCENES)
+def scene(request):
+    """Placed toy design with one real routing pass (oracle kernels)."""
+    n_cells, seed, nx, ny = request.param
+    with oracle_kernels():
+        netlist = toy_design(n_cells, seed=seed)
         initial_placement(netlist, 0)
-        grid = Grid2D(netlist.die, 16, 16)
+        grid = Grid2D(netlist.die, nx, ny)
         routing = GlobalRouter(grid, RouterConfig()).route(netlist)
         field = CongestionField(grid, routing.utilization_map)
         std = netlist.movable & ~netlist.cell_macro
@@ -112,216 +85,162 @@ def scene():
     }
 
 
-class TestRegistry:
-    def test_available_backends(self):
-        names = kernels.available_backends()
-        assert names[-1] == "auto"
-        assert {"reference", "fastnp", "numba"} <= set(names)
-        assert names[:-1] == sorted(names[:-1])
-
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        kernels.reset()
-        assert kernels.requested_backend() == "auto"
-        expected = "numba" if kernels.numba_available() else "reference"
-        assert kernels.get_backend().name == expected
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "fastnp")
-        kernels.reset()
-        assert kernels.requested_backend() == "fastnp"
-        assert kernels.get_backend().name == "fastnp"
-
-    def test_configure_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "fastnp")
-        kernels.reset()
-        backend = kernels.configure("reference")
-        assert backend.name == "reference"
-        # the choice is exported so worker subprocesses inherit it
-        assert os.environ[ENV_VAR] == "reference"
-
-    def test_configure_none_keeps_env_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "fastnp")
-        kernels.reset()
-        assert kernels.configure(None).name == "fastnp"
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.configure("cuda")
-
-    def test_unknown_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "bogus")
-        kernels.reset()
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.get_backend()
-
-    def test_backend_instance_is_cached(self):
-        kernels.reset()
-        assert kernels.get_backend() is kernels.get_backend()
-
-    @pytest.mark.skipif(
-        kernels.numba_available(), reason="exercises the numba-absent fallback"
-    )
-    def test_numba_fallback_warns_once(self, caplog, monkeypatch):
-        # the repro root logger does not propagate; let caplog see it
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-        with caplog.at_level("WARNING"):
-            with use_backend("numba") as backend:
-                assert backend.name == "reference"
-        assert any("falling back" in r.message for r in caplog.records)
-
-    @pytest.mark.skipif(
-        kernels.numba_available(), reason="exercises the numba-absent fallback"
-    )
-    def test_auto_falls_back_silently(self, monkeypatch, caplog):
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        kernels.reset()
-        with caplog.at_level("WARNING"):
-            assert kernels.get_backend().name == "reference"
-        assert not caplog.records
-
-    def test_configure_emits_schema_valid_event(self):
-        registry = MetricsRegistry()
-        with use_backend("reference"):
-            pass  # enter/exit only to restore state afterwards
-        kernels.configure("fastnp", metrics=registry)
-        kernels.reset()
-        (event,) = registry.series["kernel.backend"]
-        validate_event(event)
-        assert event["requested"] == "fastnp"
-        assert event["resolved"] == "fastnp"
-        assert event["numba_available"] == kernels.numba_available()
-
-    def test_describe_carries_autotune_state(self):
-        with use_backend("fastnp") as backend:
-            info = backend.describe()
-        assert info["name"] == "fastnp"
-        assert set(info["autotune"]) == {
-            "wa_axes",
-            "raster_overlaps",
-            "scatter_add_pair",
-            "route_best_bends",
-        }
-        for report in info["autotune"].values():
-            assert set(report) == {"choice", "samples"}
-
-
-class TestKernelTuner:
-    def test_locks_best_variant_after_sampling(self):
-        calls = []
-        tuner = KernelTuner(
-            "toy",
-            {
-                "a": lambda v: calls.append("a") or v + 1,
-                "b": lambda v: calls.append("b") or v + 1,
-            },
-        )
-        for _ in range(2 * TUNE_SAMPLES):
-            assert tuner(1) == 2  # every variant agrees on the result
-        report = tuner.report()
-        assert tuner.choice in ("a", "b")
-        assert report["choice"] == tuner.choice
-        assert report["samples"] == {"a": TUNE_SAMPLES, "b": TUNE_SAMPLES}
-        # locked: only the chosen variant runs from now on
-        tuner(1)
-        assert calls[-1] == tuner.choice
-
-    def test_alternates_least_sampled_while_tuning(self):
-        seen = []
-        tuner = KernelTuner(
-            "toy",
-            {"a": lambda: seen.append("a"), "b": lambda: seen.append("b")},
-        )
-        for _ in range(2 * TUNE_SAMPLES):
-            tuner()
-        assert seen.count("a") == TUNE_SAMPLES
-        assert seen.count("b") == TUNE_SAMPLES
-
-
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
 class TestEquivalence:
-    def test_wa_wirelength(self, scene, backend):
+    def test_wa_wirelength(self, scene):
         nl = scene["netlist"]
         gamma = 0.5 * scene["grid"].dx
-        with use_backend("reference"):
+        with oracle_kernels():
             ref = wa_wirelength_and_grad(nl, gamma)
-        with use_backend(backend):
-            for call in range(N_TUNE_CALLS):
-                wl, gx, gy = wa_wirelength_and_grad(nl, gamma)
-                _assert_match(backend, wl, ref[0], f"wa wl (call {call})")
-                _assert_match(backend, gx, ref[1], f"wa grad_x (call {call})")
-                _assert_match(backend, gy, ref[2], f"wa grad_y (call {call})")
+        for call in range(N_REPEAT_CALLS):
+            wl, gx, gy = wa_wirelength_and_grad(nl, gamma)
+            _assert_match(wl, ref[0], f"wa wl (call {call})")
+            _assert_match(gx, ref[1], f"wa grad_x (call {call})")
+            _assert_match(gy, ref[2], f"wa grad_y (call {call})")
 
-    def test_raster_density(self, scene, backend):
+    def test_wa_weighted_after_move(self, scene):
+        """Net weights and moved cells reuse the cached layout exactly."""
+        nl = scene["netlist"].copy()
+        gamma = 0.5 * scene["grid"].dx
+        weights = 1.0 + np.arange(nl.n_nets) % 3
+        wa_wirelength_and_grad(nl, gamma)  # builds the cached layout
+        nl.x = nl.x + 0.37 * scene["grid"].dx
+        with oracle_kernels():
+            ref = wa_wirelength_and_grad(nl, gamma, weights)
+        got = wa_wirelength_and_grad(nl, gamma, weights)
+        for g, r, label in zip(got, ref, ("wl", "grad_x", "grad_y")):
+            _assert_match(g, r, f"weighted wa {label}")
+
+    def test_raster_density(self, scene):
         nl = scene["netlist"]
         grid = scene["grid"]
-        with use_backend("reference"):
+        with oracle_kernels():
             ref_raster = CellRasterizer(
                 grid, nl.x, nl.y, nl.cell_width, nl.cell_height
             )
             ref_charge = ref_raster.charge_map()
             field = np.cos(ref_charge)  # any dense per-bin field
             ref_gather = ref_raster.gather(field)
-        with use_backend(backend):
-            for call in range(N_TUNE_CALLS):
-                raster = CellRasterizer(
-                    grid, nl.x, nl.y, nl.cell_width, nl.cell_height
-                )
-                _assert_match(
-                    backend,
-                    raster.charge_map(),
-                    ref_charge,
-                    f"raster charge (call {call})",
-                )
-                _assert_match(
-                    backend,
-                    raster.gather(field),
-                    ref_gather,
-                    f"raster gather (call {call})",
-                )
+        raster = CellRasterizer(grid, nl.x, nl.y, nl.cell_width, nl.cell_height)
+        _assert_match(raster.charge_map(), ref_charge, "raster charge")
+        _assert_match(raster.gather(field), ref_gather, "raster gather")
 
-    def test_netmove_gradients(self, scene, backend):
+    def test_netmove_gradients(self, scene):
         nl = scene["netlist"]
         cfg = NetMoveConfig()
         args = (nl, scene["grid"], scene["congestion"])
-        with use_backend("reference"):
+        with oracle_kernels():
             ref_info = virtual_cell_positions(*args, cfg)
             ref_grads = two_pin_net_gradients(
                 *args, scene["field"], scene["virtual_area"], cfg
             )
-        with use_backend(backend):
-            info = virtual_cell_positions(*args, cfg)
-            for key in ("xv", "yv", "congestion"):
-                _assert_match(backend, info[key], ref_info[key], f"netmove {key}")
-            assert np.array_equal(info["active"], ref_info["active"])
-            gx, gy, _ = two_pin_net_gradients(
-                *args, scene["field"], scene["virtual_area"], cfg
-            )
-            _assert_match(backend, gx, ref_grads[0], "netmove grad_x")
-            _assert_match(backend, gy, ref_grads[1], "netmove grad_y")
+        info = virtual_cell_positions(*args, cfg)
+        for key in ("xv", "yv", "congestion"):
+            _assert_match(info[key], ref_info[key], f"netmove {key}")
+        assert np.array_equal(info["active"], ref_info["active"])
+        gx, gy, _ = two_pin_net_gradients(
+            *args, scene["field"], scene["virtual_area"], cfg
+        )
+        _assert_match(gx, ref_grads[0], "netmove grad_x")
+        _assert_match(gy, ref_grads[1], "netmove grad_y")
 
-    def test_multipin_gradients(self, scene, backend):
+    def test_netmove_non_finite_samples(self, scene):
+        """A NaN pin takes the ``index_of`` fallback, still exact."""
+        nl = scene["netlist"].copy()
+        two_pin = np.flatnonzero(nl.net_degrees() == 2)
+        pin = nl.net_pin_order[nl.net_pin_starts[two_pin[0]]]
+        nl.x[nl.pin_cell[pin]] = np.nan
+        args = (nl, scene["grid"], scene["congestion"], NetMoveConfig())
+        with np.errstate(invalid="ignore"):  # NaN -> int in Eq. (6)
+            with oracle_kernels():
+                ref = virtual_cell_positions(*args)
+            got = virtual_cell_positions(*args)
+        for key in ("xv", "yv", "congestion"):
+            _assert_match(got[key], ref[key], f"netmove {key}")
+
+    def test_multipin_gradients(self, scene):
         nl = scene["netlist"]
         args = (nl, scene["grid"], scene["congestion"], scene["field"])
-        with use_backend("reference"):
+        with oracle_kernels():
             ref_gx, ref_gy, ref_sel = multi_pin_cell_gradients(
                 *args, threshold=0.7
             )
-        with use_backend(backend):
-            gx, gy, sel = multi_pin_cell_gradients(*args, threshold=0.7)
-            _assert_match(backend, gx, ref_gx, "multipin grad_x")
-            _assert_match(backend, gy, ref_gy, "multipin grad_y")
-            assert np.array_equal(sel, ref_sel)
+        gx, gy, sel = multi_pin_cell_gradients(*args, threshold=0.7)
+        _assert_match(gx, ref_gx, "multipin grad_x")
+        _assert_match(gy, ref_gy, "multipin grad_y")
+        assert np.array_equal(sel, ref_sel)
 
-    def test_batched_routing(self, scene, backend):
+    def test_batched_routing(self, scene):
         nl = scene["netlist"]
         grid = scene["grid"]
-        with use_backend("reference"):
+        with oracle_kernels():
             ref = GlobalRouter(grid, RouterConfig()).route(nl)
-        with use_backend(backend):
-            out = GlobalRouter(grid, RouterConfig()).route(nl)
-        _assert_match(backend, out.congestion_map, ref.congestion_map, "route congestion")
-        _assert_match(backend, out.utilization_map, ref.utilization_map, "route utilization")
+        out = GlobalRouter(grid, RouterConfig()).route(nl)
+        _assert_match(out.congestion_map, ref.congestion_map, "route congestion")
+        _assert_match(out.utilization_map, ref.utilization_map, "route utilization")
         assert out.wirelength == ref.wirelength
         assert out.n_vias == ref.n_vias
+
+
+class TestNoKernelSelection:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["place", "d.bl"], id="place"),
+            pytest.param(["route", "d.bl"], id="route"),
+            pytest.param(["eco", "base.bl", "d.bl"], id="eco"),
+            pytest.param(["bench"], id="bench"),
+        ],
+    )
+    def test_cli_rejects_kernel_backend_flag(self, argv, capsys):
+        parser = build_parser()
+        parser.parse_args(argv)  # the command itself still parses
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + ["--kernel-backend", "fastnp"])
+        assert exc.value.code == 2
+        assert "--kernel-backend" in capsys.readouterr().err
+
+    def test_env_var_has_no_effect(self, monkeypatch):
+        nl = toy_design(80, seed=2)
+        initial_placement(nl, 0)
+        want = wa_wirelength_and_grad(nl, 0.7)
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bogus")
+        assert kernel_info() == {"backend": "numpy", "autotune": False}
+        got = wa_wirelength_and_grad(nl.copy(), 0.7)
+        for g, w, label in zip(got, want, ("wl", "grad_x", "grad_y")):
+            _assert_match(g, w, f"wa {label} under a stale env var")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(
+                lambda g: PoissonSolver(g, use_workspace=False),
+                id="PoissonSolver-use_workspace",
+            ),
+            pytest.param(
+                lambda g: PoissonSolver(g, workers=2), id="PoissonSolver-workers"
+            ),
+            pytest.param(
+                lambda g: ElectrostaticSystem(g, fft_workers=2),
+                id="ElectrostaticSystem-fft_workers",
+            ),
+            pytest.param(
+                lambda g: CongestionField(g, np.zeros(g.shape), fft_workers=2),
+                id="CongestionField-fft_workers",
+            ),
+            pytest.param(
+                lambda g: SpectralWorkspace.for_grid(g).solve(
+                    np.zeros(g.shape), workers=2
+                ),
+                id="SpectralWorkspace.solve-workers",
+            ),
+        ],
+    )
+    def test_removed_keywords_rejected(self, make):
+        grid = Grid2D(Rect(0.0, 0.0, 8.0, 8.0), 8, 8)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            make(grid)
+
+    def test_kernel_backend_event_is_an_unknown_kind(self):
+        """Old streams carrying the event still validate."""
+        assert "kernel.backend" not in EVENT_FIELDS
+        validate_event({"v": 2, "seq": 1, "kind": "kernel.backend"})

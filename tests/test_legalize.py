@@ -110,6 +110,25 @@ class TestLegalizeEndToEnd:
         legalize(nl)
         assert check_legal(nl) == []
 
+    def test_half_site_width_cell_packs_legally(self):
+        """A 10.5-site cell (an ECO x1.5 resize of 7 sites) next to a
+        neighbour it abuts must not be packed as 10 sites wide."""
+        from repro.geometry import Rect
+        from repro.netlist import CellSpec, Netlist, NetSpec, PinSpec
+
+        sw = 0.25
+        wide = 10.5 * sw
+        cells = [
+            CellSpec("wide", wide, 1.0, x=0.5 * wide, y=0.5),
+            CellSpec("next", 1.0, 1.0, x=wide + 0.5, y=0.5),
+        ]
+        nets = [NetSpec("n", [PinSpec("wide"), PinSpec("next")])]
+        nl = Netlist.from_specs(
+            "half_site", Rect(0, 0, 10, 4), cells, nets, site_width=sw
+        )
+        legalize(nl)
+        assert check_legal(nl) == []
+
     def test_stats_fields(self, toy120):
         stats = self._place_and_legalize(toy120)
         assert stats.n_cells > 0

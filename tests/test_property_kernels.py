@@ -1,38 +1,47 @@
-"""Hypothesis property: all registered backends agree on random scenes.
+"""Hypothesis property: call sites agree with the oracle on random scenes.
 
 The equivalence tests in ``test_kernel_backends.py`` pin one frozen
-scenario; this module lets hypothesis hunt for a scene where a fast
-backend diverges from ``reference``.  Scenes deliberately include the
-degenerate structure the stacked/broadcast restructures are most
+scenario; this module lets hypothesis hunt for a scene where a call
+site diverges from :mod:`tests.oracle`.  Scenes deliberately include
+the degenerate structure the column-sweep/broadcast layouts are most
 sensitive to:
 
 * **same-cell nets** — both pins on one cell, so per-net max == min and
   the shifted exponentials all collapse to ``e^0``;
-* **fixed cells** — which must receive exactly zero gradient from every
-  backend;
+* **fixed cells** — which must receive exactly zero gradient;
 * **single-pin nets** — degree < 2 nets interleaved between real ones,
   shifting the CSR segment boundaries (the regime where the reference's
   ``reduceat`` start-clamp quirk is live);
 * **coincident / boundary-hugging cells** — zero-width overlap windows
-  in the rasterizer.
+  in the rasterizer, repeated bin samples in the Alg. 1 virtual-cell
+  search and zero-length two-pin routes;
+* **random congestion maps** — arbitrary per-bin values (and therefore
+  arbitrary arg-max ties) for the net-moving gradients and the
+  batched router's bend choice.
 
-The ``fastnp`` backend must match bit-for-bit; ``numba`` (when
-importable) within 1e-12.
+Every call site must match the oracle bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
+from repro.core.congestion_field import CongestionField
+from repro.core.multipin import multi_pin_cell_gradients
+from repro.core.netmove import (
+    NetMoveConfig,
+    two_pin_net_gradients,
+    virtual_cell_positions,
+)
 from repro.density.rasterize import CellRasterizer
 from repro.geometry import Grid2D, Rect
 from repro.netlist import CellSpec, Netlist, NetSpec, PinSpec
-from tests.test_kernel_backends import FAST_BACKENDS, _assert_match, use_backend
+from repro.route import GlobalRouter, RouterConfig
 from repro.wirelength.wa import wa_wirelength_and_grad
+from tests.oracle import oracle_kernels
+from tests.test_kernel_backends import _assert_match
 
 
 def _scene(positions, fixed_mask):
@@ -73,36 +82,94 @@ coords16 = st.lists(
 )
 fixed8 = st.lists(st.booleans(), min_size=8, max_size=8)
 gammas = st.floats(0.05, 8.0, allow_nan=False)
+map_seeds = st.integers(0, 2**32 - 1)
 
 
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
-class TestBackendsAgree:
+def _congestion_scene(positions, fixed_mask, map_seed):
+    """Scene plus a 12x12 grid, a random congestion map and its field."""
+    netlist, die = _scene(positions, fixed_mask)
+    grid = Grid2D(die, 12, 12)
+    congestion = 1.5 * np.random.default_rng(map_seed).random(grid.shape)
+    return netlist, grid, congestion, CongestionField(grid, congestion)
+
+
+class TestOracleAgrees:
     @given(positions=coords16, fixed_mask=fixed8, gamma=gammas)
     @settings(max_examples=30, deadline=None)
-    def test_wa_wirelength_and_grad(self, backend, positions, fixed_mask, gamma):
+    def test_wa_wirelength_and_grad(self, positions, fixed_mask, gamma):
         netlist, _ = _scene(positions, fixed_mask)
-        with use_backend("reference"):
+        with oracle_kernels():
             ref = wa_wirelength_and_grad(netlist, gamma)
-        with use_backend(backend):
-            wl, gx, gy = wa_wirelength_and_grad(netlist, gamma)
-        _assert_match(backend, wl, ref[0], "wa wl")
-        _assert_match(backend, gx, ref[1], "wa grad_x")
-        _assert_match(backend, gy, ref[2], "wa grad_y")
+        wl, gx, gy = wa_wirelength_and_grad(netlist, gamma)
+        _assert_match(wl, ref[0], "wa wl")
+        _assert_match(gx, ref[1], "wa grad_x")
+        _assert_match(gy, ref[2], "wa grad_y")
         assert np.all(gx[netlist.cell_fixed] == 0.0)
         assert np.all(gy[netlist.cell_fixed] == 0.0)
 
     @given(positions=coords16, fixed_mask=fixed8)
     @settings(max_examples=30, deadline=None)
-    def test_rasterized_density(self, backend, positions, fixed_mask):
+    def test_rasterized_density(self, positions, fixed_mask):
         netlist, die = _scene(positions, fixed_mask)
         grid = Grid2D(die, 12, 12)
         args = (grid, netlist.x, netlist.y, netlist.cell_width, netlist.cell_height)
-        with use_backend("reference"):
+        with oracle_kernels():
             ref_raster = CellRasterizer(*args)
             ref_charge = ref_raster.charge_map()
             field = np.sin(ref_charge)
             ref_gather = ref_raster.gather(field)
-        with use_backend(backend):
-            raster = CellRasterizer(*args)
-            _assert_match(backend, raster.charge_map(), ref_charge, "charge")
-            _assert_match(backend, raster.gather(field), ref_gather, "gather")
+        raster = CellRasterizer(*args)
+        _assert_match(raster.charge_map(), ref_charge, "charge")
+        _assert_match(raster.gather(field), ref_gather, "gather")
+
+    @given(positions=coords16, fixed_mask=fixed8, map_seed=map_seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_netmove_gradients(self, positions, fixed_mask, map_seed):
+        netlist, grid, congestion, field = _congestion_scene(
+            positions, fixed_mask, map_seed
+        )
+        cfg = NetMoveConfig(min_congestion=0.0)
+        args = (netlist, grid, congestion)
+        with oracle_kernels():
+            ref_info = virtual_cell_positions(*args, cfg)
+            ref_gx, ref_gy, _ = two_pin_net_gradients(*args, field, 0.375, cfg)
+        info = virtual_cell_positions(*args, cfg)
+        for key in ("xv", "yv", "congestion"):
+            _assert_match(info[key], ref_info[key], f"netmove {key}")
+        gx, gy, _ = two_pin_net_gradients(*args, field, 0.375, cfg)
+        _assert_match(gx, ref_gx, "netmove grad_x")
+        _assert_match(gy, ref_gy, "netmove grad_y")
+
+    @given(
+        positions=coords16,
+        fixed_mask=fixed8,
+        map_seed=map_seeds,
+        threshold=st.floats(0.0, 1.5, allow_nan=False),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_multipin_gradients(self, positions, fixed_mask, map_seed, threshold):
+        netlist, grid, congestion, field = _congestion_scene(
+            positions, fixed_mask, map_seed
+        )
+        args = (netlist, grid, congestion, field)
+        with oracle_kernels():
+            ref_gx, ref_gy, ref_sel = multi_pin_cell_gradients(
+                *args, threshold=threshold
+            )
+        gx, gy, sel = multi_pin_cell_gradients(*args, threshold=threshold)
+        _assert_match(gx, ref_gx, "multipin grad_x")
+        _assert_match(gy, ref_gy, "multipin grad_y")
+        assert np.array_equal(sel, ref_sel)
+
+    @given(positions=coords16, fixed_mask=fixed8)
+    @settings(max_examples=30, deadline=None)
+    def test_batched_routing(self, positions, fixed_mask):
+        netlist, die = _scene(positions, fixed_mask)
+        grid = Grid2D(die, 12, 12)
+        with oracle_kernels():
+            ref = GlobalRouter(grid, RouterConfig()).route(netlist)
+        out = GlobalRouter(grid, RouterConfig()).route(netlist)
+        _assert_match(out.congestion_map, ref.congestion_map, "route congestion")
+        _assert_match(out.utilization_map, ref.utilization_map, "route utilization")
+        assert out.wirelength == ref.wirelength
+        assert out.n_vias == ref.n_vias

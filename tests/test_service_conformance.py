@@ -4,10 +4,10 @@ The service's core promise is that it is *only* an execution vehicle:
 a job submitted over the HTTP API runs the same code as ``repro
 place`` and therefore produces bit-identical positions, telemetry
 stream rows and checkpoint bytes.  The CLI side runs as a real
-subprocess (its own interpreter, its own kernel-backend resolution)
-so the comparison crosses the same process boundary a user's shell
-invocation would — extending the ``TestSupervisedIdentity`` pattern
-from ``test_bench_parallel.py`` to the service layer.
+subprocess (its own interpreter) so the comparison crosses the same
+process boundary a user's shell invocation would — extending the
+``TestSupervisedIdentity`` pattern from ``test_bench_parallel.py`` to
+the service layer.
 """
 
 from __future__ import annotations

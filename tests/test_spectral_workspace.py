@@ -1,8 +1,9 @@
 """Cached spectral workspace: exact equivalence and buffer reuse.
 
-The workspace path must be *bit-identical* (``atol=0``) to the original
-reference implementation — anything weaker would silently invalidate
-the golden suite — and must not allocate fresh scratch per solve.
+The workspace solve must be *bit-identical* (``atol=0``) to the
+straight-line oracle (:func:`tests.oracle.solve_poisson`) — anything
+weaker would silently invalidate the golden suite — and must not
+allocate fresh scratch per solve.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ from repro.geometry import Grid2D, Rect
 from repro.place.initial import initial_placement
 from repro.route import GlobalRouter, RouterConfig
 from repro.synth import toy_design
+from tests.oracle import solve_poisson
 
 #: Every preallocated per-solve scratch buffer of the workspace.
-SCRATCH = (
-    "_bal", "_balt", "_coef", "_cx", "_cy", "_cyt",
-    "_shift_x", "_shift_xt", "_shift_y",
-)
+SCRATCH = ("_bal", "_coef", "_cx", "_cy", "_shift_x", "_shift_y")
 
 SHAPES = [
     ((8, 8), (4, 3)),
@@ -35,8 +34,7 @@ SHAPES = [
     ((33, 17), (7, 2)),
     ((64, 64), (10, 10)),
     # non-power-of-two and mixed-parity shapes: pocketfft picks
-    # different codepaths here, so these pin the transposed-layout and
-    # decomposed-dctn routes where naive transform fusions diverge
+    # different codepaths here, where naive transform fusions diverge
     ((24, 24), (6, 6)),
     ((96, 96), (12, 12)),
     ((20, 10), (5, 5)),
@@ -70,8 +68,7 @@ class TestExactEquivalence:
     def test_workspace_matches_reference_exactly(self, shape, die, rng):
         grid = Grid2D(Rect(0, 0, *die), *shape)
         rho = rng.random(shape)
-        ref = PoissonSolver(grid, use_workspace=False)
-        p0, x0, y0 = ref.solve_reference(rho)
+        p0, x0, y0 = solve_poisson(grid, rho)
         p1, x1, y1 = SpectralWorkspace.for_grid(grid).solve(rho)
         assert _exact(p0, p1)
         assert _exact(x0, x1)
@@ -80,34 +77,35 @@ class TestExactEquivalence:
     def test_golden_input_equivalence(self, golden_utilization):
         """atol=0 on the golden scenario's utilization map."""
         grid, util = golden_utilization
-        ref = PoissonSolver(grid, use_workspace=False)
-        p0, x0, y0 = ref.solve_reference(util)
+        p0, x0, y0 = solve_poisson(grid, util)
         p1, x1, y1 = SpectralWorkspace.for_grid(grid).solve(util)
         np.testing.assert_array_equal(p0, p1)
         np.testing.assert_array_equal(x0, x1)
         np.testing.assert_array_equal(y0, y1)
 
-    def test_workers_path_is_identical(self, rng):
-        grid = Grid2D(Rect(0, 0, 10, 10), 32, 32)
-        rho = rng.random((32, 32))
-        ws = SpectralWorkspace.for_grid(grid)
-        p0, x0, y0 = ws.solve(rho)
-        p1, x1, y1 = ws.solve(rho, workers=2)
-        assert _exact(p0, p1) and _exact(x0, x1) and _exact(y0, y1)
-
-    def test_poisson_solver_default_is_workspace(self, rng):
+    def test_poisson_solver_uses_cached_workspace(self, rng):
         grid = Grid2D(Rect(0, 0, 10, 10), 16, 16)
         rho = rng.random((16, 16))
         s = PoissonSolver(grid)
         assert s._ws is SpectralWorkspace.for_grid(grid)
         p0, x0, y0 = s.solve(rho)
-        p1, x1, y1 = s.solve_reference(rho)
+        p1, x1, y1 = solve_poisson(grid, rho)
         assert _exact(p0, p1) and _exact(x0, x1) and _exact(y0, y1)
+
+    @pytest.mark.parametrize("shape,die", SHAPES)
+    def test_repeated_solves_stay_exact(self, shape, die, rng):
+        """Scratch reuse across solves never leaks into later results."""
+        grid = Grid2D(Rect(0, 0, *die), *shape)
+        ws = SpectralWorkspace.for_grid(grid)
+        for _ in range(4):
+            rho = rng.random(shape)
+            p0, x0, y0 = solve_poisson(grid, rho)
+            p1, x1, y1 = ws.solve(rho)
+            assert _exact(p0, p1) and _exact(x0, x1) and _exact(y0, y1)
 
     def test_congestion_field_uses_cached_workspace(self, golden_utilization):
         grid, util = golden_utilization
-        ref = PoissonSolver(grid, use_workspace=False)
-        p0, x0, y0 = ref.solve_reference(util)
+        p0, x0, y0 = solve_poisson(grid, util)
         fld = CongestionField(grid, util)
         np.testing.assert_array_equal(fld.potential, p0)
         np.testing.assert_array_equal(fld.field_x, x0)
@@ -118,55 +116,6 @@ class TestExactEquivalence:
         grid = Grid2D(Rect(0, 0, 1, 1), 8, 8)
         with pytest.raises(ValueError):
             SpectralWorkspace.for_grid(grid).solve(np.zeros((4, 4)))
-
-
-class TestVariantTuning:
-    """The auto-tuned stage variants are interchangeable bit-for-bit."""
-
-    VARIANTS = [
-        (fwd, ex, ey)
-        for fwd in ("direct", "transposed")
-        for ex in ("strided", "transposed")
-        for ey in ("strided", "transposed")
-    ]
-
-    @pytest.mark.parametrize("fwd,ex,ey", VARIANTS)
-    @pytest.mark.parametrize("shape,die", [((5, 7), (4, 3)),
-                                           ((24, 24), (6, 6)),
-                                           ((33, 17), (7, 2))])
-    def test_every_variant_combination_is_exact(
-        self, shape, die, fwd, ex, ey, rng
-    ):
-        grid = Grid2D(Rect(0, 0, *die), *shape)
-        rho = rng.random(shape)
-        p0, x0, y0 = PoissonSolver(grid, use_workspace=False).solve_reference(rho)
-        ws = SpectralWorkspace(*shape, grid.dx, grid.dy)
-        ws._variant = {"fwd": fwd, "ex": ex, "ey": ey}
-        p1, x1, y1 = ws.solve(rho)
-        assert _exact(p0, p1)
-        assert _exact(x0, x1)
-        assert _exact(y0, y1)
-
-    def test_tuning_locks_in_and_stays_exact(self, rng):
-        """All stages lock after sampling; later solves remain exact."""
-        grid = Grid2D(Rect(0, 0, 8, 8), 24, 24)
-        ws = SpectralWorkspace.for_grid(grid)
-        ref = PoissonSolver(grid, use_workspace=False)
-        assert all(v is None for v in ws.variants.values())
-        for _ in range(8):  # 2 variants x 3 samples, rounded up
-            rho = rng.random((24, 24))
-            p0, x0, y0 = ref.solve_reference(rho)
-            p1, x1, y1 = ws.solve(rho)
-            assert _exact(p0, p1) and _exact(x0, x1) and _exact(y0, y1)
-        locked = ws.variants
-        assert locked["fwd"] in ("direct", "transposed")
-        assert locked["ex"] in ("strided", "transposed")
-        assert locked["ey"] in ("strided", "transposed")
-        rho = rng.random((24, 24))
-        p0, x0, y0 = ref.solve_reference(rho)
-        p1, x1, y1 = ws.solve(rho)
-        assert _exact(p0, p1) and _exact(x0, x1) and _exact(y0, y1)
-        assert ws.variants == locked  # choice is stable once made
 
 
 class TestCacheReuse:

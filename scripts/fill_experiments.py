@@ -1,7 +1,6 @@
 """Regenerate the Measured tables in EXPERIMENTS.md from results/*.json.
 
-The measured Table I / Table II / ECO blocks and the batched-router
-speedup sentence are wrapped in
+The measured Table I / Table II / ECO blocks are wrapped in
 ``<!-- fill:NAME -->`` / ``<!-- /fill:NAME -->`` markers; this script
 recomputes each block's ratio table from the results files and
 rewrites the text in between, so EXPERIMENTS.md can be refreshed after
@@ -117,23 +116,6 @@ def eco_table(path: str) -> str:
     return "\n".join(lines)
 
 
-def route_summary(path: str) -> str:
-    """Batched-router speedup sentence from ``results/BENCH_route.json``."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    s = doc["summary"]
-    names = ", ".join(f"`{n}`" for n in doc["designs"])
-    noun = "design" if s["n_designs"] == 1 else "designs"
-    exact = "true" if s["all_demand_maps_exact"] else "false"
-    return (
-        f"The `summary` block aggregates: the committed run (scale "
-        f"{doc['scale']:g}, {s['n_designs']} {noun}: {names}) gives\n"
-        f"**geomean speedup {s['geomean_speedup']:.2f}x, min "
-        f"{s['min_speedup']:.2f}x, max {s['max_speedup']:.2f}x,\n"
-        f"`all_demand_maps_exact: {exact}`**."
-    )
-
-
 def main() -> int:
     """Recompute every measured block and rewrite EXPERIMENTS.md."""
     text = open(EXPERIMENTS).read()
@@ -151,8 +133,6 @@ def main() -> int:
                     label="Configuration"))
 
     text = fill_block(text, "eco", eco_table("results/eco_qor.json"))
-
-    text = fill_block(text, "route", route_summary("results/BENCH_route.json"))
 
     open(EXPERIMENTS, "w").write(text)
     print("EXPERIMENTS.md measured tables regenerated")

@@ -139,9 +139,9 @@ class RoundRecord:
 
     ``recovery`` lists human-readable notes of every guard action taken
     while preparing this round (scrubbed congestion maps, rollbacks of
-    a previous failed round); ``router_fallbacks`` counts batched->
-    scalar routing degradations in the pass that produced this round's
-    congestion; ``guard_trips`` is the cumulative solver guard-trip
+    a previous failed round); ``router_fallbacks`` counts routing
+    chunks retried one segment at a time in the pass that produced
+    this round's congestion (``RoutingResult.n_fallbacks``); ``guard_trips`` is the cumulative solver guard-trip
     count at record time.
 
     ``n_deflated`` counts cells whose Eq. 12 deflation correction fired

@@ -109,8 +109,6 @@ def _knob_table() -> dict:
              "Pseudo-gradient weighting mode", choices=("dynamic", "static")),
         Knob("rd.enable_dc", "rd", "enable_dc", "bool",
              "Enable differentiable-congestion gradients"),
-        Knob("router.engine", "router", "engine", "str",
-             "Global-router estimation engine", choices=("batched", "scalar")),
         Knob("router.rrr_rounds", "router", "rrr_rounds", "int",
              "Rip-up-and-reroute rounds in the congestion estimator"),
     )

@@ -44,14 +44,6 @@ class RouterConfig:
         (extension beyond the paper's Z-shape estimator).
     maze_window:
         Bounding-box expansion margin for the maze search.
-    engine:
-        ``"batched"`` routes whole cost-refresh chunks as vectorized
-        array operations (default); ``"scalar"`` is the one-segment-
-        at-a-time reference implementation.  Both produce identical
-        demand maps (the batched path evaluates the same candidates
-        against the same stale-within-chunk cost maps), so the switch
-        only trades speed — keep ``"scalar"`` around for equivalence
-        tests and debugging.
     """
 
     n_layers: int = 4
@@ -68,13 +60,10 @@ class RouterConfig:
     maze_fallback: bool = False
     maze_window: int = 8
     topology: str = "mst"  # multi-pin decomposition: "mst" | "stt"
-    engine: str = "batched"  # segment evaluation: "batched" | "scalar"
 
     def __post_init__(self) -> None:
         if self.topology not in ("mst", "stt"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.engine not in ("batched", "scalar"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.n_layers < 2:
             raise ValueError("need at least 2 routing layers (one H, one V)")
         if self.wire_pitch <= 0:

@@ -135,7 +135,7 @@ class RoutingGrid:
     # ------------------------------------------------------------------
     # batched demand scatter (one call per chunk instead of one Python
     # slice-add per run; exact integer counts, so bit-identical to the
-    # scalar adders)
+    # per-run adders above)
     # ------------------------------------------------------------------
     def _scatter_runs(
         self,

@@ -10,13 +10,13 @@ closed form with prefix sums of the cost maps, so choosing among
 Two evaluation paths share the same candidate generator and cost
 algebra:
 
-* :meth:`PatternRouter.route` — one segment, returns a
-  :class:`RoutedPath` (reference implementation);
 * :meth:`PatternRouter.route_batch` — arrays of segments, stacks the
   closed-form candidate costs over segments and returns a
-  struct-of-arrays :class:`RoutedPathBatch`.  Identical results to the
-  scalar path, one numpy dispatch per candidate family instead of one
-  per segment.
+  struct-of-arrays :class:`RoutedPathBatch`, one numpy dispatch per
+  candidate family instead of one per segment;
+* :meth:`PatternRouter.route_one` — one segment, same
+  ``(family, bend, cost)`` encoding; the router's per-chunk fault
+  fallback.
 """
 
 from __future__ import annotations
@@ -318,7 +318,8 @@ class PatternRouter:
         argmin because the first occurrence wins), else ``z_samples``
         evenly spaced positions.  The subsampled row reproduces
         ``np.linspace(lo, hi, z).round()`` operation-for-operation so
-        scalar and batched routing see identical candidates.
+        :meth:`route_one` and :meth:`route_batch` see identical
+        candidates.
         """
         lo = np.maximum(np.minimum(a, b) - self.detour_margin, 0)
         hi = np.minimum(np.maximum(a, b) + self.detour_margin, limit - 1)
@@ -339,28 +340,12 @@ class PatternRouter:
         return row[: min(hi - lo + 1, self.z_samples)]
 
     # ------------------------------------------------------------------
-    def route(self, i1: int, j1: int, i2: int, j2: int) -> RoutedPath:
-        """Best L/Z path between two G-cells."""
-        if i1 == i2 and j1 == j2:
-            return RoutedPath(runs=[], bends=[], cost=0.0)
-        if j1 == j2:
-            cost = float(self._h_run_cost(j1, i1, i2))
-            return RoutedPath(runs=[("h", j1, i1, i2)], bends=[], cost=cost)
-        if i1 == i2:
-            cost = float(self._v_run_cost(i1, j1, j2))
-            return RoutedPath(runs=[("v", i1, j1, j2)], bends=[], cost=cost)
-
-        best = self._best_hvh(i1, j1, i2, j2)
-        other = self._best_vhv(i1, j1, i2, j2)
-        return best if best.cost <= other.cost else other
-
     def route_one(self, i1: int, j1: int, i2: int, j2: int) -> tuple:
-        """Scalar ``(family, bend, cost)`` — the batch-representation
-        twin of :meth:`route`.
+        """Best L/Z path of one segment as ``(family, bend, cost)``.
 
-        The per-chunk fallback of the batched routing engine uses this
-        to fill :class:`RoutedPathBatch` entries one segment at a time
-        when :meth:`route_batch` fails; candidates, cost arithmetic and
+        The router's per-chunk fallback uses this to fill
+        :class:`RoutedPathBatch` entries one segment at a time when
+        :meth:`route_batch` fails; candidates, cost arithmetic and
         tie-breaking mirror the batch path operation-for-operation, so
         the fallback is bit-identical to a healthy batched chunk.
         """
@@ -404,10 +389,10 @@ class PatternRouter:
     ) -> RoutedPathBatch:
         """Best L/Z paths for arrays of segments in one shot.
 
-        Produces exactly the paths :meth:`route` would return for each
-        segment (same candidates, same tie-breaking: HVH wins cost
-        ties, the lowest-coordinate bend wins within a family), using
-        a constant number of numpy dispatches.
+        Each segment gets the cheapest straight, HVH or VHV path over
+        its bend candidates (tie-breaking: HVH wins cost ties, the
+        lowest-coordinate bend wins within a family), using a constant
+        number of numpy dispatches.
         """
         i1 = np.asarray(i1, dtype=np.int64)
         j1 = np.asarray(j1, dtype=np.int64)
@@ -435,7 +420,7 @@ class PatternRouter:
             a, b, c, d = i1[idx], j1[idx], i2[idx], j2[idx]
             c_hvh, m_best = self._best_hvh_batch(a, b, c, d)
             c_vhv, r_best = self._best_vhv_batch(a, b, c, d)
-            use_vhv = c_vhv < c_hvh  # scalar route keeps HVH on ties
+            use_vhv = c_vhv < c_hvh  # HVH wins cost ties
             family[idx] = np.where(use_vhv, FAMILY_VHV, FAMILY_HVH)
             bend[idx] = np.where(use_vhv, r_best, m_best)
             cost[idx] = np.where(use_vhv, c_vhv, c_hvh)
@@ -445,9 +430,10 @@ class PatternRouter:
         )
 
     def _best_hvh_batch(self, i1, j1, i2, j2):
-        """Vector form of :meth:`_best_hvh`: per-segment (cost, bend).
+        """Cheapest horizontal-vertical-horizontal path per segment.
 
-        Ties keep the lowest candidate, exactly like ``np.argmin``.
+        Returns per-segment ``(cost, bend column)``; ties keep the
+        lowest candidate, exactly like ``np.argmin``.
         """
         ms = self._candidate_matrix(i1, i2, self.nx)
         i1c, i2c = i1[:, None], i2[:, None]
@@ -463,7 +449,10 @@ class PatternRouter:
         return c[rows, k], ms[rows, k]
 
     def _best_vhv_batch(self, i1, j1, i2, j2):
-        """Vector form of :meth:`_best_vhv`: per-segment (cost, bend)."""
+        """Cheapest vertical-horizontal-vertical path per segment.
+
+        Returns per-segment ``(cost, bend row)``.
+        """
         rs = self._candidate_matrix(j1, j2, self.ny)
         i1c, i2c = i1[:, None], i2[:, None]
         j1c, j2c = j1[:, None], j2[:, None]
@@ -476,47 +465,3 @@ class PatternRouter:
         k = np.argmin(c, axis=1)
         rows = np.arange(len(k))
         return c[rows, k], rs[rows, k]
-
-    def _best_hvh(self, i1, j1, i2, j2) -> RoutedPath:
-        """Horizontal - vertical - horizontal, bend column ``m``."""
-        ms = self._candidates(i1, i2, self.nx)
-        c = (
-            self._h_run_cost(j1, np.full_like(ms, i1), ms)
-            + self._v_run_cost(ms, j1, j2)
-            + self._h_run_cost(j2, ms, np.full_like(ms, i2))
-            + self.via_cost * ((ms != i1).astype(float) + (ms != i2))
-        )
-        k = int(np.argmin(c))
-        m = int(ms[k])
-        runs = []
-        bends = []
-        if m != i1:
-            runs.append(("h", j1, i1, m))
-            bends.append((m, j1))
-        runs.append(("v", m, j1, j2))
-        if m != i2:
-            runs.append(("h", j2, m, i2))
-            bends.append((m, j2))
-        return RoutedPath(runs=runs, bends=bends, cost=float(c[k]))
-
-    def _best_vhv(self, i1, j1, i2, j2) -> RoutedPath:
-        """Vertical - horizontal - vertical, bend row ``r``."""
-        rs = self._candidates(j1, j2, self.ny)
-        c = (
-            self._v_run_cost(np.full_like(rs, i1), j1, rs)
-            + self._h_run_cost(rs, i1, i2)
-            + self._v_run_cost(np.full_like(rs, i2), rs, np.full_like(rs, j2))
-            + self.via_cost * ((rs != j1).astype(float) + (rs != j2))
-        )
-        k = int(np.argmin(c))
-        r = int(rs[k])
-        runs = []
-        bends = []
-        if r != j1:
-            runs.append(("v", i1, j1, r))
-            bends.append((i1, r))
-        runs.append(("h", r, i1, i2))
-        if r != j2:
-            runs.append(("v", i2, r, j2))
-            bends.append((i2, r))
-        return RoutedPath(runs=runs, bends=bends, cost=float(c[k]))

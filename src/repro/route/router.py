@@ -6,21 +6,12 @@ framework consumes each routability iteration (the "GPU-accelerated
 across calls: every :meth:`GlobalRouter.route` starts from the current
 cell positions.
 
-Two engines implement the same algorithm (``RouterConfig.engine``):
-
-``"batched"`` (default)
-    Routes whole cost-refresh chunks as array operations: segments
-    within a chunk all see the same (stale) cost maps — exactly the
-    semantics of the scalar loop, which only refreshes costs every
-    ``cost_refresh_interval`` segments — so evaluating a chunk with
-    :meth:`PatternRouter.route_batch` and committing its demand with
-    one bincount scatter per direction is bit-identical to routing the
-    chunk one segment at a time.  Overflow victims are detected with
-    2-D prefix sums of the overflow masks instead of per-run slicing.
-
-``"scalar"``
-    The one-segment-at-a-time reference implementation, kept for
-    equivalence tests and debugging.
+Segments are routed in cost-refresh chunks as array operations: the
+segments of one chunk all see the same (stale) cost maps, which only
+refresh every ``cost_refresh_interval`` segments, so a chunk is
+evaluated with one :meth:`PatternRouter.route_batch` call and its
+demand committed with one bincount scatter per direction.  Overflow
+victims are detected with 2-D prefix sums of the overflow masks.
 """
 
 from __future__ import annotations
@@ -43,20 +34,6 @@ from repro.utils.metrics import NULL
 from repro.utils.profile import StageProfiler
 
 logger = get_logger("route.router")
-
-
-@dataclass
-class _Segment:
-    net_id: int
-    i1: int
-    j1: int
-    i2: int
-    j2: int
-    path: RoutedPath | None = None
-
-    @property
-    def bbox_span(self) -> int:
-        return abs(self.i2 - self.i1) + abs(self.j2 - self.j1)
 
 
 @dataclass
@@ -84,9 +61,10 @@ class DemandSnapshot:
 class RoutingResult:
     """Outcome of one global routing pass.
 
-    ``n_fallbacks`` counts recoveries during the pass: chunks the
-    batched engine handed to the scalar per-segment path, plus 1 when
-    the whole pass fell back to the scalar reference engine.
+    ``n_fallbacks`` counts the cost-refresh chunks whose
+    :meth:`PatternRouter.route_batch` call raised and that were routed
+    one segment at a time with :meth:`PatternRouter.route_one` instead
+    (bit-identical, only slower).
     """
 
     grid: RoutingGrid
@@ -122,7 +100,6 @@ class GlobalRouter:
         self.config = config or RouterConfig()
         self.profiler = profiler or StageProfiler()
         self.metrics = metrics if metrics is not None else NULL
-        self._pass_fallbacks = 0
 
     # ------------------------------------------------------------------
     def route(
@@ -141,34 +118,19 @@ class GlobalRouter:
         subset competes against their congestion.  Only routed segments
         are ever ripped up in RRR rounds; the base load is immutable.
 
-        The batched engine never aborts the flow: a chunk that raises
-        is retried segment-by-segment (see :meth:`_route_chunks`), and
-        if the batched pass fails outside a chunk the whole pass is
-        re-run on the scalar reference engine.  Both recoveries are
-        logged and reported in ``RoutingResult.n_fallbacks``.
+        A cost-refresh chunk that raises is retried one segment at a
+        time (see :meth:`_route_chunks`) and counted in
+        ``RoutingResult.n_fallbacks``.  Any other failure propagates:
+        the caller bounds and reports it (the routability loop rolls
+        the round back, a service job records an error).
         """
         self.profiler.count("route.calls")
-        self._pass_fallbacks = 0
         with self.profiler.timer("route.total"):
-            if self.config.engine == "scalar":
-                result = self._route_scalar(netlist, net_ids, base_demand)
-            else:
-                try:
-                    faults.fire("route.batched")
-                    result = self._route_batched(netlist, net_ids, base_demand)
-                except Exception:
-                    logger.exception(
-                        "batched routing engine failed; falling back to the "
-                        "scalar engine for this pass"
-                    )
-                    self.profiler.count("route.engine_fallbacks")
-                    self._pass_fallbacks += 1
-                    result = self._route_scalar(netlist, net_ids, base_demand)
-                    result.n_fallbacks = self._pass_fallbacks
+            faults.fire("route.batched")
+            result = self._route_pass(netlist, net_ids, base_demand)
         if CONTRACTS.enabled:
-            # both engines commit demand through the same accounting;
-            # whatever path produced the maps, demand must stay finite
-            # and non-negative after all rip-up/uncommit cycles
+            # demand must stay finite and non-negative after all
+            # rip-up/uncommit cycles and maze detours
             CONTRACTS.check_demand_conservation(
                 "router.route", result.grid.h_demand, result.grid.v_demand
             )
@@ -200,13 +162,10 @@ class GlobalRouter:
             v_cap=float(rgrid.v_cap.sum()),
             max_utilization=float(util.max()) if util.size else 0.0,
             n_fallbacks=result.n_fallbacks,
-            engine=self.config.engine,
         )
 
-    # ==================================================================
-    # batched engine
-    # ==================================================================
-    def _route_batched(
+    # ------------------------------------------------------------------
+    def _route_pass(
         self,
         netlist: Netlist,
         net_ids: np.ndarray | None = None,
@@ -223,12 +182,14 @@ class GlobalRouter:
         self._add_pin_via_demand(rgrid, netlist, net_ids)
 
         with prof.timer("route.initial"):
-            self._route_chunks(rgrid, batch, np.arange(len(batch), dtype=np.int64))
+            n_fallbacks = self._route_chunks(
+                rgrid, batch, np.arange(len(batch), dtype=np.int64)
+            )
 
         with prof.timer("route.rrr"):
             for round_id in range(cfg.rrr_rounds):
                 rgrid.accumulate_history()
-                victims = self._overflow_victims_batched(rgrid, batch)
+                victims = self._overflow_victims(rgrid, batch)
                 if len(victims) == 0:
                     break
                 logger.info(
@@ -236,14 +197,14 @@ class GlobalRouter:
                 )
                 prof.count("route.rerouted", len(victims))
                 self._commit_idx(rgrid, batch, victims, sign=-1.0)
-                self._route_chunks(rgrid, batch, victims)
+                n_fallbacks += self._route_chunks(rgrid, batch, victims)
 
         overrides: dict[int, RoutedPath] = {}
         if cfg.maze_fallback:
             with prof.timer("route.maze"):
-                overrides = self._maze_cleanup_batched(rgrid, batch)
+                overrides = self._maze_cleanup(rgrid, batch)
 
-        return self._result_batched(rgrid, batch, overrides)
+        return self._result(rgrid, batch, overrides, n_fallbacks)
 
     @staticmethod
     def _apply_base_demand(
@@ -263,9 +224,9 @@ class GlobalRouter:
 
         Short segments first: they have no routing freedom anyway and
         longer segments then see realistic congestion.  The sort is
-        stable, so equal-span segments keep net order, matching the
-        scalar engine's ``list.sort``.  ``net_ids`` restricts the batch
-        to segments of the given nets (partial ECO pass).
+        stable, so equal-span segments keep net order.  ``net_ids``
+        restricts the batch to segments of the given nets (partial ECO
+        pass).
         """
         nets, x1, y1, x2, y2 = segment_endpoints(netlist, self.config.topology)
         if net_ids is not None:
@@ -288,17 +249,19 @@ class GlobalRouter:
 
     def _route_chunks(
         self, rgrid: RoutingGrid, batch: RoutedPathBatch, idx: np.ndarray
-    ) -> None:
+    ) -> int:
         """Route segments ``idx`` in cost-refresh chunks and commit each.
 
-        Mirrors the scalar loop: costs refresh every
-        ``cost_refresh_interval`` segments, demand committed as we go.
+        Costs refresh every ``cost_refresh_interval`` segments; demand
+        is committed chunk by chunk as we go.  Returns the number of
+        chunks retried one segment at a time.
         """
         cfg = self.config
         router = PatternRouter(
             *rgrid.cost_maps(), via_cost=1.0, z_samples=cfg.z_samples
         )
         step = cfg.cost_refresh_interval
+        n_fallbacks = 0
         for s in range(0, len(idx), step):
             if s:
                 router.refresh(*rgrid.cost_maps())
@@ -319,12 +282,12 @@ class GlobalRouter:
                 # a time against the same (stale) cost maps — slower,
                 # bit-identical, and the flow keeps running
                 logger.exception(
-                    "batched chunk of %d segments failed; retrying with "
-                    "the scalar per-segment path",
+                    "batched chunk of %d segments failed; retrying it "
+                    "one segment at a time",
                     len(chunk),
                 )
                 self.profiler.count("route.chunk_fallbacks")
-                self._pass_fallbacks += 1
+                n_fallbacks += 1
                 for k in chunk:
                     fam, bend, cost = router.route_one(
                         int(batch.i1[k]),
@@ -336,6 +299,7 @@ class GlobalRouter:
                     batch.bend[k] = bend
                     batch.cost[k] = cost
             self._commit_idx(rgrid, batch, chunk, sign=1.0)
+        return n_fallbacks
 
     @staticmethod
     def _commit_idx(
@@ -347,7 +311,7 @@ class GlobalRouter:
         rgrid.add_v_runs(runs.v_i, runs.v_lo, runs.v_hi, sign)
         rgrid.add_vias(runs.b_i, runs.b_j, sign)
 
-    def _overflow_victims_batched(
+    def _overflow_victims(
         self, rgrid: RoutingGrid, batch: RoutedPathBatch
     ) -> np.ndarray:
         """Indices of segments whose path crosses an overflowed G-cell.
@@ -373,13 +337,13 @@ class GlobalRouter:
         mask[runs.v_seg[v_hit]] = True
         return np.flatnonzero(mask)
 
-    def _maze_cleanup_batched(
+    def _maze_cleanup(
         self, rgrid: RoutingGrid, batch: RoutedPathBatch
     ) -> dict:
         """Detour-route still-overflowed segments; returns path overrides."""
         from repro.route.maze import maze_route
 
-        victims = self._overflow_victims_batched(rgrid, batch)
+        victims = self._overflow_victims(rgrid, batch)
         overrides: dict[int, RoutedPath] = {}
         if len(victims) == 0:
             return overrides
@@ -415,8 +379,12 @@ class GlobalRouter:
                 overrides[int(k)] = path
         return overrides
 
-    def _result_batched(
-        self, rgrid: RoutingGrid, batch: RoutedPathBatch, overrides: dict
+    def _result(
+        self,
+        rgrid: RoutingGrid,
+        batch: RoutedPathBatch,
+        overrides: dict,
+        n_fallbacks: int,
     ) -> RoutingResult:
         wl = batch.wirelengths(self.grid.dx, self.grid.dy)
         for k, path in overrides.items():
@@ -429,103 +397,8 @@ class GlobalRouter:
             n_vias=float(rgrid.via_demand.sum()),
             total_overflow=float(rgrid.overflow_map().sum()),
             n_segments=len(batch),
-            n_fallbacks=self._pass_fallbacks,
+            n_fallbacks=n_fallbacks,
         )
-
-    # ==================================================================
-    # scalar reference engine
-    # ==================================================================
-    def _route_scalar(
-        self,
-        netlist: Netlist,
-        net_ids: np.ndarray | None = None,
-        base_demand: DemandSnapshot | None = None,
-    ) -> RoutingResult:
-        cfg = self.config
-        prof = self.profiler
-        rgrid = RoutingGrid(self.grid, cfg, netlist)
-        self._apply_base_demand(rgrid, base_demand)
-        with prof.timer("route.decompose"):
-            segments = self._collect_segments(netlist, net_ids)
-        prof.count("route.segments", len(segments))
-        self._add_pin_via_demand(rgrid, netlist, net_ids)
-
-        # short segments first: they have no routing freedom anyway and
-        # longer segments then see realistic congestion
-        segments.sort(key=lambda s: s.bbox_span)
-        with prof.timer("route.initial"):
-            self._route_all(rgrid, segments, initial=True)
-
-        with prof.timer("route.rrr"):
-            for round_id in range(cfg.rrr_rounds):
-                rgrid.accumulate_history()
-                victims = self._overflow_victims(rgrid, segments)
-                if not victims:
-                    break
-                logger.info(
-                    "RRR round %d: rerouting %d segments", round_id, len(victims)
-                )
-                prof.count("route.rerouted", len(victims))
-                for seg in victims:
-                    self._uncommit(rgrid, seg)
-                self._route_all(rgrid, victims, initial=False)
-
-        if cfg.maze_fallback:
-            with prof.timer("route.maze"):
-                self._maze_cleanup(rgrid, segments)
-
-        return self._result(rgrid, segments)
-
-    def _maze_cleanup(self, rgrid: RoutingGrid, segments: list) -> None:
-        """Detour-route segments still crossing overflowed G-cells."""
-        from repro.route.maze import maze_route
-
-        victims = self._overflow_victims(rgrid, segments)
-        if not victims:
-            return
-        logger.info("maze fallback: rerouting %d segments", len(victims))
-        for seg in victims:
-            old_path = seg.path
-            before = float(rgrid.overflow_map().sum())
-            self._uncommit(rgrid, seg)
-            # fresh costs per segment: maze paths gladly share a cheap
-            # corridor and would re-create the overflow on stale maps
-            h_cost, v_cost = rgrid.cost_maps()
-            seg.path = maze_route(
-                h_cost,
-                v_cost,
-                seg.i1,
-                seg.j1,
-                seg.i2,
-                seg.j2,
-                via_cost=1.0,
-                window=self.config.maze_window,
-            )
-            self._commit(rgrid, seg)
-            after = float(rgrid.overflow_map().sum())
-            if after >= before - 1e-9:
-                # admission control: a detour that does not reduce the
-                # total overflow only burns wirelength — keep the old
-                # path (in a saturated region every cell is expensive
-                # and Dijkstra wanders without actually helping)
-                self._commit(rgrid, seg, sign=-1.0)
-                seg.path = old_path
-                self._commit(rgrid, seg)
-
-    # ------------------------------------------------------------------
-    def _collect_segments(
-        self, netlist: Netlist, net_ids: np.ndarray | None = None
-    ) -> list:
-        nets, x1, y1, x2, y2 = segment_endpoints(netlist, self.config.topology)
-        if net_ids is not None:
-            keep = np.isin(nets, net_ids)
-            nets, x1, y1, x2, y2 = nets[keep], x1[keep], y1[keep], x2[keep], y2[keep]
-        i1, j1 = self.grid.index_of(x1, y1)
-        i2, j2 = self.grid.index_of(x2, y2)
-        return [
-            _Segment(int(e), int(a), int(b), int(c), int(d))
-            for e, a, b, c, d in zip(nets, i1, j1, i2, j2)
-        ]
 
     def _add_pin_via_demand(
         self,
@@ -533,6 +406,7 @@ class GlobalRouter:
         netlist: Netlist,
         net_ids: np.ndarray | None = None,
     ) -> None:
+        """Add ``pin_via_demand`` per pin to its G-cell's via demand."""
         if self.config.pin_via_demand <= 0 or netlist.n_pins == 0:
             return
         px, py = netlist.pin_positions()
@@ -548,22 +422,9 @@ class GlobalRouter:
         ).astype(np.float64)
         rgrid.via_demand += self.config.pin_via_demand * flat.reshape(self.grid.shape)
 
-    def _route_all(self, rgrid: RoutingGrid, segments: list, initial: bool) -> None:
-        cfg = self.config
-        h_cost, v_cost = rgrid.cost_maps()
-        router = PatternRouter(
-            h_cost, v_cost, via_cost=1.0, z_samples=cfg.z_samples
-        )
-        for k, seg in enumerate(segments):
-            if k and k % cfg.cost_refresh_interval == 0:
-                router.refresh(*rgrid.cost_maps())
-            seg.path = router.route(seg.i1, seg.j1, seg.i2, seg.j2)
-            self._commit(rgrid, seg)
-
     @staticmethod
-    def _commit_path(rgrid: RoutingGrid, path: RoutedPath | None, sign: float) -> None:
-        if path is None:
-            return
+    def _commit_path(rgrid: RoutingGrid, path: RoutedPath, sign: float) -> None:
+        """Add (``sign=1``) or remove (``-1``) one path's demand."""
         for kind, fixed, a, b in path.runs:
             if kind == "h":
                 rgrid.add_h_run(fixed, a, b, sign)
@@ -571,52 +432,3 @@ class GlobalRouter:
                 rgrid.add_v_run(fixed, a, b, sign)
         for (i, j) in path.bends:
             rgrid.add_via(i, j, sign)
-
-    def _commit(self, rgrid: RoutingGrid, seg: _Segment, sign: float = 1.0) -> None:
-        self._commit_path(rgrid, seg.path, sign)
-
-    def _uncommit(self, rgrid: RoutingGrid, seg: _Segment) -> None:
-        self._commit(rgrid, seg, sign=-1.0)
-        seg.path = None
-
-    def _overflow_victims(self, rgrid: RoutingGrid, segments: list) -> list:
-        """Segments whose path crosses an overflowed G-cell."""
-        h_over = rgrid.h_demand > rgrid.h_cap
-        v_over = rgrid.v_demand > rgrid.v_cap
-        if not (h_over.any() or v_over.any()):
-            return []
-        victims = []
-        for seg in segments:
-            path = seg.path
-            if path is None:
-                continue
-            hit = False
-            for kind, fixed, a, b in path.runs:
-                lo, hi = (a, b) if a <= b else (b, a)
-                if kind == "h":
-                    if h_over[lo : hi + 1, fixed].any():
-                        hit = True
-                        break
-                else:
-                    if v_over[fixed, lo : hi + 1].any():
-                        hit = True
-                        break
-            if hit:
-                victims.append(seg)
-        return victims
-
-    def _result(self, rgrid: RoutingGrid, segments: list) -> RoutingResult:
-        wirelength = 0.0
-        n_vias = float(rgrid.via_demand.sum())
-        for seg in segments:
-            if seg.path is not None:
-                wirelength += seg.path.wirelength(self.grid.dx, self.grid.dy)
-        congestion = congestion_from_demand(rgrid)
-        return RoutingResult(
-            grid=rgrid,
-            congestion=congestion,
-            wirelength=wirelength,
-            n_vias=n_vias,
-            total_overflow=float(rgrid.overflow_map().sum()),
-            n_segments=len(segments),
-        )

@@ -21,7 +21,7 @@ Checked invariants (each named after its paper anchor):
   non-zero — the energy sign is the checkable conservation law.);
 * **demand conservation** — the router's commit/uncommit cycles must
   cancel exactly: demand maps stay finite and non-negative through
-  RRR rounds and maze cleanup, on both the batched and scalar engines;
+  RRR rounds and maze cleanup;
 * **MCI rate range** — inflation rates stay within ``[r_min, r_max]``
   (the clamp of Eq. 11) and finite under any congestion input;
 * **Eq. 10 weight** — ``lambda_2`` is finite and non-negative;
@@ -262,7 +262,7 @@ class ContractChecker:
 
         Every RRR round and maze detour first *uncommits* a path and
         then commits a replacement; the scatters must cancel exactly
-        (both engines use the same integer-length runs), so a negative
+        (commit and uncommit use the same integer-length runs), so a negative
         or non-finite demand entry means a commit/uncommit mismatch.
         """
         if not self.enabled:

@@ -42,10 +42,11 @@ Known sites
 ``rd.congestion``
     Congestion map entering a routability round.
 ``route.batched``
-    Top of the batched routing pass (raise to force the scalar engine).
+    Top of a routing pass (raise for a failed routing pass: the error
+    propagates to the caller, e.g. an RD-round rollback).
 ``route.batched_chunk``
-    One cost-refresh chunk of the batched engine (raise to force the
-    per-chunk scalar fallback).
+    One cost-refresh chunk of a routing pass (raise to force the
+    bit-identical one-segment-at-a-time retry of that chunk).
 ``checkpoint.write``
     Serialized archive bytes inside
     :func:`~repro.utils.checkpoint.write_checkpoint` (``torn`` plans

@@ -158,7 +158,6 @@ EVENT_FIELDS: dict = {
         "v_cap",
         "max_utilization",
         "n_fallbacks",
-        "engine",
     ),
 }
 

@@ -21,7 +21,11 @@ Covered kernels:
 * the WA wirelength objective and gradient, Sec. II-A
   (:func:`~repro.wirelength.wa.wa_wirelength_and_grad`) — this one
   also pins the column-sweep WA layout: any drift beyond 1e-9 fails
-  here.
+  here;
+* the global router's demand, history and Eq. (3) congestion maps
+  plus its wirelength / via / overflow totals
+  (:meth:`~repro.route.GlobalRouter.route`) under the default, STT and
+  maze-cleanup configurations.
 """
 
 from __future__ import annotations
@@ -174,6 +178,34 @@ class TestWA:
             "grad_x_weighted": gx_w,
             "grad_y_weighted": gy_w,
         })
+
+
+class TestRouteGolden:
+    #: (key prefix, RouterConfig overrides) of every pinned pass
+    CONFIGS = (
+        ("default", {}),
+        ("stt", {"topology": "stt"}),
+        ("maze", {"maze_fallback": True, "rrr_rounds": 1}),
+    )
+
+    def test_router_output_golden(self, toy300, golden):
+        """Absolute router output on toy300 over a 24x24 grid."""
+        grid = Grid2D(toy300.die, 24, 24)
+        out = {}
+        for name, overrides in self.CONFIGS:
+            res = GlobalRouter(grid, RouterConfig(**overrides)).route(toy300)
+            assert res.total_overflow > 0, f"{name}: pass has no overflow"
+            out.update({
+                f"{name}_h_demand": res.grid.h_demand,
+                f"{name}_v_demand": res.grid.v_demand,
+                f"{name}_via_demand": res.grid.via_demand,
+                f"{name}_history": res.grid.history,
+                f"{name}_congestion": res.congestion_map,
+                f"{name}_totals": np.array(
+                    [res.wirelength, res.n_vias, res.total_overflow]
+                ),
+            })
+        golden.check("route", out)
 
 
 class TestMCI:

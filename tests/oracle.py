@@ -9,6 +9,13 @@ faster layout per kernel that reproduces these operation sequences, and
 the tests pin them to the oracle at ``atol=0``: :func:`oracle_kernels`
 swaps every oracle into its call site, so a test can run the public
 entry point once each way and compare the bits.
+
+The routing oracle is a whole engine rather than a call-site swap:
+:func:`route_path` pattern-routes one segment into a
+:class:`~repro.route.patterns.RoutedPath`, and :func:`route_scalar`
+runs the full pass (initial routing, rip-up-and-reroute, maze cleanup)
+one segment at a time with per-run commits.  ``GlobalRouter.route``
+must reproduce its demand, history and congestion maps bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +28,12 @@ from scipy import fft as sfft
 from repro.core import netmove
 from repro.density import rasterize
 from repro.geometry import Grid2D
-from repro.route.patterns import PatternRouter
+from repro.route.congestion import congestion_from_demand
+from repro.route.decompose import segment_endpoints
+from repro.route.grid import RoutingGrid
+from repro.route.maze import maze_route
+from repro.route.patterns import PatternRouter, RoutedPath
+from repro.route.router import GlobalRouter, RoutingResult
 from repro.wirelength import wa
 
 
@@ -187,6 +199,152 @@ def _best_vhv_batch(router, i1, j1, i2, j2):
     rs = router._candidate_matrix(j1, j2, router.ny)
     return route_best_bends(
         router._hpre, router._vpre, rs, i1, j1, i2, j2, router.via_cost, "vhv"
+    )
+
+
+def _hvh_path(router, i1, j1, i2, j2):
+    """Cheapest horizontal-vertical-horizontal path, bend column ``m``."""
+    ms = router._candidates(i1, i2, router.nx)
+    c = (
+        router._h_run_cost(j1, np.full_like(ms, i1), ms)
+        + router._v_run_cost(ms, j1, j2)
+        + router._h_run_cost(j2, ms, np.full_like(ms, i2))
+        + router.via_cost * ((ms != i1).astype(float) + (ms != i2))
+    )
+    k = int(np.argmin(c))
+    m = int(ms[k])
+    runs = []
+    bends = []
+    if m != i1:
+        runs.append(("h", j1, i1, m))
+        bends.append((m, j1))
+    runs.append(("v", m, j1, j2))
+    if m != i2:
+        runs.append(("h", j2, m, i2))
+        bends.append((m, j2))
+    return RoutedPath(runs=runs, bends=bends, cost=float(c[k]))
+
+
+def _vhv_path(router, i1, j1, i2, j2):
+    """Cheapest vertical-horizontal-vertical path, bend row ``r``."""
+    rs = router._candidates(j1, j2, router.ny)
+    c = (
+        router._v_run_cost(np.full_like(rs, i1), j1, rs)
+        + router._h_run_cost(rs, i1, i2)
+        + router._v_run_cost(np.full_like(rs, i2), rs, np.full_like(rs, j2))
+        + router.via_cost * ((rs != j1).astype(float) + (rs != j2))
+    )
+    k = int(np.argmin(c))
+    r = int(rs[k])
+    runs = []
+    bends = []
+    if r != j1:
+        runs.append(("v", i1, j1, r))
+        bends.append((i1, r))
+    runs.append(("h", r, i1, i2))
+    if r != j2:
+        runs.append(("v", i2, r, j2))
+        bends.append((i2, r))
+    return RoutedPath(runs=runs, bends=bends, cost=float(c[k]))
+
+
+def route_path(router, i1, j1, i2, j2):
+    """Best L/Z :class:`RoutedPath` between two G-cells (HVH wins ties)."""
+    if i1 == i2 and j1 == j2:
+        return RoutedPath(runs=[], bends=[], cost=0.0)
+    if j1 == j2:
+        cost = float(router._h_run_cost(j1, i1, i2))
+        return RoutedPath(runs=[("h", j1, i1, i2)], bends=[], cost=cost)
+    if i1 == i2:
+        cost = float(router._v_run_cost(i1, j1, j2))
+        return RoutedPath(runs=[("v", i1, j1, j2)], bends=[], cost=cost)
+    best = _hvh_path(router, i1, j1, i2, j2)
+    other = _vhv_path(router, i1, j1, i2, j2)
+    return best if best.cost <= other.cost else other
+
+
+def _overflow_victims(rgrid, segments):
+    """Segments (``[i1, j1, i2, j2, path]``) crossing an overflowed G-cell."""
+    h_over = rgrid.h_demand > rgrid.h_cap
+    v_over = rgrid.v_demand > rgrid.v_cap
+    if not (h_over.any() or v_over.any()):
+        return []
+    victims = []
+    for seg in segments:
+        for kind, fixed, a, b in seg[4].runs:
+            lo, hi = min(a, b), max(a, b)
+            if kind == "h":
+                over = h_over[lo : hi + 1, fixed]
+            else:
+                over = v_over[fixed, lo : hi + 1]
+            if over.any():
+                victims.append(seg)
+                break
+    return victims
+
+
+def route_scalar(grid, config, netlist):
+    """One full routing pass, one segment at a time.
+
+    Same algorithm as :meth:`GlobalRouter.route`: segments sorted by
+    bbox span, costs refreshed every ``cost_refresh_interval`` segments,
+    ``rrr_rounds`` of rip-up-and-reroute of overflow victims, then (with
+    ``maze_fallback``) admission-controlled maze detours.
+    """
+    commit = GlobalRouter._commit_path
+    rgrid = RoutingGrid(grid, config, netlist)
+    _, x1, y1, x2, y2 = segment_endpoints(netlist, config.topology)
+    i1, j1 = grid.index_of(x1, y1)
+    i2, j2 = grid.index_of(x2, y2)
+    segments = [
+        [int(a), int(b), int(c), int(d), None] for a, b, c, d in zip(i1, j1, i2, j2)
+    ]
+    GlobalRouter(grid, config)._add_pin_via_demand(rgrid, netlist)
+    segments.sort(key=lambda s: abs(s[2] - s[0]) + abs(s[3] - s[1]))
+
+    def route_all(todo):
+        router = PatternRouter(
+            *rgrid.cost_maps(), via_cost=1.0, z_samples=config.z_samples
+        )
+        for k, seg in enumerate(todo):
+            if k and k % config.cost_refresh_interval == 0:
+                router.refresh(*rgrid.cost_maps())
+            seg[4] = route_path(router, *seg[:4])
+            commit(rgrid, seg[4], 1.0)
+
+    route_all(segments)
+    for _ in range(config.rrr_rounds):
+        rgrid.accumulate_history()
+        victims = _overflow_victims(rgrid, segments)
+        if not victims:
+            break
+        for seg in victims:
+            commit(rgrid, seg[4], -1.0)
+        route_all(victims)
+
+    if config.maze_fallback:
+        for seg in _overflow_victims(rgrid, segments):
+            old = seg[4]
+            before = float(rgrid.overflow_map().sum())
+            commit(rgrid, old, -1.0)
+            new = maze_route(
+                *rgrid.cost_maps(), *seg[:4], via_cost=1.0,
+                window=config.maze_window,
+            )
+            commit(rgrid, new, 1.0)
+            if float(rgrid.overflow_map().sum()) >= before - 1e-9:
+                commit(rgrid, new, -1.0)
+                commit(rgrid, old, 1.0)
+            else:
+                seg[4] = new
+
+    return RoutingResult(
+        grid=rgrid,
+        congestion=congestion_from_demand(rgrid),
+        wirelength=sum(s[4].wirelength(grid.dx, grid.dy) for s in segments),
+        n_vias=float(rgrid.via_demand.sum()),
+        total_overflow=float(rgrid.overflow_map().sum()),
+        n_segments=len(segments),
     )
 
 

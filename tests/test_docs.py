@@ -222,6 +222,3 @@ class TestFillExperiments:
             t1, "Ours", keys=("DRWL", "#DRVias", "#DRVs", "PT", "RT"),
             bold="#DRVs")
         assert fill_experiments.fill_block(text, "table1", body) == text
-        route = fill_experiments.route_summary(
-            os.path.join(REPO, "results", "BENCH_route.json"))
-        assert fill_experiments.fill_block(text, "route", route) == text

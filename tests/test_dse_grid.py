@@ -61,6 +61,8 @@ class TestSpecParsing:
         (lambda r: r.update(grid={"bogus.knob": [1]}), "unknown grid knob"),
         (lambda r: r.update(grid={"kernel.backend": ["fastnp"]}),
          "unknown grid knob"),
+        (lambda r: r.update(grid={"router.engine": ["scalar"]}),
+         "unknown grid knob"),
         (lambda r: r.update(grid={"inflation.alpha": []}), "no values"),
         (lambda r: r.update(grid={"inflation.alpha": ["hot"]}), "number"),
         (lambda r: r.update(paired={"rd.max_rounds": [1], "gp.seed": [1, 2]}),
@@ -146,7 +148,9 @@ class TestKnobBinding:
         with pytest.raises(ValueError, match="number"):
             validate_knobs({"inflation.alpha": True})
         with pytest.raises(ValueError, match="not in"):
-            validate_knobs({"router.engine": "quantum"})
+            validate_knobs({"rd.pg_mode": "quantum"})
+        with pytest.raises(ValueError, match="unknown knob"):
+            validate_knobs({"router.engine": "scalar"})
 
     def test_apply_knobs_rebinds_each_section(self):
         binding = apply_knobs({
@@ -155,14 +159,14 @@ class TestKnobBinding:
             "netmove.max_samples": 16,
             "rd.max_rounds": 3,
             "gp.target_density": 0.8,
-            "router.engine": "scalar",
+            "router.rrr_rounds": 1,
         })
         rd = binding.rd_config
         assert rd.inflation.alpha == 0.7
         assert rd.pinaccess.density_scale == 2.0
         assert rd.netmove.max_samples == 16
         assert rd.max_rounds == 3
-        assert rd.router.engine == "scalar"
+        assert rd.router.rrr_rounds == 1
         assert binding.gp_config.target_density == 0.8
         assert rd.gp is binding.gp_config
 

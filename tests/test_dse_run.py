@@ -137,6 +137,10 @@ class TestServiceOverrides:
          "unknown request field.*kernel_backend"),
         ("eco", {"baseline": "b.bl", "kernel_backend": "fastnp"},
          "unknown request field.*kernel_backend"),
+        # neither does the routing-engine field nor its knob
+        ("route", {"engine": "scalar"}, "unknown request field.*engine"),
+        ("place", {"overrides": {"router.engine": "scalar"}},
+         "unknown knob 'router.engine'"),
     ])
     def test_payload_validation_rejects_unknown_knobs(
         self, kind, request_extra, match

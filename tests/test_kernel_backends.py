@@ -183,21 +183,24 @@ class TestEquivalence:
 
 class TestNoKernelSelection:
     @pytest.mark.parametrize(
-        "argv",
+        "argv,removed",
         [
-            pytest.param(["place", "d.bl"], id="place"),
-            pytest.param(["route", "d.bl"], id="route"),
-            pytest.param(["eco", "base.bl", "d.bl"], id="eco"),
-            pytest.param(["bench"], id="bench"),
+            pytest.param(["place", "d.bl"], None, id="place"),
+            pytest.param(["route", "d.bl"], None, id="route"),
+            pytest.param(["eco", "base.bl", "d.bl"], None, id="eco"),
+            pytest.param(["bench"], None, id="bench"),
+            # the routing-engine selector went the same way
+            pytest.param(["route", "d.bl"], ["--engine", "scalar"], id="route-engine"),
         ],
     )
-    def test_cli_rejects_kernel_backend_flag(self, argv, capsys):
+    def test_cli_rejects_kernel_backend_flag(self, argv, removed, capsys):
+        removed = removed or ["--kernel-backend", "fastnp"]
         parser = build_parser()
         parser.parse_args(argv)  # the command itself still parses
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv + ["--kernel-backend", "fastnp"])
+            parser.parse_args(argv + removed)
         assert exc.value.code == 2
-        assert "--kernel-backend" in capsys.readouterr().err
+        assert removed[0] in capsys.readouterr().err
 
     def test_env_var_has_no_effect(self, monkeypatch):
         nl = toy_design(80, seed=2)

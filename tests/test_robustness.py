@@ -4,8 +4,9 @@ The `faultinject`-marked tests install deterministic
 :class:`~repro.utils.faults.FaultPlan` entries at named sites inside
 the flow and assert that every recovery path fires: the solver backs
 off NaN gradients, the routability loop scrubs poisoned congestion
-maps, the router degrades to the scalar engine bit-identically, and a
-crashed round rolls back to the best snapshot.  The checkpoint tests
+maps, a failing routing chunk is retried one segment at a time
+bit-identically, a failed routing pass surfaces as a round rollback,
+and a crashed round rolls back to the best snapshot.  The checkpoint tests
 pin down the acceptance criterion: a flow interrupted after round k
 and resumed from disk produces bit-identical final positions.
 """
@@ -245,18 +246,12 @@ class TestCongestionFaults:
 
 @pytest.mark.faultinject
 class TestRouterFaults:
-    def test_batched_failure_falls_back_bit_identical(self, toy300):
-        dim = 24
-        grid = Grid2D(toy300.die, dim, dim)
-        clean = GlobalRouter(grid, RouterConfig()).route(toy300)
-        with faults.injected(FaultPlan("route.batched", mode="raise", count=-1)):
-            degraded = GlobalRouter(grid, RouterConfig()).route(toy300)
-        assert degraded.n_fallbacks == 1
-        assert np.array_equal(clean.grid.h_demand, degraded.grid.h_demand)
-        assert np.array_equal(clean.grid.v_demand, degraded.grid.v_demand)
-        # the scalar engine accumulates wirelength in a different
-        # summation order; demand maps are the bit-exact contract
-        assert clean.wirelength == pytest.approx(degraded.wirelength, rel=1e-12)
+    def test_failed_pass_raises(self, toy300):
+        grid = Grid2D(toy300.die, 24, 24)
+        router = GlobalRouter(grid, RouterConfig())
+        with faults.injected(FaultPlan("route.batched", mode="raise")):
+            with pytest.raises(InjectedFault, match="route.batched"):
+                router.route(toy300)
 
     def test_chunk_failure_falls_back_bit_identical(self, toy300):
         dim = 24
@@ -270,13 +265,30 @@ class TestRouterFaults:
         assert np.array_equal(clean.grid.h_demand, degraded.grid.h_demand)
         assert np.array_equal(clean.grid.v_demand, degraded.grid.v_demand)
 
-    def test_flow_reports_router_fallbacks(self, inject_faults):
+    def test_chunk_faults_keep_flow_bit_identical(self, inject_faults):
+        clean = toy_design(150, seed=5)
+        RoutabilityDrivenPlacer(clean, _rd_config(max_rounds=2)).run()
+
         nl = toy_design(150, seed=5)
-        inject_faults(FaultPlan("route.batched", mode="raise", count=-1))
-        placer = RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=2))
-        result = placer.run()
-        _assert_legal_positions(nl)
+        inject_faults(FaultPlan("route.batched_chunk", mode="raise", count=-1))
+        result = RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=2)).run()
+        assert result.rounds
         assert all(r.router_fallbacks >= 1 for r in result.rounds)
+        assert np.array_equal(clean.x, nl.x)
+        assert np.array_equal(clean.y, nl.y)
+
+    def test_failed_pass_rolls_back_round(self, inject_faults):
+        nl = toy_design(150, seed=5)
+        # pass 0 is the initial routing; pass 1 closes round 0
+        injector = inject_faults(
+            FaultPlan("route.batched", mode="raise", trigger=1, count=1)
+        )
+        result = RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=2)).run()
+        assert injector.count_fired("route.batched") == 1
+        rollbacks = [e for e in result.guard_events if e["action"] == "rollback"]
+        assert len(rollbacks) == 1
+        assert "InjectedFault" in rollbacks[0]["detail"]
+        _assert_legal_positions(nl)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Batched routing engine equivalence against the scalar reference.
+"""Batched routing against the one-segment-at-a-time oracle.
 
-The batched engine's correctness argument is structural (same
-candidates, same cost algebra, same stale-within-chunk cost maps), but
-these tests pin it down empirically: randomized segment sets must route
-to identical paths, and whole-netlist routing must produce bit-identical
-demand maps under both engines.
+The router's correctness argument is structural (same candidates, same
+cost algebra, same stale-within-chunk cost maps as a per-segment loop),
+but these tests pin it down empirically against ``tests/oracle.py``:
+randomized segment sets must route to identical paths, and
+whole-netlist routing must produce bit-identical demand, history and
+congestion maps to :func:`tests.oracle.route_scalar`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from repro.route import GlobalRouter, RouterConfig
 from repro.route.grid import RoutingGrid
 from repro.route.patterns import PatternRouter, RoutedPath
 from repro.synth import toy_design
+
+from tests.oracle import route_path, route_scalar
 
 
 def _random_router(rng, nx=24, ny=20, **kw):
@@ -47,7 +50,8 @@ class TestRouteBatchEquivalence:
         batch = router.route_batch(i1, j1, i2, j2)
         assert len(batch) == 200
         for k in range(200):
-            scalar = router.route(int(i1[k]), int(j1[k]), int(i2[k]), int(j2[k]))
+            ends = (int(i1[k]), int(j1[k]), int(i2[k]), int(j2[k]))
+            scalar = route_path(router, *ends)
             got = batch.path(k)
             assert got.runs == scalar.runs, f"segment {k}"
             assert got.bends == scalar.bends, f"segment {k}"
@@ -116,8 +120,9 @@ class TestPathVectorization:
         rng = np.random.default_rng(17)
         router = _random_router(rng)
         i1, j1, i2, j2 = _random_segments(rng, 60)
+        batch = router.route_batch(i1, j1, i2, j2)
         for k in range(60):
-            path = router.route(int(i1[k]), int(j1[k]), int(i2[k]), int(j2[k]))
+            path = batch.path(k)
             ref = self._reference_covered(path)
             assert path.covered_cells() == ref
             assert path.wire_cells() == len(ref)
@@ -159,13 +164,10 @@ class TestBatchCommit:
 
 
 def _route_both(netlist, **cfg_kw):
-    results = {}
-    for engine in ("scalar", "batched"):
-        dim = 24
-        grid = Grid2D(netlist.die, dim, dim)
-        cfg = RouterConfig(engine=engine, **cfg_kw)
-        results[engine] = GlobalRouter(grid, cfg).route(netlist)
-    return results["scalar"], results["batched"]
+    """(oracle, shipped) results of one pass on a 24x24 grid."""
+    grid = Grid2D(netlist.die, 24, 24)
+    cfg = RouterConfig(**cfg_kw)
+    return route_scalar(grid, cfg, netlist), GlobalRouter(grid, cfg).route(netlist)
 
 
 def _assert_equivalent(scalar, batched):
@@ -180,7 +182,7 @@ def _assert_equivalent(scalar, batched):
     assert np.array_equal(scalar.congestion_map, batched.congestion_map)
 
 
-class TestEngineEquivalence:
+class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", [3, 5])
     def test_toy_design_demand_maps_identical(self, seed):
         scalar, batched = _route_both(toy_design(300, seed=seed))

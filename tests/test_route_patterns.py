@@ -10,6 +10,11 @@ def _uniform_router(nx=16, ny=16, via=1.0):
     return PatternRouter(np.ones((nx, ny)), np.ones((nx, ny)), via_cost=via)
 
 
+def _route(router, i1, j1, i2, j2):
+    """The shipped path of one segment: a one-row ``route_batch``."""
+    return router.route_batch([i1], [j1], [i2], [j2]).path(0)
+
+
 def path_connects(path: RoutedPath, i1, j1, i2, j2):
     """Walk the runs and verify they chain from (i1,j1) to (i2,j2)."""
     pos = (i1, j1)
@@ -25,33 +30,33 @@ def path_connects(path: RoutedPath, i1, j1, i2, j2):
 
 class TestBasicShapes:
     def test_same_cell(self):
-        p = _uniform_router().route(3, 3, 3, 3)
+        p = _route(_uniform_router(), 3, 3, 3, 3)
         assert p.runs == [] and p.cost == 0.0
 
     def test_straight_horizontal(self):
-        p = _uniform_router().route(2, 5, 9, 5)
+        p = _route(_uniform_router(), 2, 5, 9, 5)
         assert p.runs == [("h", 5, 2, 9)]
         assert p.n_bends == 0
         assert p.cost == pytest.approx(8.0)  # 8 cells crossed
 
     def test_straight_vertical(self):
-        p = _uniform_router().route(4, 1, 4, 6)
+        p = _route(_uniform_router(), 4, 1, 4, 6)
         assert p.runs == [("v", 4, 1, 6)]
         assert p.cost == pytest.approx(6.0)
 
     def test_l_or_z_shape_diagonal(self):
-        p = _uniform_router().route(1, 1, 6, 4)
+        p = _route(_uniform_router(), 1, 1, 6, 4)
         path_connects(p, 1, 1, 6, 4)
         assert 1 <= p.n_bends <= 2
         # wirelength in cells: manhattan span + 1 per run overlap
         assert p.wire_cells() >= (6 - 1) + (4 - 1)
 
     def test_wirelength_physical(self):
-        p = _uniform_router().route(0, 0, 3, 0)
+        p = _route(_uniform_router(), 0, 0, 3, 0)
         assert p.wirelength(dx=2.0, dy=1.0) == pytest.approx(6.0)
 
     def test_covered_cells(self):
-        p = _uniform_router().route(0, 0, 2, 0)
+        p = _route(_uniform_router(), 0, 0, 2, 0)
         assert set(p.covered_cells()) == {(0, 0), (1, 0), (2, 0)}
 
 
@@ -61,7 +66,7 @@ class TestCongestionAvoidance:
         v = np.ones((16, 16))
         v[8, :] = 100.0  # column 8 vertical routing is very expensive
         router = PatternRouter(h, v, via_cost=0.1)
-        p = router.route(2, 2, 14, 10)
+        p = _route(router, 2, 2, 14, 10)
         for kind, fixed, a, b in p.runs:
             if kind == "v":
                 assert fixed != 8
@@ -71,7 +76,7 @@ class TestCongestionAvoidance:
         h[:, 3] = 0.1  # row 3 is nearly free for horizontal wires
         v = np.ones((16, 16))
         router = PatternRouter(h, v, via_cost=0.1, detour_margin=5)
-        p = router.route(1, 1, 14, 6)
+        p = _route(router, 1, 1, 14, 6)
         h_rows = [fixed for kind, fixed, *_ in p.runs if kind == "h"]
         assert 3 in h_rows
 
@@ -80,7 +85,7 @@ class TestCongestionAvoidance:
         h = rng.random((12, 12)) + 0.5
         v = rng.random((12, 12)) + 0.5
         router = PatternRouter(h, v, via_cost=0.7)
-        p = router.route(2, 3, 9, 8)
+        p = _route(router, 2, 3, 9, 8)
         manual = 0.0
         for kind, fixed, a, b in p.runs:
             lo, hi = min(a, b), max(a, b)
@@ -108,7 +113,7 @@ class TestCongestionAvoidance:
             )
             bends = (m != i1) + (m != i2)
             best = min(best, c + 0.5 * bends + h[m, j1] + h[m, j2] - h[m, j1] - h[m, j2])
-        p = router.route(i1, j1, i2, j2)
+        p = _route(router, i1, j1, i2, j2)
         # router's path cost is at least as good as HVH brute force family
         # (it may also pick VHV); check it never exceeds the family best + tol
         # recompute family best carefully via the router's own segments costs
@@ -118,13 +123,13 @@ class TestCongestionAvoidance:
         h = np.ones((8, 8))
         v = np.ones((8, 8))
         router = PatternRouter(h, v, via_cost=0.1)
-        p1 = router.route(0, 0, 7, 7)
+        p1 = _route(router, 0, 0, 7, 7)
         v2 = v.copy()
         for kind, fixed, a, b in p1.runs:
             if kind == "v":
                 v2[fixed, :] = 50.0
         router.refresh(h, v2)
-        p2 = router.route(0, 0, 7, 7)
+        p2 = _route(router, 0, 0, 7, 7)
         assert {f for k, f, *_ in p2.runs if k == "v"}.isdisjoint(
             {f for k, f, *_ in p1.runs if k == "v"}
         )
@@ -139,7 +144,7 @@ class TestConnectivityProperty:
         for _ in range(50):
             i1, i2 = rng.integers(0, 20, 2)
             j1, j2 = rng.integers(0, 14, 2)
-            p = router.route(int(i1), int(j1), int(i2), int(j2))
+            p = _route(router, int(i1), int(j1), int(i2), int(j2))
             if (i1, j1) != (i2, j2):
                 path_connects(p, i1, j1, i2, j2)
                 assert len(p.bends) == p.n_bends <= 2

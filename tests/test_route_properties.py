@@ -14,13 +14,18 @@ from repro.netlist import CellSpec, Netlist, NetSpec, PinSpec
 coords = st.integers(0, 15)
 
 
+def _route(router, i1, j1, i2, j2):
+    """The shipped path of one segment: a one-row ``route_batch``."""
+    return router.route_batch([i1], [j1], [i2], [j2]).path(0)
+
+
 class TestPatternRouterProperties:
     @given(coords, coords, coords, coords)
     @settings(max_examples=100, deadline=None)
     def test_path_cost_lower_bounded_by_manhattan(self, i1, j1, i2, j2):
         """On a unit cost map, cost >= number of G-cells on any monotone path."""
         router = PatternRouter(np.ones((16, 16)), np.ones((16, 16)), via_cost=0.0)
-        p = router.route(i1, j1, i2, j2)
+        p = _route(router, i1, j1, i2, j2)
         if (i1, j1) == (i2, j2):
             assert p.cost == 0
             return
@@ -35,8 +40,8 @@ class TestPatternRouterProperties:
         h = rng.random((16, 16)) + 0.1
         v = rng.random((16, 16)) + 0.1
         router = PatternRouter(h, v, via_cost=0.3)
-        fwd = router.route(i1, j1, i2, j2)
-        rev = router.route(i2, j2, i1, j1)
+        fwd = _route(router, i1, j1, i2, j2)
+        rev = _route(router, i2, j2, i1, j1)
         assert fwd.cost == pytest.approx(rev.cost, rel=1e-9)
 
     @given(coords, coords, coords, coords)
@@ -44,7 +49,7 @@ class TestPatternRouterProperties:
     def test_bends_cost_money(self, i1, j1, i2, j2):
         """With enormous via cost, the router minimizes bends."""
         router = PatternRouter(np.ones((16, 16)), np.ones((16, 16)), via_cost=1e6)
-        p = router.route(i1, j1, i2, j2)
+        p = _route(router, i1, j1, i2, j2)
         if i1 == i2 or j1 == j2:
             assert p.n_bends == 0
         else:

@@ -187,7 +187,7 @@ def _metric_rows_as_dicts(rows: list) -> list:
 
 
 def run_sweep_task(task: SweepTask, ctx=None) -> DesignRun:
-    """Execute one design end to end; never raises (except cancellation).
+    """Execute one design end to end; never raises.
 
     Runs in a supervised worker (or in-process for ``jobs <= 1``).
     Telemetry goes to a private in-memory registry whose parsed events
@@ -200,10 +200,7 @@ def run_sweep_task(task: SweepTask, ctx=None) -> DesignRun:
     firing), the flows resume from their checkpoints, and the design's
     ``run.start`` event carries an ``attempt`` field — first attempts
     emit the exact pre-supervision stream, bit for bit.
-    :class:`~repro.jobs.spec.JobCancelled` is re-raised so the worker
-    reports ``cancelled`` instead of masking it as a design failure.
     """
-    from repro.jobs.spec import JobCancelled
     from repro.utils import faults
     from repro.utils.metrics import MemorySink, MetricsRegistry
 
@@ -229,8 +226,6 @@ def run_sweep_task(task: SweepTask, ctx=None) -> DesignRun:
             faults.install(injector)
         faults.fire(f"bench.design.{task.name}")
         rows = _run_design_task(task, metrics, resume=attempt > 0)
-    except JobCancelled:
-        raise  # the finally below uninstalls; the worker reports it
     except BaseException:
         error = traceback.format_exc()
     finally:

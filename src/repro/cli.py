@@ -9,12 +9,8 @@ eval    score a placed design (DRWL / #DRVias / #DRVs)
 plot    dump placement SVG and congestion heatmap PPM
 bench   run a Table I/II sweep, optionally sharded across --jobs workers
 gradcheck  validate analytic gradients against central differences
-serve   run the placement-as-a-service daemon (see repro.service)
-submit  queue a place/route job on a running daemon
-status  show daemon queue state or one job's status
-cancel  request cancellation of a queued/running job
-dse     design-space exploration: run/submit grid sweeps, ingest and
-        query the sqlite run database, render HTML reports
+dse     design-space exploration: run grid sweeps, ingest and query
+        the sqlite run database, render HTML reports
 
 ``place`` and ``route`` accept ``--check-invariants {off,warn,raise}``
 to arm the numeric-contract layer (see :mod:`repro.utils.contracts`);
@@ -26,14 +22,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-
-def _load_validated(path: str):
-    """Load a design file and structurally validate it (see
-    :func:`repro.service.runner.load_validated`)."""
-    from repro.service.runner import load_validated
-
-    return load_validated(path)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -53,7 +41,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_place(args: argparse.Namespace) -> int:
-    from repro.service.runner import PlaceRequest, run_place_job
+    from repro.run import PlaceRequest, run_place_job
 
     outcome = run_place_job(PlaceRequest(
         input=args.input,
@@ -76,7 +64,7 @@ def _cmd_place(args: argparse.Namespace) -> int:
 
 
 def _cmd_eco(args: argparse.Namespace) -> int:
-    from repro.service.runner import EcoRequest, run_eco_job
+    from repro.run import EcoRequest, run_eco_job
 
     outcome = run_eco_job(EcoRequest(
         input=args.input,
@@ -101,7 +89,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    from repro.service.runner import RouteRequest, run_route_job
+    from repro.run import RouteRequest, run_route_job
 
     outcome = run_route_job(RouteRequest(
         input=args.input,
@@ -118,111 +106,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import signal
-
-    from repro.service import PlacementService, ServiceConfig
-
-    service = PlacementService(ServiceConfig(
-        root=args.root,
-        host=args.host,
-        port=args.port,
-        max_workers=args.max_workers,
-        execution=args.execution,
-        job_timeout=args.job_timeout,
-        heartbeat_timeout=args.heartbeat_timeout,
-        max_retries=args.job_retries,
-    ))
-    host, port = service.start()
-    print(f"placement service on {host}:{port} (root {service.root})")
-
-    def _stop(signum, frame):
-        service.stop(f"signal:{signum}")
-
-    signal.signal(signal.SIGTERM, _stop)
-    signal.signal(signal.SIGINT, _stop)
-    service.wait()
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-
-    client = ServiceClient(root=args.root)
-    request: dict = {"input": os.path.abspath(args.input)}
-    if args.kind == "place":
-        if args.routability:
-            request["routability"] = True
-        if args.iters is not None:
-            request["iters"] = args.iters
-        if args.rounds is not None:
-            request["rounds"] = args.rounds
-        if args.iters_per_round is not None:
-            request["iters_per_round"] = args.iters_per_round
-    elif args.kind == "eco":
-        if not args.baseline:
-            raise SystemExit("error: --kind eco requires --baseline")
-        request["baseline"] = os.path.abspath(args.baseline)
-        if args.baseline_checkpoint:
-            request["baseline_checkpoint"] = os.path.abspath(
-                args.baseline_checkpoint
-            )
-        if args.rounds is not None:
-            request["rounds"] = args.rounds
-        if args.iters_per_round is not None:
-            request["iters_per_round"] = args.iters_per_round
-    entry = client.submit(request, kind=args.kind, priority=args.priority)
-    print(f"queued {entry['job_id']} (seq {entry['seq']}, "
-          f"priority {entry['priority']})")
-    if args.wait:
-        entry = client.wait(entry["job_id"], timeout=args.timeout)
-        print(_format_entry(entry))
-        return 0 if entry["state"] == "DONE" else 1
-    return 0
-
-
-def _format_entry(entry: dict) -> str:
-    line = (f"{entry['job_id']}: {entry['state']} "
-            f"(attempts {entry['attempts']})")
-    if entry.get("result"):
-        result = entry["result"]
-        if result.get("kind") == "place":
-            line += f" hpwl={result['hpwl']:.0f} -> {result['out']}"
-        elif result.get("kind") == "route":
-            line += (f" wirelength={result['wirelength']:.0f} "
-                     f"overflow={result['total_overflow']:.0f}")
-        elif result.get("kind") == "eco":
-            line += (f" hpwl={result['hpwl']:.0f} "
-                     f"rounds={result['n_rounds']} -> {result['out']}")
-    if entry.get("error"):
-        line += f"\n  error: {entry['error'].strip().splitlines()[-1]}"
-    return line
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-
-    client = ServiceClient(root=args.root)
-    if args.job_id:
-        print(_format_entry(client.status(args.job_id)))
-    else:
-        stats = client.stats()
-        print(f"queue: {stats['queue']}  cache: {stats['cache']}")
-        for entry in client.jobs():
-            print(_format_entry(entry))
-    return 0
-
-
-def _cmd_cancel(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient
-
-    client = ServiceClient(root=args.root)
-    entry = client.cancel(args.job_id)
-    print(f"cancel requested for {entry['job_id']} "
-          f"(was {entry['state']})")
-    return 0
-
-
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     from repro.utils.gradcheck import run_gradcheck
 
@@ -233,8 +116,9 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     from repro.evalrt import evaluate_routing
+    from repro.run import load_validated
 
-    netlist = _load_validated(args.input)
+    netlist = load_validated(args.input)
     ev = evaluate_routing(netlist)
     print(f"DRWL={ev.drwl:.0f} #DRVias={ev.n_vias:.0f} #DRVs={ev.n_drvs:.0f} "
           f"(overflow {ev.overflow_drvs:.0f}, pin-access "
@@ -246,9 +130,10 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     from repro.geometry import Grid2D
     from repro.place.config import auto_grid_dim
     from repro.route import GlobalRouter, RouterConfig
+    from repro.run import load_validated
     from repro.viz import save_heatmap_ppm, save_placement_svg
 
-    netlist = _load_validated(args.input)
+    netlist = load_validated(args.input)
     dim = auto_grid_dim(netlist.n_cells)
     grid = Grid2D(netlist.die, dim, dim)
     result = GlobalRouter(grid, RouterConfig()).route(netlist)
@@ -360,19 +245,6 @@ def _cmd_dse_run(args: argparse.Namespace) -> int:
     if args.db:
         print(f"ingested into {args.db}")
     return 1 if result.errors else 0
-
-
-def _cmd_dse_submit(args: argparse.Namespace) -> int:
-    """Submit a grid's units to a running ``repro serve`` daemon."""
-    from repro.dse.grid import load_spec
-    from repro.dse.runner import submit_grid
-
-    spec = load_spec(args.grid)
-    entries = submit_grid(spec, root=args.root, priority=args.priority)
-    for entry in entries:
-        print(f"queued {entry['job_id']}")
-    print(f"submitted {len(entries)} units from sweep {spec.name}")
-    return 0
 
 
 def _cmd_dse_ingest(args: argparse.Namespace) -> int:
@@ -580,67 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "checkpoint instead of recomputing")
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("serve", help="run the placement service daemon")
-    p.add_argument("--root", required=True, metavar="DIR",
-                   help="service state directory (queue, job artifacts, "
-                        "telemetry); reusing a root resumes its queue")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="bind port (0 = pick a free one; the resolved "
-                        "address is written to <root>/service.json)")
-    p.add_argument("--max-workers", type=int, default=1, metavar="N",
-                   help="concurrent supervised worker processes")
-    p.add_argument("--execution", choices=("supervised", "inline"),
-                   default="supervised",
-                   help="supervised = one worker process per job "
-                        "(deadlines/heartbeats/retries); inline = run "
-                        "jobs serially in the daemon sharing its warm "
-                        "caches")
-    p.add_argument("--job-timeout", type=float, default=None, metavar="S",
-                   help="per-job wall-clock deadline (supervised only)")
-    p.add_argument("--heartbeat-timeout", type=float, default=None,
-                   metavar="S",
-                   help="reap a job after S seconds without a progress "
-                        "beat (supervised only)")
-    p.add_argument("--job-retries", type=int, default=1, metavar="N",
-                   help="replacement attempts after an involuntary "
-                        "worker death")
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser("submit", help="queue a job on a running daemon")
-    p.add_argument("input", help="design file to place/route")
-    p.add_argument("--root", required=True, metavar="DIR",
-                   help="the daemon's service root")
-    p.add_argument("--kind", choices=("place", "route", "eco"),
-                   default="place")
-    p.add_argument("--routability", action="store_true",
-                   help="full routability flow (place jobs)")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="baseline design file (eco jobs)")
-    p.add_argument("--baseline-checkpoint", default=None, metavar="PATH",
-                   help="baseline flow checkpoint (eco jobs)")
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--iters-per-round", type=int, default=None)
-    p.add_argument("--priority", type=int, default=0,
-                   help="higher runs first; FIFO within a priority")
-    p.add_argument("--wait", action="store_true",
-                   help="block until the job finishes and print its "
-                        "result (exit 1 unless DONE)")
-    p.add_argument("--timeout", type=float, default=300.0,
-                   help="--wait deadline in seconds")
-    p.set_defaults(func=_cmd_submit)
-
-    p = sub.add_parser("status", help="show daemon/job status")
-    p.add_argument("--root", required=True, metavar="DIR")
-    p.add_argument("job_id", nargs="?", default=None)
-    p.set_defaults(func=_cmd_status)
-
-    p = sub.add_parser("cancel", help="cancel a queued/running job")
-    p.add_argument("--root", required=True, metavar="DIR")
-    p.add_argument("job_id")
-    p.set_defaults(func=_cmd_cancel)
-
     p = sub.add_parser(
         "gradcheck",
         help="validate analytic gradients against central differences",
@@ -665,12 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--heartbeat-timeout", type=float, default=None)
     q.add_argument("--job-retries", type=int, default=1)
     q.set_defaults(func=_cmd_dse_run)
-
-    q = dse.add_parser("submit", help="submit a grid to a running daemon")
-    q.add_argument("--grid", required=True)
-    q.add_argument("--root", required=True, help="service root directory")
-    q.add_argument("--priority", type=int, default=0)
-    q.set_defaults(func=_cmd_dse_submit)
 
     q = dse.add_parser("ingest", help="ingest payloads/telemetry/bench JSON")
     q.add_argument("--db", required=True)

@@ -12,9 +12,8 @@ asset.  It has three layers, mirroring the tentpole split:
   for knob-trend charts and perf-regression tables, published by the
   docs build.
 
-:mod:`repro.dse.runner` drives a sweep end to end (in-process, through
-the :mod:`repro.jobs` supervisor, or submitted to a ``repro serve``
-daemon) and is what ``repro dse run`` calls.
+:mod:`repro.dse.runner` drives a sweep end to end (in-process or through
+the :mod:`repro.jobs` supervisor) and is what ``repro dse run`` calls.
 """
 
 from repro.dse.grid import (
@@ -30,7 +29,7 @@ from repro.dse.grid import (
     validate_knobs,
 )
 from repro.dse.report import render_report
-from repro.dse.runner import GridResult, run_grid, run_unit, submit_grid
+from repro.dse.runner import GridResult, run_grid, run_unit
 from repro.dse.store import RunDB
 
 __all__ = [
@@ -48,6 +47,5 @@ __all__ = [
     "run_grid",
     "run_unit",
     "shard_units",
-    "submit_grid",
     "validate_knobs",
 ]

@@ -21,15 +21,15 @@ unit ids, and the same shard assignment.
 
 Every knob lives in the :data:`KNOBS` registry, which maps a dotted
 public name to the config dataclass field it rebinds.  The registry is
-the single source of truth shared by the sweep runner, the service
-job-payload validator (``overrides``), and ``docs/dse.md``.
+the single source of truth shared by the sweep runner and
+``docs/dse.md``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.inflation import InflationConfig
@@ -141,29 +141,21 @@ class KnobBinding:
     rd_config: RDConfig
 
 
-def apply_knobs(knobs: dict, gp_base: GPConfig | None = None,
-                rd_base: RDConfig | None = None) -> KnobBinding:
-    """Rebind a validated knob mapping onto fresh (or given) configs.
-
-    Starts from ``gp_base`` / ``rd_base`` when provided (the service
-    path layers sweep overrides on top of request-level settings),
-    otherwise from the flow defaults.
-    """
+def apply_knobs(knobs: dict) -> KnobBinding:
+    """Rebind a validated knob mapping onto fresh default configs."""
     cast = validate_knobs(knobs)
     by_section: dict = {}
     for name, value in cast.items():
         knob = KNOBS[name]
         by_section.setdefault(knob.section, {})[knob.attr] = value
 
-    gp = replace(gp_base or GPConfig(), **by_section.get("gp", {}))
-    rd = rd_base or RDConfig(gp=gp)
-    rd = replace(
-        rd,
+    gp = GPConfig(**by_section.get("gp", {}))
+    rd = RDConfig(
         gp=gp,
-        inflation=replace(rd.inflation, **by_section.get("inflation", {})),
-        pinaccess=replace(rd.pinaccess, **by_section.get("pinaccess", {})),
-        netmove=replace(rd.netmove, **by_section.get("netmove", {})),
-        router=replace(rd.router, **by_section.get("router", {})),
+        inflation=InflationConfig(**by_section.get("inflation", {})),
+        pinaccess=PinAccessConfig(**by_section.get("pinaccess", {})),
+        netmove=NetMoveConfig(**by_section.get("netmove", {})),
+        router=RouterConfig(**by_section.get("router", {})),
         **by_section.get("rd", {}),
     )
     return KnobBinding(gp_config=gp, rd_config=rd)

@@ -1,15 +1,12 @@
-"""Sweep execution: run grid units in-process, supervised, or remote.
+"""Sweep execution: run grid units in-process or supervised.
 
-Three execution paths share the same deterministic unit list from
+Both execution paths share the same deterministic unit list from
 :func:`repro.dse.grid.make_units`:
 
 * ``jobs <= 1`` — plain in-process loop (bit-identical baseline);
 * ``jobs > 1`` — one :class:`~repro.jobs.spec.JobSpec` per unit
   dispatched through :func:`repro.jobs.run_jobs`, inheriting the
-  supervisor's deadlines, hung-worker reaping and retry-with-resume;
-* :func:`submit_grid` — units posted to a running ``repro serve``
-  daemon as ``place`` jobs whose ``overrides`` payload field carries
-  the unit's knob mapping.
+  supervisor's deadlines, hung-worker reaping and retry-with-resume.
 
 Every unit produces a JSON payload (``dse_unit: 1``) that
 :class:`repro.dse.store.RunDB` ingests; :func:`run_grid` writes the
@@ -34,15 +31,12 @@ def _unit_filename(unit_id: str) -> str:
 
 
 def run_unit(unit: DseUnit, ctx=None) -> dict:
-    """Execute one sweep unit; never raises (except cancellation).
+    """Execute one sweep unit; never raises.
 
     Mirrors :func:`repro.bench.parallel.run_sweep_task`: telemetry goes
     to a private in-memory registry whose events ride back on the
-    payload, exceptions become traceback strings, and
-    :class:`~repro.jobs.spec.JobCancelled` is re-raised so a supervised
-    worker reports ``cancelled`` rather than a unit failure.
+    payload, and exceptions become traceback strings.
     """
-    from repro.jobs.spec import JobCancelled
     from repro.utils.metrics import MemorySink, MetricsRegistry
 
     attempt = ctx.attempt if ctx is not None else 0
@@ -59,8 +53,6 @@ def run_unit(unit: DseUnit, ctx=None) -> dict:
     try:
         binding = apply_knobs(unit.knobs)
         rows = _run_unit_flow(unit, binding, metrics)
-    except JobCancelled:
-        raise
     except BaseException:
         error = traceback.format_exc()
     metrics.close()
@@ -237,42 +229,3 @@ def _write_outputs(result: GridResult, out_dir) -> None:
     with (out / "sweep.jsonl").open("w") as fh:
         for event in result.events:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
-
-
-def submit_grid(spec: GridSpec, root: str, designs_dir=None,
-                priority: int = 0) -> list:
-    """Submit a grid's units as ``place`` jobs to a running daemon.
-
-    Design files are generated (once per distinct design) under
-    ``designs_dir`` (default ``<root>/designs``), then each unit is
-    posted via :class:`~repro.service.client.ServiceClient` with its
-    knob mapping in the request's ``overrides`` field and its unit id
-    as the job id.  Returns the submitted queue entries.
-    """
-    from repro.io.bookshelf import save_design
-    from repro.service.client import ServiceClient
-    from repro.synth.suite import suite_design
-
-    units = make_units(spec)
-    designs = Path(designs_dir) if designs_dir is not None else Path(root) / "designs"
-    designs.mkdir(parents=True, exist_ok=True)
-    paths: dict = {}
-    for unit in units:
-        if unit.design not in paths:
-            path = designs / f"{unit.design}_s{unit.scale:g}_r{unit.seed}.bl"
-            if not path.exists():
-                save_design(
-                    suite_design(unit.design, scale=unit.scale, seed=unit.seed),
-                    str(path))
-            paths[unit.design] = path
-
-    client = ServiceClient(root=root)
-    entries = []
-    for unit in units:
-        request = {"input": str(paths[unit.design]), "routability": True}
-        if unit.knobs:
-            request["overrides"] = dict(unit.knobs)
-        entries.append(client.submit(
-            request, kind="place", priority=priority,
-            job_id=_unit_filename(unit.unit_id)[:-5]))
-    return entries

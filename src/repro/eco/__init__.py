@@ -3,7 +3,8 @@
 The package turns the batch RD flow into an interactive one:
 
 * :mod:`repro.eco.diff` — typed edit list between two Bookshelf
-  designs (cells added/removed/resized, nets added/removed/rewired);
+  designs (cells added/removed/resized, nets added/removed/rewired),
+  rejecting edits that push a fixed cell out of the die;
 * :mod:`repro.eco.warm` — warm-start planner: baseline positions from
   the nearest npz checkpoint (or the baseline design file), mapped
   through the diff, with new cells seeded at connectivity centroids,
@@ -13,7 +14,7 @@ The package turns the batch RD flow into an interactive one:
   full re-place reference for QoR-delta reports.
 """
 
-from repro.eco.diff import NetlistDiff, diff_netlists
+from repro.eco.diff import FixedCellOutsideDieError, NetlistDiff, diff_netlists
 from repro.eco.flow import EcoConfig, EcoResult, eco_place, full_replace
 from repro.eco.warm import (
     DirtyRegion,
@@ -24,6 +25,7 @@ from repro.eco.warm import (
 )
 
 __all__ = [
+    "FixedCellOutsideDieError",
     "NetlistDiff",
     "diff_netlists",
     "EcoConfig",

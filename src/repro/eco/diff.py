@@ -13,7 +13,10 @@ produces a :class:`NetlistDiff` with typed edit lists:
   which is what the warm-start planner uses to carry positions across.
 
 Positions are deliberately **not** part of the diff: they are the
-quantity the ECO flow recomputes, not an edit.
+quantity the ECO flow recomputes, not an edit.  Fixed cells are the
+exception the differ checks: placement never moves them, so an added
+or resized fixed cell whose rectangle leaves the die can never become
+legal and is rejected with :class:`FixedCellOutsideDieError`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.geometry.rect import Rect
 from repro.netlist.netlist import Netlist
+
+#: Slack of the die-containment check (the one ``check_legal`` uses).
+DIE_TOLERANCE = 1e-6
+
+
+class FixedCellOutsideDieError(ValueError):
+    """An edit leaves a fixed cell's rectangle partly outside the die."""
+
+    def __init__(self, cell: str, rect: Rect, die: Rect) -> None:
+        super().__init__(
+            f"edit puts fixed cell {cell!r} outside the die: "
+            f"[{rect.xlo:g}, {rect.xhi:g}] x [{rect.ylo:g}, {rect.yhi:g}] "
+            f"is not inside "
+            f"[{die.xlo:g}, {die.xhi:g}] x [{die.ylo:g}, {die.yhi:g}]"
+        )
+        self.cell = cell
 
 
 def _net_signature(nl: Netlist, net_id: int) -> tuple:
@@ -102,8 +122,34 @@ class NetlistDiff:
         }
 
 
+def _check_fixed_edits(new: Netlist, cell_ids: list) -> None:
+    """Raise :class:`FixedCellOutsideDieError` for the first fixed cell
+    of ``cell_ids`` whose rectangle in ``new`` leaves the die."""
+    die = new.die
+    for i in cell_ids:
+        if not new.cell_fixed[i]:
+            continue
+        rect = Rect.from_center(
+            float(new.x[i]),
+            float(new.y[i]),
+            float(new.cell_width[i]),
+            float(new.cell_height[i]),
+        )
+        if (
+            rect.xlo < die.xlo - DIE_TOLERANCE
+            or rect.ylo < die.ylo - DIE_TOLERANCE
+            or rect.xhi > die.xhi + DIE_TOLERANCE
+            or rect.yhi > die.yhi + DIE_TOLERANCE
+        ):
+            raise FixedCellOutsideDieError(new.cell_names[i], rect, die)
+
+
 def diff_netlists(old: Netlist, new: Netlist) -> NetlistDiff:
-    """Compare two designs by name and return the typed edit list."""
+    """Compare two designs by name and return the typed edit list.
+
+    Raises :class:`FixedCellOutsideDieError` when an added or resized
+    fixed cell does not fit inside the die at its position in ``new``.
+    """
     diff = NetlistDiff()
 
     old_cells = {name: i for i, name in enumerate(old.cell_names)}
@@ -125,6 +171,9 @@ def diff_netlists(old: Netlist, new: Netlist) -> NetlistDiff:
     for name in new.cell_names:
         if name not in old_cells:
             diff.added_cells.append(name)
+    _check_fixed_edits(
+        new, [new_cells[name] for name in diff.added_cells + diff.resized_cells]
+    )
 
     old_nets = {name: e for e, name in enumerate(old.net_names)}
     new_nets = {name: e for e, name in enumerate(new.net_names)}

@@ -1,15 +1,15 @@
 """Supervised job runtime: specs, workers, and the supervisor.
 
-Public API of the execution layer under :mod:`repro.bench.parallel`:
-build :class:`JobSpec` work orders, hand them to :func:`run_jobs` (or
-a long-lived :class:`Supervisor`), and get :class:`JobResult` outcomes
+Public API of the execution layer under :mod:`repro.bench.parallel`
+and :mod:`repro.dse.runner`: build :class:`JobSpec` work orders, hand
+them to :func:`run_jobs` (or a :class:`Supervisor`), and get
+:class:`JobResult` outcomes
 back in submission order — with timeouts, hung-worker reaping, retry
 from checkpoint, and graceful degradation handled here rather than in
 every caller.
 """
 
 from repro.jobs.spec import (
-    CANCELLED,
     CRASHED,
     DONE,
     FAILED,
@@ -19,7 +19,6 @@ from repro.jobs.spec import (
     RUNNING,
     TERMINAL_STATES,
     TIMEOUT,
-    JobCancelled,
     JobContext,
     JobResult,
     JobSpec,
@@ -34,7 +33,6 @@ from repro.jobs.supervisor import (
 )
 
 __all__ = [
-    "CANCELLED",
     "CRASHED",
     "DONE",
     "FAILED",
@@ -44,7 +42,6 @@ __all__ = [
     "RUNNING",
     "TERMINAL_STATES",
     "TIMEOUT",
-    "JobCancelled",
     "JobContext",
     "JobResult",
     "JobSpec",

@@ -8,10 +8,10 @@ sweep shard — described by a :class:`JobSpec` and finishing as a
     PENDING --start--> RUNNING --+--> DONE        (fn returned)
        ^                         +--> FAILED      (fn raised)
        |                         +--> CRASHED     (worker died: SIGKILL,
-       |                         |                 segfault, lost result)
+       |                         |                 SIGTERM, segfault,
+       |                         |                 lost result)
        |                         +--> HUNG        (heartbeats stopped)
        |                         +--> TIMEOUT     (wall-clock deadline)
-       |                         +--> CANCELLED   (cooperative or reaped)
        +------- retry (CRASHED/HUNG/TIMEOUT, with backoff) ------+
 
 ``FAILED`` is deliberately terminal by default: an exception is a
@@ -34,21 +34,11 @@ FAILED = "failed"
 CRASHED = "crashed"
 HUNG = "hung"
 TIMEOUT = "timeout"
-CANCELLED = "cancelled"
 
 #: States a job can end in.
-TERMINAL_STATES = (DONE, FAILED, CRASHED, HUNG, TIMEOUT, CANCELLED)
+TERMINAL_STATES = (DONE, FAILED, CRASHED, HUNG, TIMEOUT)
 #: Involuntary-death states the supervisor retries by default.
 RETRYABLE_STATES = (CRASHED, HUNG, TIMEOUT)
-
-
-class JobCancelled(BaseException):
-    """Cooperative-cancellation signal raised inside a worker.
-
-    A ``BaseException`` on purpose: flow-level recovery code catches
-    ``Exception`` (round rollback, per-design isolation) and must not
-    swallow a cancellation on its way out of the worker.
-    """
 
 
 @dataclass

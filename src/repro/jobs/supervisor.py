@@ -15,9 +15,6 @@ workers themselves cannot be trusted with:
   are retried up to ``max_retries`` times with exponential backoff and
   deterministic jitter; a retried job whose spec names a
   ``checkpoint_path`` warm-starts from its last atomic checkpoint;
-* **cooperative cancellation** — :meth:`Supervisor.cancel` flags the
-  job's cancel file (picked up at the next heartbeat), escalating to
-  SIGTERM and finally SIGKILL after a grace period;
 * **graceful degradation** — a dead worker gets a replacement process
   (retry); a supervisor that cannot run processes at all is rebuilt
   once by :func:`run_jobs`, and as the last rung the remaining jobs
@@ -29,8 +26,8 @@ structured :class:`~repro.jobs.spec.JobResult` — the supervisor never
 raises because of anything a *job* did.
 
 This is the execution skeleton the bench sweep runner
-(:mod:`repro.bench.parallel`) sits on, and the worker-pool layer a
-placement-as-a-service daemon plugs into.
+(:mod:`repro.bench.parallel`) and the DSE sweep runner
+(:mod:`repro.dse.runner`) sit on.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ import time
 from dataclasses import dataclass
 
 from repro.jobs.spec import (
-    CANCELLED,
     CRASHED,
     DONE,
     FAILED,
@@ -53,12 +49,11 @@ from repro.jobs.spec import (
     RETRYABLE_STATES,
     RUNNING,
     TIMEOUT,
-    JobCancelled,
     JobContext,
     JobResult,
     JobSpec,
 )
-from repro.jobs.worker import CANCEL_FILE, HEARTBEAT_FILE, read_result, worker_main
+from repro.jobs.worker import HEARTBEAT_FILE, read_result, worker_main
 from repro.utils.logging import get_logger
 from repro.utils.metrics import NULL
 
@@ -96,9 +91,6 @@ class SupervisorConfig:
         job id (deterministic across runs, decorrelated across jobs).
     poll_interval:
         Supervisor tick period.
-    cancel_grace:
-        Seconds between cancellation escalation steps (cooperative
-        flag -> SIGTERM -> SIGKILL).
     """
 
     max_workers: int = 1
@@ -110,7 +102,6 @@ class SupervisorConfig:
     backoff_factor: float = 2.0
     backoff_jitter: float = 0.25
     poll_interval: float = 0.02
-    cancel_grace: float = 0.5
 
 
 def compute_backoff(config: SupervisorConfig, job_id: str, attempt: int) -> float:
@@ -140,9 +131,6 @@ class _Job:
     not_before: float = 0.0
     last_beat: float = 0.0
     beat_stamp: str = ""
-    cancel_requested: bool = False
-    cancel_since: float = 0.0
-    sigterm_sent: bool = False
     result: JobResult | None = None
 
     @property
@@ -160,11 +148,9 @@ class Supervisor:
     """Run job specs under deadlines, heartbeats and retry policy.
 
     Use as a context manager, or call :meth:`close` to reap any
-    still-running workers and delete the scratch directory.  The
-    incremental API (:meth:`submit` / :meth:`poll` / :meth:`wait` /
-    :meth:`cancel`) exists so a long-running service can feed jobs in
-    over time; :meth:`run` is the batch convenience used by the sweep
-    runner.
+    still-running workers and delete the scratch directory.
+    :meth:`run` submits a batch and blocks; :meth:`submit` /
+    :meth:`poll` / :meth:`wait` are its steps.
     """
 
     def __init__(
@@ -178,7 +164,6 @@ class Supervisor:
         self._ctx = mp_context or multiprocessing.get_context()
         self._jobs: dict = {}
         self._order: list = []
-        self._delivered: set = set()
         self._root = tempfile.mkdtemp(prefix="repro-jobs-")
         self._closed = False
 
@@ -212,60 +197,12 @@ class Supervisor:
             self.metrics.emit("job.submit", job=spec.job_id, index=spec.index)
         return spec.job_id
 
-    def cancel(self, job_id: str) -> None:
-        """Request cancellation (cooperative first, forced eventually)."""
-        job = self._jobs[job_id]
-        if job.done:
-            return
-        if self.metrics.enabled:
-            self.metrics.emit("job.cancel", job=job_id)
-        if job.state == PENDING:
-            self._finalize(job, CANCELLED, "cancelled before start")
-            return
-        if not job.cancel_requested:
-            job.cancel_requested = True
-            job.cancel_since = time.monotonic()
-            self._touch(os.path.join(job.workdir, CANCEL_FILE))
-
     def results(self) -> list:
         """Terminal :class:`JobResult` entries so far, submission order."""
         return [
             self._jobs[jid].result
             for jid in self._order
             if self._jobs[jid].result is not None
-        ]
-
-    def take_completed(self) -> list:
-        """Newly terminal :class:`JobResult` entries since the last call.
-
-        Incremental companion to :meth:`results` for long-lived callers
-        (the service daemon drains this from its scheduler tick): each
-        terminal result is returned exactly once, submission order
-        within a call.
-        """
-        fresh = []
-        for jid in self._order:
-            job = self._jobs[jid]
-            if job.result is not None and jid not in self._delivered:
-                self._delivered.add(jid)
-                fresh.append(job.result)
-        return fresh
-
-    def job_state(self, job_id: str) -> str:
-        """The current lifecycle state of one submitted job."""
-        return self._jobs[job_id].state
-
-    def worker_pid(self, job_id: str) -> int | None:
-        """Pid of the job's live worker process (``None`` if none)."""
-        proc = self._jobs[job_id].proc
-        return proc.pid if proc is not None else None
-
-    def unfinished_specs(self) -> list:
-        """Specs of jobs without a terminal result (for ladder rebuilds)."""
-        return [
-            self._jobs[jid].spec
-            for jid in self._order
-            if self._jobs[jid].result is None
         ]
 
     def run(self, specs) -> list:
@@ -299,16 +236,6 @@ class Supervisor:
             self._reap(job)
             return
         self._refresh_beat(job, now)
-        if job.cancel_requested:
-            waited = now - job.cancel_since
-            if waited > 2 * self.config.cancel_grace:
-                proc.kill()
-                proc.join(timeout=5)
-                self._reap(job)
-            elif waited > self.config.cancel_grace and not job.sigterm_sent:
-                job.sigterm_sent = True
-                proc.terminate()
-            return
         timeout = job.spec.timeout
         timeout = self.config.timeout if timeout is None else timeout
         if timeout is not None and now - job.started > timeout:
@@ -377,12 +304,6 @@ class Supervisor:
             )
             return
         exitcode = job.proc.exitcode
-        if job.cancel_requested:
-            self._attempt_ended(
-                job, CANCELLED, f"killed after cancel (exitcode {exitcode})",
-                exitcode=exitcode,
-            )
-            return
         if self.metrics.enabled:
             self.metrics.emit(
                 "job.crashed",
@@ -422,11 +343,7 @@ class Supervisor:
         max_retries = job.spec.max_retries
         if max_retries is None:
             max_retries = self.config.max_retries
-        retryable = (
-            state in RETRYABLE_STATES
-            and not job.cancel_requested
-            and job.attempt < max_retries
-        )
+        retryable = state in RETRYABLE_STATES and job.attempt < max_retries
         if retryable:
             backoff = compute_backoff(
                 self.config, job.spec.job_id, job.attempt + 1
@@ -530,12 +447,6 @@ class Supervisor:
                 pid=proc.pid,
             )
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _touch(path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("1")
-
 
 # ----------------------------------------------------------------------
 # degradation ladder
@@ -557,8 +468,6 @@ def run_job_in_process(spec: JobSpec) -> JobResult:
     try:
         value = spec.fn(*spec.args, **kwargs)
         state, error = DONE, None
-    except JobCancelled as exc:
-        state, error, value = CANCELLED, f"cancelled: {exc}", None
     except Exception:
         import traceback
 

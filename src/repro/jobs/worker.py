@@ -2,18 +2,13 @@
 
 :func:`worker_main` is the ``multiprocessing.Process`` target: it runs
 one job attempt in a fresh process and communicates with the
-supervisor through three files in the attempt's scratch directory —
+supervisor through two files in the attempt's scratch directory —
 
 ``heartbeat``
     Touched (mtime-updated) whenever the job reaches a progress point
     (:func:`repro.utils.heartbeat.beat` sites in the flow loops).  The
     supervisor reads staleness off the mtime, so a SIGKILL'd or
     C-looping worker needs no cooperation to be detected.
-``cancel``
-    Created by the supervisor to request cooperative cancellation; the
-    beat handler notices it at the next progress point and raises
-    :class:`~repro.jobs.spec.JobCancelled`.  SIGTERM takes the same
-    path for workers that stopped beating.
 ``result``
     The attempt's outcome, pickled and written atomically (temp file +
     ``os.replace``), so a worker killed mid-write leaves *no* result
@@ -28,38 +23,28 @@ from __future__ import annotations
 
 import os
 import pickle
-import signal
 import time
 import traceback
 
-from repro.jobs.spec import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    JobCancelled,
-    JobContext,
-    JobSpec,
-)
+from repro.jobs.spec import DONE, FAILED, JobContext, JobSpec
 from repro.utils import faults, heartbeat
 
 #: Scratch-file names inside one attempt directory.
 HEARTBEAT_FILE = "heartbeat"
-CANCEL_FILE = "cancel"
 RESULT_FILE = "result"
 
 
 class WorkerRuntime:
-    """Per-attempt in-worker state: throttled beats + cancel polling."""
+    """Per-attempt in-worker state: throttled progress beats."""
 
     def __init__(self, workdir: str, interval: float = 0.1) -> None:
         self.heartbeat_path = os.path.join(workdir, HEARTBEAT_FILE)
-        self.cancel_path = os.path.join(workdir, CANCEL_FILE)
         self.interval = interval
         self._last = float("-inf")
         self._beats = 0
 
     def beat(self, force: bool = False) -> None:
-        """Record progress and poll for cancellation (throttled).
+        """Record progress in the heartbeat file (throttled).
 
         Installed as the process-wide :mod:`repro.utils.heartbeat`
         handler; the throttle keeps hot flow loops from paying a
@@ -72,12 +57,6 @@ class WorkerRuntime:
         self._beats += 1
         with open(self.heartbeat_path, "w") as fh:
             fh.write(str(self._beats))
-        if os.path.exists(self.cancel_path):
-            raise JobCancelled("cancel requested by supervisor")
-
-    def handle_sigterm(self, signum, frame) -> None:
-        """SIGTERM → cooperative cancellation of the running attempt."""
-        raise JobCancelled("SIGTERM from supervisor")
 
 
 def write_result(workdir: str, payload: dict) -> None:
@@ -108,18 +87,14 @@ def worker_main(
 ) -> None:
     """Process entry point: run one attempt of ``spec`` to completion.
 
-    Never raises (the process exit code stays 0 for every cooperative
-    outcome); the result file carries ``state`` = ``done`` | ``failed``
-    | ``cancelled`` plus the value or traceback.  Involuntary deaths
-    (SIGKILL, hard timeouts) leave no result file at all — that is the
-    supervisor's crash signal.
+    Never raises (the process exit code stays 0 whenever the job
+    function returns or raises); the result file carries ``state`` =
+    ``done`` | ``failed`` plus the value or traceback.  Involuntary
+    deaths (SIGKILL, SIGTERM, hard timeouts) leave no result file at
+    all — that is the supervisor's crash signal.
     """
     runtime = WorkerRuntime(workdir, interval=heartbeat_interval)
     heartbeat.set_handler(runtime.beat)
-    try:
-        signal.signal(signal.SIGTERM, runtime.handle_sigterm)
-    except ValueError:  # pragma: no cover — non-main-thread embedding
-        pass
     runtime.beat(force=True)
 
     injector = None
@@ -140,8 +115,6 @@ def worker_main(
                 checkpoint_path=spec.checkpoint_path,
             )
         value = spec.fn(*spec.args, **kwargs)
-    except JobCancelled as exc:
-        state, error = CANCELLED, f"cancelled: {exc}"
     except BaseException:
         state, error = FAILED, traceback.format_exc()
     finally:

@@ -416,6 +416,7 @@ class GlobalPlacer:
                     density_weight=self.density_weight,
                     step=info["step"],
                     grad_norm=info["grad_norm"],
+                    gamma=self.wa.gamma,
                 )
             if cfg.verbose and it % 20 == 0:
                 logger.warning(
@@ -428,41 +429,6 @@ class GlobalPlacer:
             if it >= min_iters and overflow <= cfg.stop_overflow:
                 break
         self._unpack(self._optimizer.u)
-        return self.history
-
-
-    def run_to_convergence(
-        self,
-        max_restarts: int = 30,
-        restart_iters: int = 50,
-        hpwl_tol: float = 0.005,
-        patience: int = 2,
-    ) -> PlacementHistory:
-        """Run, then iterate short rebalanced bursts until stable.
-
-        A single long Nesterov trajectory lets the mu feedback drift
-        the wirelength/density balance; short bursts with a weight
-        re-initialisation (equal force norms) and a momentum restart
-        between them descend much further.  Bursts stop after
-        ``patience`` consecutive rounds with relative HPWL change
-        below ``hpwl_tol``.
-        """
-        self.run()
-        prev = self.hpwl()
-        stable = 0
-        for _ in range(max_restarts):
-            self.reset_solver()
-            # run the full burst: stopping early at the overflow
-            # target would hide wirelength still on the table
-            self.run(max_iters=restart_iters, min_iters=restart_iters)
-            cur = self.hpwl()
-            if prev > 0 and abs(prev - cur) / prev < hpwl_tol:
-                stable += 1
-                if stable >= patience:
-                    break
-            else:
-                stable = 0
-            prev = cur
         return self.history
 
     def run_bursts(self, n_bursts: int, burst_iters: int = 50) -> None:

@@ -122,7 +122,7 @@ class GlobalRouter:
         time (see :meth:`_route_chunks`) and counted in
         ``RoutingResult.n_fallbacks``.  Any other failure propagates:
         the caller bounds and reports it (the routability loop rolls
-        the round back, a service job records an error).
+        the round back, a sweep job records an error).
         """
         self.profiler.count("route.calls")
         with self.profiler.timer("route.total"):

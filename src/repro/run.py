@@ -1,20 +1,12 @@
-"""Shared flow runner: one code path for CLI runs and service jobs.
+"""The CLI flow runner: the bodies of ``repro place/route/eco``.
 
-:func:`run_place_job` and :func:`run_route_job` are the complete
-``repro place`` / ``repro route`` flows — load + validate, telemetry,
-contracts, the placement/routing itself, output
-files — factored out of :mod:`repro.cli` so the service daemon
-executes *exactly* the code the CLI executes.  That identity is the
-service's conformance contract: a job submitted over the API produces
-bit-identical positions, metrics streams and checkpoint bytes to the
-equivalent CLI invocation (the conformance suite compares the files
-byte for byte).
-
-:func:`execute_service_job` is the module-level entry point the
-daemon hands to the supervised job runtime (it must be picklable for
-worker processes); inline execution passes a
-:class:`~repro.service.cache.ServiceCache` so repeated jobs skip
-re-parsing their input design.
+:func:`run_place_job`, :func:`run_route_job` and :func:`run_eco_job`
+are the complete flows — load + validate, telemetry, contracts, the
+placement/routing itself, output files — with the command-line flags
+carried as request dataclasses.  :mod:`repro.cli` only parses flags
+into a request and prints the outcome, so tests can run exactly the
+code a shell invocation runs, in-process (``tests/test_cli_conformance.py``
+checks that crossing the process boundary changes no output byte).
 """
 
 from __future__ import annotations
@@ -32,7 +24,6 @@ def open_metrics(
     design: str,
     resumed: bool = False,
     profiler=None,
-    buffer_lines: int = 256,
 ):
     """Build the registry for a metrics path (or the disabled NULL).
 
@@ -46,10 +37,6 @@ def open_metrics(
     run emits a terminal ``run.aborted`` event (naming the profiler's
     open stages when one is attached) and flushes the buffered sink,
     so the on-disk JSONL stays valid — truncated, not torn.
-
-    ``buffer_lines`` sizes the sink's write batching; the service
-    passes 1 so clients can stream a job's events while it runs.  The
-    final file bytes are identical for any buffer size.
     """
     from repro.utils.metrics import (
         NULL,
@@ -63,9 +50,7 @@ def open_metrics(
         return NULL, lambda: None
 
     append = resumed and os.path.exists(path)
-    metrics = MetricsRegistry(
-        sink=JsonlSink(path, append=append, buffer_lines=buffer_lines)
-    )
+    metrics = MetricsRegistry(sink=JsonlSink(path, append=append))
     metrics.start_run(command=command, design=design, resumed=append)
     abort = install_abort_flush(metrics, profiler=profiler)
 
@@ -116,13 +101,8 @@ class PlaceRequest:
 
     ``rounds`` / ``iters_per_round`` override the routability loop's
     :class:`~repro.core.rd_placer.RDConfig` defaults when set (they
-    exist so service jobs and tests can bound flow length); ``None``
-    keeps the config defaults, which is what the bare CLI passes.
-    ``metrics_buffer_lines`` only affects write batching of the JSONL
-    sink, never the resulting bytes.  ``overrides`` is a DSE knob
-    mapping (:data:`repro.dse.grid.KNOBS` names) layered on top of the
-    request-level settings — it is how ``repro dse submit`` sweeps
-    parameter grids through a running daemon.
+    exist so tests can bound flow length); ``None`` keeps the config
+    defaults, which is what the bare CLI passes.
     """
 
     input: str
@@ -134,8 +114,6 @@ class PlaceRequest:
     checkpoint: str | None = None
     metrics_out: str | None = None
     check_invariants: str | None = None
-    metrics_buffer_lines: int = 256
-    overrides: dict | None = None
 
 
 @dataclass
@@ -179,33 +157,12 @@ class PlaceOutcome:
         lines.append(f"wrote {self.out}")
         return lines
 
-    def as_dict(self) -> dict:
-        """JSON-ready summary (what service clients see as the result)."""
-        return {
-            "kind": "place",
-            "out": self.out,
-            "hpwl": self.hpwl,
-            "n_issues": self.n_issues,
-            "routability": self.routability,
-            "n_rounds": self.n_rounds,
-            "best_round": self.best_round,
-            "resumed_from_round": self.resumed_from_round,
-            "n_guard_events": self.n_guard_events,
-        }
 
-
-def run_place_job(req: PlaceRequest, netlist=None) -> PlaceOutcome:
+def run_place_job(req: PlaceRequest) -> PlaceOutcome:
     """Run one complete place flow (the body of ``repro place``).
 
-    ``netlist`` short-circuits the load step with an already-parsed
-    design — the daemon's warm cache hands out
-    :meth:`~repro.netlist.netlist.Netlist.copy` snapshots here.  The
-    result is bit-identical either way (positions are re-seeded by the
-    flow; topology is read-only).
-
     A ``checkpoint`` that already exists on disk resumes the
-    routability loop from it (same rule as the CLI flag), which is how
-    supervised retries and daemon restarts warm-start instead of
+    routability loop from it (same rule as the CLI flag) instead of
     recomputing finished rounds.
     """
     from repro.core import RDConfig, RoutabilityDrivenPlacer
@@ -216,8 +173,7 @@ def run_place_job(req: PlaceRequest, netlist=None) -> PlaceOutcome:
     from repro.utils.profile import StageProfiler
     from repro.wirelength import hpwl
 
-    if netlist is None:
-        netlist = load_validated(req.input)
+    netlist = load_validated(req.input)
     gp = GPConfig(max_iters=req.iters)
     profiler = StageProfiler()
     resuming = req.checkpoint is not None and os.path.exists(req.checkpoint)
@@ -227,7 +183,6 @@ def run_place_job(req: PlaceRequest, netlist=None) -> PlaceOutcome:
         design=req.input,
         resumed=resuming,
         profiler=profiler,
-        buffer_lines=req.metrics_buffer_lines,
     )
     configure_contracts(req.check_invariants, metrics)
     outcome = PlaceOutcome(out=req.out, routability=req.routability)
@@ -238,11 +193,6 @@ def run_place_job(req: PlaceRequest, netlist=None) -> PlaceOutcome:
         if req.iters_per_round is not None:
             rd_kwargs["iters_per_round"] = req.iters_per_round
         rd = RDConfig(gp=gp, **rd_kwargs)
-        if req.overrides:
-            from repro.dse.grid import apply_knobs
-
-            binding = apply_knobs(req.overrides, gp_base=gp, rd_base=rd)
-            gp, rd = binding.gp_config, binding.rd_config
         placer = RoutabilityDrivenPlacer(
             netlist, rd, profiler=profiler, metrics=metrics,
         )
@@ -257,11 +207,6 @@ def run_place_job(req: PlaceRequest, netlist=None) -> PlaceOutcome:
         congestion = result.final_routing.congestion_map
         grid = placer.gp.grid
     else:
-        if req.overrides:
-            from repro.dse.grid import apply_knobs
-
-            binding = apply_knobs(req.overrides, gp_base=gp)
-            gp = binding.gp_config
         initial_placement(netlist, gp.seed)
         converge_placement(netlist, gp, profiler=profiler, metrics=metrics)
         congestion = None
@@ -291,7 +236,7 @@ class EcoRequest:
     ``baseline_checkpoint`` optionally names the baseline flow's npz
     checkpoint — its best snapshot seeds the warm start, and a null
     edit then resumes it bit-identically.  ``checkpoint`` is the ECO
-    loop's own resume point (daemon-owned for service jobs).
+    loop's own resume point.
     ``compare`` additionally runs a cold full re-place of the edited
     design and reports the QoR delta (``eco.compare`` telemetry).
     """
@@ -307,7 +252,6 @@ class EcoRequest:
     compare: bool = False
     metrics_out: str | None = None
     check_invariants: str | None = None
-    metrics_buffer_lines: int = 256
 
 
 @dataclass
@@ -352,36 +296,20 @@ class EcoOutcome:
         lines.append(f"wrote {self.out}")
         return lines
 
-    def as_dict(self) -> dict:
-        """JSON-ready summary (what service clients see as the result)."""
-        result = {
-            "kind": "eco",
-            "out": self.out,
-            "hpwl": self.hpwl,
-            "total_overflow": self.total_overflow,
-            "n_issues": self.n_issues,
-            "n_rounds": self.n_rounds,
-            "resumed": self.resumed,
-            "n_edits": self.n_edits,
-            "n_dirty_cells": self.n_dirty_cells,
-            "n_dirty_nets": self.n_dirty_nets,
-            "n_seeded": self.n_seeded,
-            "warm_source": self.warm_source,
-        }
-        if self.compare is not None:
-            result["compare"] = self.compare
-        return result
 
-
-def run_eco_job(req: EcoRequest, netlist=None) -> EcoOutcome:
+def run_eco_job(req: EcoRequest) -> EcoOutcome:
     """Run one complete ECO flow (the body of ``repro eco``).
 
-    ``netlist`` short-circuits the load of the **edited** design with
-    an already-parsed copy (the daemon's warm cache); the baseline is
-    always loaded from ``req.baseline``.
+    An edit that pushes a fixed cell out of the die exits with an
+    ``error:`` message naming the cell, before any placement work.
     """
     from repro.core import RDConfig
-    from repro.eco import EcoConfig, eco_place, full_replace
+    from repro.eco import (
+        EcoConfig,
+        FixedCellOutsideDieError,
+        eco_place,
+        full_replace,
+    )
     from repro.io import save_design
     from repro.legalize import check_legal
     from repro.place import GPConfig
@@ -389,8 +317,7 @@ def run_eco_job(req: EcoRequest, netlist=None) -> EcoOutcome:
 
     if not req.baseline:
         raise SystemExit("error: eco requires a baseline design file")
-    if netlist is None:
-        netlist = load_validated(req.input)
+    netlist = load_validated(req.input)
     baseline = load_validated(req.baseline)
     profiler = StageProfiler()
     resuming = req.checkpoint is not None and os.path.exists(req.checkpoint)
@@ -400,7 +327,6 @@ def run_eco_job(req: EcoRequest, netlist=None) -> EcoOutcome:
         design=req.input,
         resumed=resuming,
         profiler=profiler,
-        buffer_lines=req.metrics_buffer_lines,
     )
     configure_contracts(req.check_invariants, metrics)
     rd_kwargs = {}
@@ -410,15 +336,18 @@ def run_eco_job(req: EcoRequest, netlist=None) -> EcoOutcome:
         rd_kwargs["iters_per_round"] = req.iters_per_round
     rd = RDConfig(gp=GPConfig(), **rd_kwargs)
     cfg = EcoConfig(rd=rd, halo_bins=req.halo)
-    result = eco_place(
-        netlist,
-        baseline,
-        cfg,
-        baseline_checkpoint=req.baseline_checkpoint,
-        checkpoint_path=req.checkpoint,
-        profiler=profiler,
-        metrics=metrics,
-    )
+    try:
+        result = eco_place(
+            netlist,
+            baseline,
+            cfg,
+            baseline_checkpoint=req.baseline_checkpoint,
+            checkpoint_path=req.checkpoint,
+            profiler=profiler,
+            metrics=metrics,
+        )
+    except FixedCellOutsideDieError as exc:
+        raise SystemExit(f"error: {req.input}: {exc}") from exc
     outcome = EcoOutcome(
         out=req.out,
         hpwl=result.hpwl,
@@ -468,7 +397,6 @@ class RouteRequest:
     grid: int = 0
     metrics_out: str | None = None
     check_invariants: str | None = None
-    metrics_buffer_lines: int = 256
 
 
 @dataclass
@@ -496,29 +424,15 @@ class RouteOutcome:
             f"congested={self.congested_pct:.1f}%",
         ]
 
-    def as_dict(self) -> dict:
-        """JSON-ready summary (what service clients see as the result)."""
-        return {
-            "kind": "route",
-            "n_segments": self.n_segments,
-            "wirelength": self.wirelength,
-            "n_vias": self.n_vias,
-            "util_mean": self.util_mean,
-            "util_max": self.util_max,
-            "total_overflow": self.total_overflow,
-            "congested_pct": self.congested_pct,
-        }
 
-
-def run_route_job(req: RouteRequest, netlist=None) -> RouteOutcome:
+def run_route_job(req: RouteRequest) -> RouteOutcome:
     """Run one complete route flow (the body of ``repro route``)."""
     from repro.geometry import Grid2D
     from repro.place.config import auto_grid_dim
     from repro.route import GlobalRouter, RouterConfig
     from repro.utils.profile import StageProfiler
 
-    if netlist is None:
-        netlist = load_validated(req.input)
+    netlist = load_validated(req.input)
     dim = req.grid or auto_grid_dim(netlist.n_cells)
     grid = Grid2D(netlist.die, dim, dim)
     profiler = StageProfiler()
@@ -527,7 +441,6 @@ def run_route_job(req: RouteRequest, netlist=None) -> RouteOutcome:
         "route",
         design=req.input,
         profiler=profiler,
-        buffer_lines=req.metrics_buffer_lines,
     )
     configure_contracts(req.check_invariants, metrics)
     result = GlobalRouter(
@@ -546,106 +459,3 @@ def run_route_job(req: RouteRequest, netlist=None) -> RouteOutcome:
     outcome.report = finish_metrics()
     outcome.profiler = profiler
     return outcome
-
-
-# ----------------------------------------------------------------------
-# service job entry point
-# ----------------------------------------------------------------------
-#: Request fields a client may set on a submitted job; everything else
-#: (output / checkpoint / metrics paths) is daemon-owned.
-CLIENT_PLACE_FIELDS = (
-    "input", "routability", "iters", "rounds", "iters_per_round",
-    "check_invariants", "overrides",
-)
-CLIENT_ROUTE_FIELDS = (
-    "input", "grid", "check_invariants",
-)
-CLIENT_ECO_FIELDS = (
-    "input", "baseline", "baseline_checkpoint", "rounds", "iters_per_round",
-    "halo", "compare", "check_invariants",
-)
-
-
-@dataclass
-class _RequestShape:
-    """Internal: how one job kind maps payloads to runner calls."""
-
-    request_cls: type
-    run: object
-    client_fields: tuple = ()
-
-
-def _shapes() -> dict:
-    return {
-        "place": _RequestShape(PlaceRequest, run_place_job, CLIENT_PLACE_FIELDS),
-        "route": _RequestShape(RouteRequest, run_route_job, CLIENT_ROUTE_FIELDS),
-        "eco": _RequestShape(EcoRequest, run_eco_job, CLIENT_ECO_FIELDS),
-    }
-
-
-def validate_job_payload(payload: dict) -> str:
-    """Check a submitted job payload; returns its kind or raises.
-
-    Raised :class:`ValueError` messages are what the HTTP API returns
-    as 400 bodies, so they name the offending field.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError("job payload must be an object")
-    kind = payload.get("kind", "place")
-    shapes = _shapes()
-    if kind not in shapes:
-        raise ValueError(f"unknown job kind {kind!r}")
-    request = payload.get("request")
-    if not isinstance(request, dict):
-        raise ValueError("job payload must carry a 'request' object")
-    if not request.get("input"):
-        raise ValueError("job request must name an 'input' design file")
-    if kind == "eco" and not request.get("baseline"):
-        raise ValueError("eco job request must name a 'baseline' design file")
-    allowed = set(shapes[kind].client_fields)
-    unknown = sorted(set(request) - allowed)
-    if unknown:
-        raise ValueError(
-            f"unknown request field(s) for kind {kind!r}: {', '.join(unknown)}"
-        )
-    overrides = request.get("overrides")
-    if overrides is not None:
-        from repro.dse.grid import validate_knobs
-
-        try:
-            validate_knobs(overrides)
-        except ValueError as exc:
-            raise ValueError(f"bad 'overrides': {exc}") from exc
-    return kind
-
-
-def execute_service_job(payload: dict, ctx=None, cache=None) -> dict:
-    """Run one service job; the supervised worker / inline entry point.
-
-    ``payload`` is ``{"kind": "place"|"route"|"eco", "request": {...}}``
-    with the request fields of :class:`PlaceRequest` /
-    :class:`RouteRequest` / :class:`EcoRequest` (the daemon has
-    already filled in the
-    output / checkpoint / metrics paths).  Module-level and
-    argument-picklable so :class:`~repro.jobs.supervisor.Supervisor`
-    workers can run it; ``ctx`` is the supervised runtime's
-    :class:`~repro.jobs.spec.JobContext` (resume-on-retry needs no
-    special handling here — an existing checkpoint file resumes the
-    flow, the same rule the CLI applies).
-
-    ``cache`` (inline execution only) is the daemon's
-    :class:`~repro.service.cache.ServiceCache`; when present the
-    design is served from the warm netlist cache instead of being
-    re-parsed.
-    """
-    kind = payload.get("kind", "place")
-    shape = _shapes().get(kind)
-    if shape is None:
-        raise ValueError(f"unknown job kind {kind!r}")
-    req = shape.request_cls(**payload["request"])
-    netlist = cache.netlist(req.input) if cache is not None else None
-    outcome = shape.run(req, netlist=netlist)
-    result = outcome.as_dict()
-    if ctx is not None:
-        result["attempt"] = ctx.attempt
-    return result

@@ -257,9 +257,6 @@ def read_checkpoint_with_fallback(path: str) -> tuple:
     propagate so misuse is never papered over.  When every candidate
     is corrupt or absent, the primary's error is re-raised.
     """
-    # chaos hook: delay/raise plans make the resume window observable
-    # (cancel-during-resume tests stall the read right here)
-    faults.fire("checkpoint.read", path)
     primary_error: CheckpointError | None = None
     for candidate in (path, backup_path(path)):
         if not os.path.exists(candidate):

@@ -51,10 +51,6 @@ Known sites
     Serialized archive bytes inside
     :func:`~repro.utils.checkpoint.write_checkpoint` (``torn`` plans
     corrupt the file that lands on disk).
-``checkpoint.read``
-    Top of :func:`~repro.utils.checkpoint.
-    read_checkpoint_with_fallback` (``delay`` plans hold a resuming
-    job inside the read so cancel-during-resume is testable).
 ``bench.design.<name>``
     Fired by a sweep worker before running design ``<name>``.
 """

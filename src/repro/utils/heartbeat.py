@@ -7,19 +7,14 @@ normal run — a beat is a single attribute read, cheap enough for hot
 loops.
 
 The supervised job runtime (:mod:`repro.jobs`) installs a handler in
-worker processes that
+worker processes that records liveness to a heartbeat file the
+supervisor watches, so a *hung* worker (no progress) is
+distinguishable from a *slow* one (still beating).
 
-* records liveness to a heartbeat file the supervisor watches, so a
-  *hung* worker (no progress) is distinguishable from a *slow* one
-  (still beating), and
-* polls the job's cancel flag, raising
-  :class:`~repro.jobs.spec.JobCancelled` for cooperative cancellation
-  at the next progress point.
-
-Handlers therefore may raise: :func:`beat` must only be called where
-unwinding is safe (loop boundaries, not mid-update).  The hook lives
-in ``utils`` so flow components depend on this tiny module, not on the
-jobs runtime.
+A handler may raise (the worker's writes a file), so
+:func:`beat` is only called where unwinding is safe (loop boundaries,
+not mid-update).  The hook lives in ``utils`` so flow components
+depend on this tiny module, not on the jobs runtime.
 """
 
 from __future__ import annotations
@@ -47,8 +42,8 @@ def active():
 def beat() -> None:
     """Signal one unit of progress; no-op without a handler.
 
-    The installed handler may raise (cooperative cancellation), so
-    call sites must be exception-safe unwind points.
+    The installed handler may raise, so call sites must be
+    exception-safe unwind points.
     """
     if _HANDLER is None:
         return

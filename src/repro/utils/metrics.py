@@ -74,15 +74,7 @@ EVENT_FIELDS: dict = {
     "job.hung": ("job", "attempt", "silent_s"),
     "job.crashed": ("job", "attempt", "exitcode"),
     "job.retry": ("job", "attempt", "backoff_s", "resume"),
-    "job.cancel": ("job",),
     "job.degrade": ("rung", "reason"),
-    # placement-as-a-service daemon lifecycle (see repro.service) —
-    # emitted into the daemon's own service.jsonl stream, never into a
-    # job's flow telemetry, so flow streams stay CLI-identical
-    "job.queued": ("job", "priority", "queue_seq"),
-    "service.start": ("root", "address"),
-    "service.stop": ("reason",),
-    "service.recover": ("requeued",),
     # one per GlobalPlacer solver iteration
     "gp.iter": ("iter", "hpwl", "overflow", "density_weight", "step", "grad_norm"),
     # one per divergence-guard trip inside the placer loop

@@ -170,13 +170,10 @@ class TestKnobBinding:
         assert binding.gp_config.target_density == 0.8
         assert rd.gp is binding.gp_config
 
-    def test_apply_knobs_layers_on_bases(self):
-        gp = GPConfig(max_iters=77, seed=5)
-        rd = RDConfig(gp=gp, iters_per_round=9)
-        binding = apply_knobs({"inflation.alpha": 0.5}, gp_base=gp, rd_base=rd)
-        assert binding.gp_config.max_iters == 77
-        assert binding.rd_config.iters_per_round == 9
-        assert binding.rd_config.inflation.alpha == 0.5
+    def test_empty_mapping_gives_flow_defaults(self):
+        binding = apply_knobs({})
+        assert binding.gp_config == GPConfig()
+        assert binding.rd_config == RDConfig(gp=GPConfig())
 
     def test_every_registered_knob_applies(self):
         for name, knob in KNOBS.items():

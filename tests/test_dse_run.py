@@ -1,4 +1,4 @@
-"""End-to-end sweep runs: determinism, supervision, CLI, service overrides."""
+"""End-to-end sweep runs: determinism, supervision, CLI."""
 
 from __future__ import annotations
 
@@ -115,54 +115,3 @@ class TestCli:
         assert main(["dse", "report", "--db", str(db),
                      "--out", str(tmp_path / "rep")]) == 0
         assert (tmp_path / "rep" / "index.html").exists()
-
-
-class TestServiceOverrides:
-    def test_payload_validation_accepts_known_knobs(self):
-        from repro.service.runner import validate_job_payload
-
-        payload = {"kind": "place", "request": {
-            "input": "x.bl", "routability": True,
-            "overrides": {"inflation.alpha": 0.3}}}
-        assert validate_job_payload(payload) == "place"
-
-    @pytest.mark.parametrize("kind,request_extra,match", [
-        ("place", {"overrides": {"bogus.knob": 1}}, "bad 'overrides'"),
-        # the kernel-backend knob and request field no longer exist
-        ("place", {"overrides": {"kernel.backend": "fastnp"}},
-         "unknown knob 'kernel.backend'"),
-        ("place", {"kernel_backend": "fastnp"},
-         "unknown request field.*kernel_backend"),
-        ("route", {"kernel_backend": "fastnp"},
-         "unknown request field.*kernel_backend"),
-        ("eco", {"baseline": "b.bl", "kernel_backend": "fastnp"},
-         "unknown request field.*kernel_backend"),
-        # neither does the routing-engine field nor its knob
-        ("route", {"engine": "scalar"}, "unknown request field.*engine"),
-        ("place", {"overrides": {"router.engine": "scalar"}},
-         "unknown knob 'router.engine'"),
-    ])
-    def test_payload_validation_rejects_unknown_knobs(
-        self, kind, request_extra, match
-    ):
-        from repro.service.runner import validate_job_payload
-
-        payload = {"kind": kind, "request": {"input": "x.bl", **request_extra}}
-        with pytest.raises(ValueError, match=match):
-            validate_job_payload(payload)
-
-    def test_place_request_applies_overrides(self, tmp_path):
-        from repro.io.bookshelf import save_design
-        from repro.service.runner import PlaceRequest, run_place_job
-        from repro.synth.suite import suite_design
-
-        design = tmp_path / "tiny.bl"
-        save_design(suite_design("des_perf_1", scale=0.1, seed=0), str(design))
-        req = PlaceRequest(
-            input=str(design), out=str(tmp_path / "placed.bl"),
-            routability=True, iters=20, rounds=1, iters_per_round=10,
-            overrides={"inflation.alpha": 0.3, "rd.iters_per_round": 5},
-        )
-        outcome = run_place_job(req)
-        assert outcome.n_rounds >= 1
-        assert (tmp_path / "placed.bl").exists()

@@ -17,6 +17,7 @@ from repro.core.rd_placer import RDConfig, RoutabilityDrivenPlacer
 from repro.detail import detailed_place
 from repro.eco import (
     EcoConfig,
+    FixedCellOutsideDieError,
     apply_warm_start,
     diff_netlists,
     dirty_region,
@@ -61,6 +62,85 @@ def _resize_cell(text: str, cell: str, factor: float) -> str:
             line = " ".join(parts)
         out.append(line)
     return "\n".join(out) + "\n"
+
+
+def _edge_macro_quad(x: float = 9.0) -> Netlist:
+    """:func:`_quad` with the fixed macro ``m`` centred at ``(x, 5)``;
+    the default puts its right edge exactly on the die boundary."""
+    nl = _quad()
+    nl.x[nl.cell_names.index("m")] = x
+    return loads_design(dumps_design(nl))
+
+
+class TestFixedCellEdits:
+    """Edits that would push a fixed cell out of the die are rejected
+    before any placement work, naming the cell."""
+
+    def test_resized_fixed_cell_leaving_die_rejected(self):
+        old = _edge_macro_quad()
+        new = loads_design(_resize_cell(dumps_design(old), "m", 1.5))
+        with pytest.raises(FixedCellOutsideDieError, match="'m'") as exc:
+            diff_netlists(old, new)
+        assert exc.value.cell == "m"
+        assert isinstance(exc.value, ValueError)
+
+    def test_added_fixed_cell_leaving_die_rejected(self):
+        old = _quad()
+        cells = [
+            CellSpec("a", 1.0, 1.0, x=2.0, y=2.0),
+            CellSpec("b", 1.0, 1.0, x=8.0, y=2.0),
+            CellSpec("c", 1.0, 1.0, x=2.0, y=8.0),
+            CellSpec("d", 1.0, 1.0, x=8.0, y=8.0),
+            CellSpec("m", 2.0, 2.0, x=5.0, y=5.0, fixed=True, macro=True),
+            CellSpec("pad", 1.0, 1.0, x=5.0, y=9.75, fixed=True),
+        ]
+        nets = [
+            NetSpec("n_ab", [PinSpec("a"), PinSpec("b")]),
+            NetSpec("n_cd", [PinSpec("c"), PinSpec("d")]),
+            NetSpec("n_am", [PinSpec("a"), PinSpec("m")]),
+        ]
+        new = Netlist.from_specs("quad", old.die, cells, nets)
+        with pytest.raises(FixedCellOutsideDieError, match="'pad'"):
+            diff_netlists(old, new)
+
+    @pytest.mark.parametrize("x,cell", [
+        pytest.param(5.0, "m", id="fixed-inside"),
+        pytest.param(9.0, "d", id="movable-at-edge"),
+    ])
+    def test_edits_that_stay_legal_are_accepted(self, x, cell):
+        # a fixed macro that still fits, and a movable cell (placement
+        # moves it back inside), are ordinary resizes
+        old = _edge_macro_quad(x)
+        text = dumps_design(old).replace("cell d 1.0 1.0 8.0", "cell d 1.0 1.0 9.5")
+        old = loads_design(text)
+        new = loads_design(_resize_cell(text, cell, 1.5))
+        assert diff_netlists(old, new).resized_cells == [cell]
+
+    def test_eco_place_rejects_before_moving_anything(self):
+        old = _edge_macro_quad()
+        new = loads_design(_resize_cell(dumps_design(old), "m", 1.5))
+        x0, y0 = new.x.copy(), new.y.copy()
+        with pytest.raises(FixedCellOutsideDieError):
+            eco_place(new, old, EcoConfig(rd=RDConfig(max_rounds=1)))
+        assert np.array_equal(new.x, x0) and np.array_equal(new.y, y0)
+
+    def test_cli_prints_error_for_fft_b_pad(self, tmp_path, capsys):
+        """The pad resize that used to end "cell io9 outside die"."""
+        from repro.cli import main
+        from repro.synth import suite_design
+
+        base = suite_design("fft_b", 1.0, 0)
+        text = dumps_design(base)
+        (tmp_path / "base.bl").write_text(text)
+        (tmp_path / "edit.bl").write_text(_resize_cell(text, "io9", 1.5))
+        out = tmp_path / "eco.bl"
+        with pytest.raises(SystemExit) as exc:
+            main(["eco", str(tmp_path / "base.bl"), str(tmp_path / "edit.bl"),
+                  "--out", str(out)])
+        message = str(exc.value.code)
+        assert message.startswith("error: ")
+        assert "'io9'" in message and "die" in message
+        assert not out.exists()
 
 
 class TestNetlistDiff:

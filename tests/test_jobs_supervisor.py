@@ -8,18 +8,18 @@ functions (no placement flows — the chaos tests in
 from __future__ import annotations
 
 import json
+import os
+import signal
 import time
 
 import pytest
 
 from repro.jobs import (
-    CANCELLED,
     CRASHED,
     DONE,
     FAILED,
     HUNG,
     TIMEOUT,
-    JobCancelled,
     JobSpec,
     Supervisor,
     SupervisorConfig,
@@ -80,9 +80,12 @@ def job_with_ctx(base, ctx=None):
     }
 
 
-def job_cancelled(x):
-    """Raises the cooperative-cancellation signal directly."""
-    raise JobCancelled("giving up")
+def job_sigterm_first_attempt(x, ctx=None):
+    """SIGTERMs its own worker on attempt 0; returns on the retry."""
+    if ctx.attempt == 0:
+        os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(30.0)  # never reached: SIGTERM's default action kills
+    return x + ctx.attempt
 
 
 class TestHeartbeatHook:
@@ -100,9 +103,9 @@ class TestHeartbeatHook:
         finally:
             heartbeat.clear_handler()
         assert calls == [1, 1]
-        heartbeat.set_handler(lambda: (_ for _ in ()).throw(JobCancelled("x")))
+        heartbeat.set_handler(lambda: (_ for _ in ()).throw(OSError("x")))
         try:
-            with pytest.raises(JobCancelled):
+            with pytest.raises(OSError):
                 heartbeat.beat()
         finally:
             heartbeat.clear_handler()
@@ -151,14 +154,6 @@ class TestLifecycle:
             "is_retry": False,
             "checkpoint": "/tmp/nowhere.npz",
         }
-
-    def test_cancelled_inside_job_reports_cancelled(self):
-        results = run_jobs(
-            [JobSpec("c", fn=job_cancelled, args=(0,))],
-            config=SupervisorConfig(**FAST),
-        )
-        assert results[0].state == CANCELLED
-        assert "giving up" in results[0].error
 
     def test_duplicate_job_ids_rejected(self):
         with Supervisor(SupervisorConfig(**FAST)) as sup:
@@ -250,6 +245,26 @@ class TestRetry:
         assert results[0].attempts == 2
         assert "without a result" in results[0].error
 
+    def test_sigterm_is_a_crash_and_is_retried(self):
+        """No worker SIGTERM handler: a terminated worker leaves no
+        result, is classified ``crashed`` and gets a replacement."""
+        sink = MemorySink()
+        metrics = MetricsRegistry(sink=sink)
+        metrics.start_run(command="test")
+        results = run_jobs(
+            [JobSpec("term-once", fn=job_sigterm_first_attempt, args=(5,),
+                     with_context=True, max_retries=1)],
+            config=SupervisorConfig(**FAST),
+            metrics=metrics,
+        )
+        metrics.close()
+        assert results[0].state == DONE
+        assert results[0].value == 6 and results[0].attempts == 2
+        crashed = metrics.series.get("job.crashed", [])
+        assert [e["exitcode"] for e in crashed] == [-signal.SIGTERM]
+        ends = [e["state"] for e in metrics.series.get("job.end", [])]
+        assert ends == [CRASHED, DONE]
+
     def test_backoff_is_deterministic_and_grows(self):
         cfg = SupervisorConfig(backoff_base=0.1, backoff_factor=2.0)
         first = compute_backoff(cfg, "job-a", 1)
@@ -257,32 +272,6 @@ class TestRetry:
         assert compute_backoff(cfg, "job-a", 3) > first
         # different jobs get decorrelated jitter
         assert first != compute_backoff(cfg, "job-b", 1)
-
-
-class TestCancellation:
-    def test_cancel_pending_job(self):
-        with Supervisor(SupervisorConfig(max_workers=1, **FAST)) as sup:
-            sup.submit(JobSpec("run", fn=job_sleep_beating, args=(0.5,)))
-            sup.submit(JobSpec("queued", fn=job_double, args=(1,)))
-            sup.cancel("queued")
-            results = sup.wait()
-        by_id = {r.job_id: r for r in results}
-        assert by_id["run"].state == DONE
-        assert by_id["queued"].state == CANCELLED
-        assert by_id["queued"].attempts == 0
-
-    def test_cancel_running_job_cooperatively(self):
-        with Supervisor(SupervisorConfig(max_workers=1, **FAST)) as sup:
-            sup.submit(JobSpec("long", fn=job_sleep_beating, args=(30.0,)))
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                sup.poll()
-                if sup._jobs["long"].state == "running":
-                    break
-                time.sleep(0.01)
-            sup.cancel("long")
-            results = sup.wait()
-        assert results[0].state == CANCELLED
 
 
 class TestDegradation:

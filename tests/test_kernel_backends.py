@@ -12,7 +12,8 @@ layout and its scratch reuse are covered too.
 :class:`TestNoKernelSelection` pins the other half of that design:
 nothing selects among layouts any more, so the former selection
 options (CLI flag, environment variable, solver keywords, telemetry
-event) are rejected or inert.
+event) are rejected or inert.  The keyword options of the retired
+placement daemon ride along in ``test_removed_keywords_rejected``.
 """
 
 from __future__ import annotations
@@ -32,9 +33,12 @@ from repro.core.netmove import (
 from repro.density.electrostatic import ElectrostaticSystem
 from repro.density.poisson import PoissonSolver, SpectralWorkspace
 from repro.density.rasterize import CellRasterizer
+from repro.dse.grid import apply_knobs
 from repro.geometry import Grid2D, Rect
+from repro.jobs import SupervisorConfig
 from repro.place.initial import initial_placement
 from repro.route import GlobalRouter, RouterConfig
+from repro.run import EcoRequest, PlaceRequest, RouteRequest, open_metrics
 from repro.synth import toy_design
 from repro.utils.metrics import EVENT_FIELDS, validate_event
 from repro.wirelength.wa import wa_wirelength_and_grad
@@ -235,6 +239,54 @@ class TestNoKernelSelection:
                     np.zeros(g.shape), workers=2
                 ),
                 id="SpectralWorkspace.solve-workers",
+            ),
+            # the flow requests never grew a kernel or engine selector back
+            pytest.param(
+                lambda g: PlaceRequest(input="d.bl", kernel_backend="fastnp"),
+                id="PlaceRequest-kernel_backend",
+            ),
+            pytest.param(
+                lambda g: EcoRequest(input="d.bl", kernel_backend="fastnp"),
+                id="EcoRequest-kernel_backend",
+            ),
+            pytest.param(
+                lambda g: RouteRequest(input="d.bl", kernel_backend="fastnp"),
+                id="RouteRequest-kernel_backend",
+            ),
+            pytest.param(
+                lambda g: RouteRequest(input="d.bl", engine="scalar"),
+                id="RouteRequest-engine",
+            ),
+            # nor the options only the retired placement daemon used
+            pytest.param(
+                lambda g: PlaceRequest(input="d.bl", overrides={}),
+                id="PlaceRequest-overrides",
+            ),
+            pytest.param(
+                lambda g: PlaceRequest(input="d.bl", metrics_buffer_lines=1),
+                id="PlaceRequest-metrics_buffer_lines",
+            ),
+            pytest.param(
+                lambda g: EcoRequest(input="d.bl", metrics_buffer_lines=1),
+                id="EcoRequest-metrics_buffer_lines",
+            ),
+            pytest.param(
+                lambda g: RouteRequest(input="d.bl", metrics_buffer_lines=1),
+                id="RouteRequest-metrics_buffer_lines",
+            ),
+            pytest.param(
+                lambda g: open_metrics(None, "place", "d.bl", buffer_lines=1),
+                id="open_metrics-buffer_lines",
+            ),
+            pytest.param(
+                lambda g: SupervisorConfig(cancel_grace=0.5),
+                id="SupervisorConfig-cancel_grace",
+            ),
+            pytest.param(
+                lambda g: apply_knobs({}, gp_base=None), id="apply_knobs-gp_base"
+            ),
+            pytest.param(
+                lambda g: apply_knobs({}, rd_base=None), id="apply_knobs-rd_base"
             ),
         ],
     )

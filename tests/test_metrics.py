@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
@@ -447,6 +448,29 @@ class TestFlowIntegration:
         events = read_jsonl(str(mpath))
         validate_stream(events)
         assert any(e["kind"] == "route.pass" for e in events)
+
+    def test_cli_gp_iter_rows_carry_gamma(self, tmp_path):
+        """Every ``gp.iter`` row records the WA gamma that
+        ``update_gamma`` just set from that iteration's overflow."""
+        design = tmp_path / "toy.bl"
+        mpath = tmp_path / "metrics.jsonl"
+        save_design(toy_design(90, seed=2), str(design))
+        assert cli_main([
+            "place", str(design), "--iters", "40",
+            "--out", str(tmp_path / "p.bl"), "--metrics-out", str(mpath),
+        ]) == 0
+        rows = [e for e in read_jsonl(str(mpath)) if e["kind"] == "gp.iter"]
+        assert rows
+        gamma = np.array([e["gamma"] for e in rows])
+        assert np.isfinite(gamma).all() and (gamma > 0).all()
+        # gamma = c * 10**(20/9 * clip(overflow, 0, 1)) with one constant c
+        # for the whole run (same die, same bin grid)
+        overflow = np.clip([e["overflow"] for e in rows], 0.0, 1.0)
+        scale = gamma / 10.0 ** (20.0 / 9.0 * overflow)
+        np.testing.assert_allclose(scale, scale[0], rtol=1e-12)
+        # optional: rows recorded before the field existed still validate
+        assert "gamma" not in EVENT_FIELDS["gp.iter"]
+        validate_event({k: v for k, v in rows[0].items() if k != "gamma"})
 
     def test_cli_metrics_resume_appends_segment(self, tmp_path):
         """A resumed flow appends a consistent second segment."""

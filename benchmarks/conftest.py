@@ -3,7 +3,8 @@
 Each ``test_*`` module regenerates one table or figure of the paper.
 Benchmarks use scaled-down designs so the whole directory finishes in a
 few minutes; the full-scale Table I is produced by
-``scripts/run_table1.py`` (same code path, larger designs).
+``python -m repro bench --table 1 --out results/table1.json`` (same
+code path, larger designs).
 """
 
 from __future__ import annotations

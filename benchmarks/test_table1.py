@@ -7,7 +7,8 @@ rows plus the Avg. Ratio footer, exactly the shape of Table I.
 Expected shape (paper): #DRVs avg ratio Xplace >> Xplace-Route > Ours,
 DRWL and #DRVias ratios ~1.0, placement time Ours largest.
 
-Full-scale regeneration: ``python scripts/run_table1.py``.
+Full-scale regeneration:
+``python -m repro bench --table 1 --out results/table1.json``.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.bench.harness import run_ablation_on_design
+from repro.bench.harness import ABLATION_ROWS, run_design, table_rows
 from repro.evalrt.report import format_table, ratio_row
 from repro.synth import suite_design
 
 ABLATION_DESIGNS = ("edit_dist_a", "matrix_mult_b")
+ABLATION_LABELS = tuple(label for label, _ in ABLATION_ROWS)
 
 
 def test_table2_ablation(benchmark, bench_gp, bench_eval):
@@ -25,9 +26,13 @@ def test_table2_ablation(benchmark, bench_gp, bench_eval):
         rows = []
         for name in ABLATION_DESIGNS:
             netlist = suite_design(name, scale=BENCH_SCALE)
-            rows += run_ablation_on_design(
-                netlist, gp_config=bench_gp, eval_config=bench_eval
+            outcome = run_design(
+                netlist,
+                placers=ABLATION_LABELS,
+                gp_config=bench_gp,
+                eval_config=bench_eval,
             )
+            rows += table_rows([outcome])
         return rows
 
     rows = run_once(benchmark, experiment)

@@ -6,10 +6,10 @@ recomputes each block's ratio table from the results files and
 rewrites the text in between, so EXPERIMENTS.md can be refreshed after
 any bench rerun with ``python scripts/fill_experiments.py``.
 
-Both result shapes are accepted: the bare row list the early harness
-wrote (``results/table1.json``) and the full ``repro bench --out``
-payload (``{"rows": [...], "supervisor": {...}, ...}``) of the
-supervised sweep era.
+Both result shapes are accepted: the bare row list the early table
+scripts wrote (``results/table1.json``) and the full payload of
+``python -m repro bench --table N --out results/tableN.json``
+(``{"rows": [...], "supervisor": {...}, ...}``).
 """
 
 from __future__ import annotations

@@ -1,45 +1,34 @@
 """Experiment harness regenerating the paper's tables and figures.
 
-:mod:`repro.bench.harness` runs placers and evaluations sequentially;
-:mod:`repro.bench.parallel` shards a multi-design sweep across a
-process pool with per-design failure isolation and merged telemetry
-(CLI: ``python -m repro bench --jobs N``).
+:mod:`repro.bench.harness` runs placer recipes on one design and
+evaluates each; Table I and Table II are grid specs over those recipes
+(:func:`~repro.bench.harness.table_spec`) that the one sweep runner,
+:func:`repro.dse.runner.run_grid`, executes in-process or across
+supervised workers (CLI: ``python -m repro bench --table N --jobs M``).
 """
 
 from repro.bench.harness import (
+    ABLATION_ROWS,
+    PLACERS,
+    RECIPES,
+    TABLE2_DESIGNS,
     DesignOutcome,
     bench_payload,
-    run_ablation_on_design,
     run_design,
-    run_suite,
     table_rows,
+    table_spec,
     write_bench_json,
-)
-from repro.bench.parallel import (
-    TABLE2_DESIGNS,
-    DesignRun,
-    SweepResult,
-    SweepTask,
-    merge_event_segments,
-    run_sweep,
-    run_sweep_task,
-    write_events_jsonl,
 )
 
 __all__ = [
+    "ABLATION_ROWS",
     "DesignOutcome",
-    "DesignRun",
-    "SweepResult",
-    "SweepTask",
+    "PLACERS",
+    "RECIPES",
     "TABLE2_DESIGNS",
     "bench_payload",
-    "merge_event_segments",
     "run_design",
-    "run_suite",
-    "run_ablation_on_design",
-    "run_sweep",
-    "run_sweep_task",
     "table_rows",
+    "table_spec",
     "write_bench_json",
-    "write_events_jsonl",
 ]

@@ -4,6 +4,12 @@ The evaluation contract mirrors the paper's: every placer runs from the
 same input netlist, and every resulting placement is scored by the same
 routing-outcome evaluator (same grid, same settings).
 
+A *recipe* is a placer name :func:`run_design` knows how to run: the
+three Table I flows (:data:`PLACERS`) and the four Table II ablation
+rows (:data:`ABLATION_ROWS`).  Both tables are grid specs over those
+recipes (:func:`table_spec`), executed by the one sweep runner,
+:func:`repro.dse.runner.run_grid`.
+
 Besides the metric rows, every flow carries its per-stage wall-clock
 profile (:mod:`repro.utils.profile`); :func:`bench_payload` /
 :func:`write_bench_json` serialise metrics *and* stage breakdowns so
@@ -30,12 +36,40 @@ from repro.evalrt.evaluator import evaluate_routing, evaluation_grid
 from repro.evalrt.report import MetricRow
 from repro.netlist.netlist import Netlist
 from repro.place.config import GPConfig
-from repro.synth.suite import suite_design, suite_names
+from repro.synth.suite import suite_names
 from repro.utils.logging import get_logger
 
 logger = get_logger("bench.harness")
 
 PLACERS = ("Xplace", "Xplace-Route", "Ours")
+
+#: Table II rows: label -> :func:`~repro.baselines.flows.ablation_config`
+#: flags.  Row (-,-,-) is the Xplace-Route recipe.
+ABLATION_ROWS = (
+    ("baseline", dict(mci=False, dc=False, dpa=False)),
+    ("+MCI", dict(mci=True, dc=False, dpa=False)),
+    ("+MCI+DC", dict(mci=True, dc=True, dpa=False)),
+    ("+MCI+DC+DPA", dict(mci=True, dc=True, dpa=True)),
+)
+
+_ABLATION_FLAGS = dict(ABLATION_ROWS)
+
+#: Every placer name :func:`run_design` accepts.
+RECIPES = PLACERS + tuple(_ABLATION_FLAGS)
+
+#: Default design list of the Table II ablation sweep — the congested
+#: half of the suite (congestion techniques only act where congestion
+#: exists).
+TABLE2_DESIGNS = (
+    "des_perf_1",
+    "des_perf_a",
+    "edit_dist_a",
+    "fft_b",
+    "matrix_mult_1",
+    "matrix_mult_b",
+    "superblue12",
+    "superblue19",
+)
 
 
 @dataclass
@@ -63,14 +97,6 @@ class DesignOutcome:
         )
 
 
-def _default_gp() -> GPConfig:
-    return GPConfig()
-
-
-def _default_rd(gp: GPConfig) -> RDConfig:
-    return RDConfig(gp=gp)
-
-
 def flow_checkpoint_path(checkpoint_dir: str | None, label: str) -> str | None:
     """Per-flow checkpoint file inside a design's checkpoint directory.
 
@@ -94,7 +120,10 @@ def run_design(
     checkpoint_dir: str | None = None,
     resume: bool = False,
 ) -> DesignOutcome:
-    """Run the requested placers on one design and evaluate each.
+    """Run the requested recipes on one design and evaluate each.
+
+    ``placers`` names entries of :data:`RECIPES`: a Table I flow or a
+    Table II ablation row (``ablation_config(base=rd_config, ...)``).
 
     ``metrics`` (a :class:`~repro.utils.metrics.MetricsRegistry`)
     receives the telemetry of every flow run here; one registry can
@@ -106,8 +135,8 @@ def run_design(
     ``resume`` — continues from it, which is how supervised sweep
     retries warm-start instead of recomputing finished rounds.
     """
-    gp = gp_config or _default_gp()
-    rd = rd_config or _default_rd(gp)
+    gp = gp_config or GPConfig()
+    rd = rd_config or RDConfig(gp=gp)
     ev_cfg = eval_config or EvalConfig()
     grid = evaluation_grid(netlist, ev_cfg)
     seed_gp = make_gp_seed(netlist, gp, metrics=metrics)
@@ -128,6 +157,12 @@ def run_design(
                 netlist, rd, seed_gp, metrics=metrics,
                 checkpoint_path=ckpt, resume=resume,
             )
+        elif placer in _ABLATION_FLAGS:
+            flow = run_flow(
+                placer, netlist,
+                ablation_config(base=rd, **_ABLATION_FLAGS[placer]), seed_gp,
+                metrics=metrics, checkpoint_path=ckpt, resume=resume,
+            )
         else:
             raise ValueError(f"unknown placer {placer!r}")
         outcome.flows[placer] = flow
@@ -135,26 +170,30 @@ def run_design(
     return outcome
 
 
-def run_suite(
-    names: list | None = None,
-    placers: tuple = PLACERS,
-    scale: float = 1.0,
-    seed: int = 0,
-    gp_config: GPConfig | None = None,
-    rd_config: RDConfig | None = None,
-    eval_config: EvalConfig | None = None,
-    metrics=None,
-) -> list:
-    """Run placers over (a subset of) the Table I suite."""
-    outcomes = []
-    for name in names or suite_names():
-        netlist = suite_design(name, scale=scale, seed=seed)
-        outcomes.append(
-            run_design(
-                netlist, placers, gp_config, rd_config, eval_config, metrics
-            )
-        )
-    return outcomes
+def table_spec(table: int, designs=None, scale: float = 1.0, seed: int = 0):
+    """The :class:`~repro.dse.grid.GridSpec` of Table I or Table II.
+
+    One knob-free point: every unit is one design run under the
+    table's recipes (Table I: :data:`PLACERS` over the whole suite;
+    Table II: the :data:`ABLATION_ROWS` over :data:`TABLE2_DESIGNS`).
+    ``designs`` overrides the default list; unknown names raise
+    ``ValueError``.
+    """
+    from repro.dse.grid import parse_spec
+
+    if table == 1:
+        placers, default = PLACERS, suite_names()
+    elif table == 2:
+        placers, default = tuple(_ABLATION_FLAGS), TABLE2_DESIGNS
+    else:
+        raise ValueError(f"unknown table {table!r}; expected 1 or 2")
+    return parse_spec({
+        "name": f"table{table}",
+        "designs": list(designs or default),
+        "scale": scale,
+        "seed": seed,
+        "placers": list(placers),
+    }, origin=f"table{table}")
 
 
 def table_rows(outcomes: list) -> list:
@@ -215,55 +254,3 @@ def write_bench_json(
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
     return payload
-
-
-ABLATION_ROWS = (
-    ("baseline", dict(mci=False, dc=False, dpa=False)),
-    ("+MCI", dict(mci=True, dc=False, dpa=False)),
-    ("+MCI+DC", dict(mci=True, dc=True, dpa=False)),
-    ("+MCI+DC+DPA", dict(mci=True, dc=True, dpa=True)),
-)
-
-
-def run_ablation_on_design(
-    netlist: Netlist,
-    gp_config: GPConfig | None = None,
-    eval_config: EvalConfig | None = None,
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
-) -> list:
-    """Run the four Table II configurations on one design.
-
-    Returns :class:`MetricRow` entries whose ``placer`` field names the
-    ablation configuration.  ``checkpoint_dir``/``resume`` behave as in
-    :func:`run_design` (one checkpoint file per ablation row).
-    """
-    gp = gp_config or _default_gp()
-    base = _default_rd(gp)
-    ev_cfg = eval_config or EvalConfig()
-    grid = evaluation_grid(netlist, ev_cfg)
-    seed_gp = make_gp_seed(netlist, gp)
-
-    rows = []
-    for label, flags in ABLATION_ROWS:
-        cfg = ablation_config(base=base, **flags)
-        flow = run_flow(
-            label, netlist, cfg, seed_gp,
-            checkpoint_path=flow_checkpoint_path(checkpoint_dir, label),
-            resume=resume,
-        )
-        ev = evaluate_routing(flow.netlist, ev_cfg, grid)
-        rows.append(
-            MetricRow(
-                design=netlist.name,
-                placer=label,
-                metrics={
-                    "DRWL": ev.drwl,
-                    "#DRVias": ev.n_vias,
-                    "#DRVs": ev.n_drvs,
-                    "PT": flow.placement_time,
-                    "RT": ev.routing_time,
-                },
-            )
-        )
-    return rows

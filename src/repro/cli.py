@@ -7,7 +7,7 @@ place   place a design file (wirelength-only or full routability flow)
 route   route a placed design and print congestion statistics
 eval    score a placed design (DRWL / #DRVias / #DRVs)
 plot    dump placement SVG and congestion heatmap PPM
-bench   run a Table I/II sweep, optionally sharded across --jobs workers
+bench   run a Table I/II sweep, optionally across --jobs supervised workers
 gradcheck  validate analytic gradients against central differences
 dse     design-space exploration: run grid sweeps, ingest and query
         the sqlite run database, render HTML reports
@@ -148,26 +148,20 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.parallel import TABLE2_DESIGNS, run_sweep
+    """Run Table I or II: its grid spec on the sweep runner, then the table."""
+    import json
+
+    from repro.bench.harness import table_spec
+    from repro.dse.runner import run_grid
     from repro.evalrt.report import MetricRow, format_table
-    from repro.synth.suite import suite_names
 
-    kind = f"table{args.table}"
-    if args.designs:
-        names = args.designs
-    else:
-        names = suite_names() if args.table == 1 else list(TABLE2_DESIGNS)
-    unknown = [n for n in names if n not in suite_names()]
-    if unknown:
-        raise SystemExit(f"error: unknown suite designs: {', '.join(unknown)}")
-
-    result = run_sweep(
-        names,
-        kind=kind,
+    try:
+        spec = table_spec(args.table, args.designs, args.scale, args.seed)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+    result = run_grid(
+        spec,
         jobs=args.jobs,
-        scale=args.scale,
-        seed=args.seed,
-        metrics_path=args.metrics_out,
         job_timeout=args.job_timeout,
         heartbeat_timeout=args.heartbeat_timeout,
         max_retries=args.job_retries,
@@ -175,7 +169,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     rows = [
         MetricRow(design=r["design"], placer=r["placer"], metrics=r["metrics"])
-        for r in result.rows()
+        for r in result.rows
     ]
     if rows:
         if args.table == 1:
@@ -186,40 +180,42 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 keys=("DRWL", "#DRVias", "#DRVs"),
                 reference_placer="+MCI+DC+DPA",
             ))
-    for failed in result.errors():
-        print(f"FAILED {failed.design}:\n{failed.error}")
-    print(f"{len(names)} designs, jobs={result.jobs}, "
-          f"{len(result.errors())} failed, wall {result.elapsed:.1f}s")
+    for unit_id, error in result.errors:
+        print(f"FAILED {unit_id}:\n{error}")
+    jobs = max(1, args.jobs)
+    print(f"{len(result.units)} designs, jobs={jobs}, "
+          f"{len(result.errors)} failed, wall {result.elapsed_s:.1f}s")
     if args.out:
-        import json
-
         payload = {
-            "kind": kind,
-            "jobs": result.jobs,
-            "elapsed_s": result.elapsed,
-            "rows": result.rows(),
-            "errors": result.error_payload(),
+            "kind": spec.name,
+            "jobs": jobs,
+            "elapsed_s": result.elapsed_s,
+            "rows": result.rows,
+            "errors": [
+                {"design": p["design"], "index": p["unit_index"],
+                 "error": p["error"]}
+                for p in result.payloads if p["error"]
+            ],
             "supervisor": {
-                "events": result.supervisor_events,
+                "events": result.events,
                 "designs": [
-                    {
-                        "design": r.design,
-                        "attempts": r.attempts,
-                        "job_state": r.job_state,
-                    }
-                    for r in result.runs
+                    {"design": p["design"], "attempts": p["attempts"],
+                     "job_state": p["job_state"]}
+                    for p in result.payloads
                 ],
             },
         }
-        parent = os.path.dirname(args.out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=1)
         print(f"wrote {args.out}")
     if args.metrics_out:
-        print(f"wrote merged telemetry to {args.metrics_out}")
-    return 1 if result.errors() else 0
+        os.makedirs(os.path.dirname(args.metrics_out) or ".", exist_ok=True)
+        with open(args.metrics_out, "w") as fh:
+            for event in result.unit_events:
+                fh.write(json.dumps(event, separators=(",", ":")) + "\n")
+        print(f"wrote per-design telemetry to {args.metrics_out}")
+    return 1 if result.errors else 0
 
 
 def _cmd_dse_run(args: argparse.Namespace) -> int:

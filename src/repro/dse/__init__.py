@@ -4,7 +4,7 @@ The package turns the telemetry the flow already emits into a queryable
 asset.  It has three layers, mirroring the tentpole split:
 
 * :mod:`repro.dse.grid` — declarative parameter-grid specs (JSON/TOML)
-  expanded into deterministic sweep units and sharded across workers;
+  expanded into deterministic sweep units;
 * :mod:`repro.dse.store` — a stdlib-``sqlite3`` run database ingesting
   per-unit payloads, telemetry JSONL segments, and ``results/BENCH_*``
   history, with a small query API;
@@ -13,7 +13,9 @@ asset.  It has three layers, mirroring the tentpole split:
   docs build.
 
 :mod:`repro.dse.runner` drives a sweep end to end (in-process or through
-the :mod:`repro.jobs` supervisor) and is what ``repro dse run`` calls.
+the :mod:`repro.jobs` supervisor).  It is the only sweep runner:
+``repro dse run`` calls it with a spec file, ``repro bench`` with the
+Table I / II specs of :func:`repro.bench.harness.table_spec`.
 """
 
 from repro.dse.grid import (
@@ -25,7 +27,6 @@ from repro.dse.grid import (
     expand_points,
     load_spec,
     make_units,
-    shard_units,
     validate_knobs,
 )
 from repro.dse.report import render_report
@@ -46,6 +47,5 @@ __all__ = [
     "render_report",
     "run_grid",
     "run_unit",
-    "shard_units",
     "validate_knobs",
 ]

@@ -1,4 +1,4 @@
-"""Declarative parameter grids: knob registry, expansion, sharding.
+"""Declarative parameter grids: knob registry, expansion, units.
 
 A *grid spec* is a small JSON or TOML document naming a sweep, the
 designs it covers, and the knobs to vary::
@@ -16,8 +16,8 @@ designs it covers, and the knobs to vary::
 ``grid`` knobs are crossed (cartesian product); ``paired`` knobs are
 zipped position-wise (all lists must share one length).  Expansion is
 deterministic: knob names are iterated in sorted order, values in spec
-order, so the same spec always yields the same point list, the same
-unit ids, and the same shard assignment.
+order, so the same spec always yields the same point list and the same
+unit ids.
 
 Every knob lives in the :data:`KNOBS` registry, which maps a dotted
 public name to the config dataclass field it rebinds.  The registry is
@@ -224,7 +224,13 @@ def parse_spec(raw: dict, origin: str = "<spec>") -> GridSpec:
                 f"{origin}: 'paired' lists must share one length, got {sorted(lengths)}"
             )
 
+    from repro.bench.harness import RECIPES
+
     placers = tuple(raw.get("placers") or ("Ours",))
+    for placer in placers:
+        if placer not in RECIPES:
+            raise ValueError(f"{origin}: unknown placer {placer!r}; "
+                             f"known placers: {', '.join(RECIPES)}")
     scale = float(raw.get("scale", 1.0))
     seed = int(raw.get("seed", 0))
     if scale <= 0:
@@ -254,7 +260,7 @@ def expand_points(spec: GridSpec) -> list:
     Crossed knobs iterate in sorted-name, row-major order (last sorted
     name varies fastest); paired knobs advance together.  The result
     order is a pure function of the spec — the determinism contract
-    the shard layer and unit ids build on.
+    unit ids build on.
     """
     grid_names = sorted(spec.grid)
     grid_axes = [spec.grid[n] for n in grid_names]
@@ -324,12 +330,3 @@ def make_units(spec: GridSpec) -> list:
             index += 1
     return units
 
-
-def shard_units(units: list, n_shards: int) -> list:
-    """Deal units round-robin into ``n_shards`` deterministic shards."""
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    shards = [[] for _ in range(n_shards)]
-    for unit in units:
-        shards[unit.index % n_shards].append(unit)
-    return shards

@@ -1,7 +1,9 @@
 """Sweep execution: run grid units in-process or supervised.
 
-Both execution paths share the same deterministic unit list from
-:func:`repro.dse.grid.make_units`:
+This is the one sweep runner: ``repro dse run`` drives it with a spec
+file and ``repro bench`` with the Table I / II specs of
+:func:`repro.bench.harness.table_spec`.  Both execution paths share the
+same deterministic unit list from :func:`repro.dse.grid.make_units`:
 
 * ``jobs <= 1`` — plain in-process loop (bit-identical baseline);
 * ``jobs > 1`` — one :class:`~repro.jobs.spec.JobSpec` per unit
@@ -11,32 +13,67 @@ Both execution paths share the same deterministic unit list from
 Every unit produces a JSON payload (``dse_unit: 1``) that
 :class:`repro.dse.store.RunDB` ingests; :func:`run_grid` writes the
 payloads plus a sweep manifest under ``out_dir`` and, when ``db_path``
-is given, ingests them immediately.
+is given, ingests them immediately.  A unit never raises: a failing
+unit — an exception, or a worker the supervisor reaped — is a payload
+with ``error`` set, so a sweep always reports every unit in order.
+
+Fault-injection hook: each unit fires the ``bench.design.<design>``
+fault site before running its flows, with the sweep's
+:class:`~repro.utils.faults.FaultPlan` objects installed (plans with
+``attempts=N`` stop firing on retries).  Tests use this to crash,
+hang or SIGKILL one specific design of a supervised sweep.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.dse.grid import DseUnit, GridSpec, apply_knobs, make_units
 
 
-def _unit_filename(unit_id: str) -> str:
-    """Filesystem-safe payload filename for a unit id."""
-    return unit_id.replace(":", "__").replace("/", "_") + ".json"
+def _unit_stem(unit_id: str) -> str:
+    """Filesystem-safe name for a unit id (payload file, checkpoint dir)."""
+    return unit_id.replace(":", "__").replace("/", "_")
 
 
-def run_unit(unit: DseUnit, ctx=None) -> dict:
+def _unit_payload(unit: DseUnit, **fields) -> dict:
+    """A unit payload: the unit's identity plus its outcome ``fields``."""
+    return {
+        "dse_unit": 1,
+        "sweep": unit.unit_id.split(":", 1)[0],
+        "unit_id": unit.unit_id,
+        "unit_index": unit.index,
+        "point": unit.point,
+        "design": unit.design,
+        "knobs": dict(unit.knobs),
+        "placers": list(unit.placers),
+        **fields,
+    }
+
+
+def run_unit(unit: DseUnit, ctx=None, fault_plans: tuple = (),
+             checkpoint_dir: str | None = None) -> dict:
     """Execute one sweep unit; never raises.
 
-    Mirrors :func:`repro.bench.parallel.run_sweep_task`: telemetry goes
-    to a private in-memory registry whose events ride back on the
-    payload, and exceptions become traceback strings.
+    Telemetry goes to a private in-memory registry whose events ride
+    back on the payload, and exceptions — injected faults included —
+    become traceback strings.  ``fault_plans`` are installed for the
+    unit's duration, filtered for the attempt.
+
+    ``ctx`` is the supervised runtime's
+    :class:`~repro.jobs.spec.JobContext`.  On a retry the flows resume
+    from their checkpoints under ``checkpoint_dir`` and the unit's
+    ``run.start`` carries an ``attempt`` field; first attempts emit
+    the exact in-process stream.  The payload's ``attempts`` counts
+    this attempt; ``job_state`` is set by the supervised path only.
     """
+    from repro.utils import faults
     from repro.utils.metrics import MemorySink, MetricsRegistry
 
     attempt = ctx.attempt if ctx is not None else 0
@@ -50,30 +87,29 @@ def run_unit(unit: DseUnit, ctx=None) -> dict:
     metrics.start_run(**start_fields)
     error = None
     rows: list = []
+    plans = faults.plans_for_attempt(fault_plans, attempt)
     try:
-        binding = apply_knobs(unit.knobs)
-        rows = _run_unit_flow(unit, binding, metrics)
+        with faults.injected(*plans) if plans else nullcontext():
+            faults.fire(f"bench.design.{unit.design}")
+            binding = apply_knobs(unit.knobs)
+            rows = _run_unit_flow(unit, binding, metrics, checkpoint_dir,
+                                  resume=attempt > 0)
     except BaseException:
         error = traceback.format_exc()
     metrics.close()
-    events = [json.loads(line) for line in sink.lines]
-    return {
-        "dse_unit": 1,
-        "sweep": unit.unit_id.split(":", 1)[0],
-        "unit_id": unit.unit_id,
-        "unit_index": unit.index,
-        "point": unit.point,
-        "design": unit.design,
-        "knobs": dict(unit.knobs),
-        "placers": list(unit.placers),
-        "rows": rows,
-        "events": events,
-        "error": error,
-        "elapsed_s": time.perf_counter() - t0,
-    }
+    return _unit_payload(
+        unit,
+        rows=rows,
+        events=[json.loads(line) for line in sink.lines],
+        error=error,
+        elapsed_s=time.perf_counter() - t0,
+        attempts=attempt + 1,
+        job_state=None,
+    )
 
 
-def _run_unit_flow(unit: DseUnit, binding, metrics) -> list:
+def _run_unit_flow(unit: DseUnit, binding, metrics, checkpoint_dir,
+                   resume: bool) -> list:
     """Generate the design and run the bench flow under the binding."""
     from repro.bench.harness import run_design, table_rows
     from repro.synth.suite import suite_design
@@ -85,6 +121,8 @@ def _run_unit_flow(unit: DseUnit, binding, metrics) -> list:
         gp_config=binding.gp_config,
         rd_config=binding.rd_config,
         metrics=metrics,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
     )
     return [
         {"design": row.design, "placer": row.placer, "metrics": dict(row.metrics)}
@@ -106,7 +144,23 @@ class GridResult:
     def errors(self) -> list:
         """``(unit_id, error)`` pairs for units that failed."""
         return [(p["unit_id"], p["error"]) for p in self.payloads
-                if p and p.get("error")]
+                if p["error"]]
+
+    @property
+    def rows(self) -> list:
+        """Metric-row dicts of every unit, in unit order."""
+        return [row for p in self.payloads for row in p["rows"]]
+
+    @property
+    def unit_events(self) -> list:
+        """The units' telemetry segments concatenated in unit order.
+
+        Each segment is a complete registry run (``run.start`` at
+        ``seq == 0`` through ``run.end``), so the concatenation is one
+        schema-valid multi-segment stream.  A unit whose worker died
+        contributes no segment.
+        """
+        return [event for p in self.payloads for event in p["events"]]
 
 
 def _sweep_events(spec: GridSpec, units: list) -> list:
@@ -129,7 +183,9 @@ def _sweep_events(spec: GridSpec, units: list) -> list:
 def run_grid(spec: GridSpec, jobs: int = 1, out_dir=None, db_path=None,
              job_timeout: float | None = None,
              heartbeat_timeout: float | None = None,
-             max_retries: int = 1) -> GridResult:
+             max_retries: int = 1,
+             checkpoint_dir: str | None = None,
+             fault_plans: tuple = ()) -> GridResult:
     """Run every unit of a grid spec; optionally persist and ingest.
 
     With ``jobs > 1`` the units run under the supervised job runtime
@@ -137,16 +193,31 @@ def run_grid(spec: GridSpec, jobs: int = 1, out_dir=None, db_path=None,
     own ``job.*`` lifecycle segment is appended to the sweep events.
     Unit payload order always matches unit order, independent of worker
     completion order.
+
+    ``job_timeout`` / ``heartbeat_timeout`` / ``max_retries`` configure
+    the supervisor (pooled runs only): a per-unit wall-clock deadline,
+    the silence after which a unit counts as hung, and the replacement
+    attempts after an involuntary worker death.  Unit *exceptions* are
+    terminal — deterministic outcomes, not flakes.  With
+    ``checkpoint_dir`` each unit checkpoints its flows under
+    ``<checkpoint_dir>/<unit>/`` and a retried unit resumes from there.
+    ``fault_plans`` are installed inside every unit (see
+    :func:`run_unit`).
     """
     t0 = time.perf_counter()
     units = make_units(spec)
     events = _sweep_events(spec, units)
 
     if jobs <= 1:
-        payloads = [run_unit(unit) for unit in units]
+        payloads = [
+            run_unit(unit, fault_plans=fault_plans,
+                     checkpoint_dir=_unit_checkpoint_dir(checkpoint_dir, unit))
+            for unit in units
+        ]
     else:
         payloads, sup_events = _run_supervised(
-            units, jobs, job_timeout, heartbeat_timeout, max_retries)
+            units, jobs, job_timeout, heartbeat_timeout, max_retries,
+            checkpoint_dir, fault_plans)
         events = events + sup_events
 
     result = GridResult(spec=spec, units=units, payloads=payloads,
@@ -158,25 +229,38 @@ def run_grid(spec: GridSpec, jobs: int = 1, out_dir=None, db_path=None,
 
         with RunDB(db_path) as db:
             for payload in payloads:
-                if payload is not None:
-                    db.ingest_unit_payload(payload, source=f"sweep:{spec.name}")
+                db.ingest_unit_payload(payload, source=f"sweep:{spec.name}")
     return result
 
 
+def _unit_checkpoint_dir(checkpoint_dir, unit: DseUnit) -> str | None:
+    """The unit's own checkpoint directory under ``checkpoint_dir``."""
+    if not checkpoint_dir:
+        return None
+    return os.path.join(checkpoint_dir, _unit_stem(unit.unit_id))
+
+
 def _run_supervised(units: list, jobs: int, job_timeout, heartbeat_timeout,
-                    max_retries) -> tuple:
-    """Dispatch units through :func:`repro.jobs.run_jobs`."""
+                    max_retries, checkpoint_dir, fault_plans) -> tuple:
+    """Dispatch units through :func:`repro.jobs.run_jobs`.
+
+    A unit exception is already captured inside :func:`run_unit`; a job
+    that ends in any other state than ``done`` (crashed, hung, timed
+    out) gets an error payload carrying the supervisor's reason.
+    """
     from repro.jobs import DONE, JobSpec, SupervisorConfig, run_jobs
     from repro.utils.metrics import MemorySink, MetricsRegistry
 
     sink = MemorySink()
     sup_metrics = MetricsRegistry(sink=sink)
     sup_metrics.start_run(command="dse.supervise", jobs=jobs)
-    specs = [
-        JobSpec(job_id=unit.unit_id, fn=run_unit, args=(unit,),
-                with_context=True, index=unit.index)
-        for unit in units
-    ]
+    specs = []
+    for unit in units:
+        ckpt = _unit_checkpoint_dir(checkpoint_dir, unit)
+        specs.append(JobSpec(
+            job_id=unit.unit_id, fn=run_unit, args=(unit,),
+            kwargs=dict(fault_plans=fault_plans, checkpoint_dir=ckpt),
+            with_context=True, checkpoint_path=ckpt, index=unit.index))
     config = SupervisorConfig(max_workers=jobs, timeout=job_timeout,
                               heartbeat_timeout=heartbeat_timeout,
                               max_retries=max_retries)
@@ -185,26 +269,15 @@ def _run_supervised(units: list, jobs: int, job_timeout, heartbeat_timeout,
 
     payloads = []
     for unit, job in zip(units, job_results):
-        if job is not None and job.state == DONE and job.value is not None:
-            payloads.append(job.value)
+        if job.state == DONE:
+            payload = job.value
         else:
-            state = job.state if job is not None else "lost"
-            error = (job.error if job is not None else None) \
-                or f"job ended in state {state!r}"
-            payloads.append({
-                "dse_unit": 1,
-                "sweep": unit.unit_id.split(":", 1)[0],
-                "unit_id": unit.unit_id,
-                "unit_index": unit.index,
-                "point": unit.point,
-                "design": unit.design,
-                "knobs": dict(unit.knobs),
-                "placers": list(unit.placers),
-                "rows": [],
-                "events": [],
-                "error": error,
-                "elapsed_s": job.elapsed if job is not None else 0.0,
-            })
+            payload = _unit_payload(
+                unit, rows=[], events=[],
+                error=job.error or f"job ended in state {job.state!r}",
+                elapsed_s=job.elapsed)
+        payload.update(attempts=job.attempts, job_state=job.state)
+        payloads.append(payload)
     return payloads, [json.loads(line) for line in sink.lines]
 
 
@@ -214,9 +287,7 @@ def _write_outputs(result: GridResult, out_dir) -> None:
     units_dir = out / "units"
     units_dir.mkdir(parents=True, exist_ok=True)
     for payload in result.payloads:
-        if payload is None:
-            continue
-        path = units_dir / _unit_filename(payload["unit_id"])
+        path = units_dir / (_unit_stem(payload["unit_id"]) + ".json")
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     manifest = {
         "spec": result.spec.as_dict(),

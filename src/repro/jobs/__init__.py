@@ -1,12 +1,12 @@
 """Supervised job runtime: specs, workers, and the supervisor.
 
-Public API of the execution layer under :mod:`repro.bench.parallel`
-and :mod:`repro.dse.runner`: build :class:`JobSpec` work orders, hand
-them to :func:`run_jobs` (or a :class:`Supervisor`), and get
-:class:`JobResult` outcomes
-back in submission order — with timeouts, hung-worker reaping, retry
-from checkpoint, and graceful degradation handled here rather than in
-every caller.
+Public API of the execution layer under the sweep runner,
+:mod:`repro.dse.runner` (which runs both ``repro dse run`` and
+``repro bench``): build :class:`JobSpec` work orders, hand them to
+:func:`run_jobs` (or a :class:`Supervisor`), and get :class:`JobResult`
+outcomes back in submission order — with timeouts, hung-worker
+reaping, retry from checkpoint, and graceful degradation handled here
+rather than in the caller.
 """
 
 from repro.jobs.spec import (

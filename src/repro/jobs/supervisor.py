@@ -25,9 +25,9 @@ Results come back in submission order, every job reporting a
 structured :class:`~repro.jobs.spec.JobResult` — the supervisor never
 raises because of anything a *job* did.
 
-This is the execution skeleton the bench sweep runner
-(:mod:`repro.bench.parallel`) and the DSE sweep runner
-(:mod:`repro.dse.runner`) sit on.
+This is the execution skeleton the sweep runner
+(:mod:`repro.dse.runner`, behind ``repro dse run`` and
+``repro bench``) sits on.
 """
 
 from __future__ import annotations

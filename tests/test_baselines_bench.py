@@ -13,11 +13,11 @@ from repro.baselines import (
 )
 from repro.bench.harness import ABLATION_ROWS, run_design, table_rows
 from repro.core import RDConfig
-from repro.evalrt import EvalConfig
+from repro.evalrt import EvalConfig, format_table, ratio_row
 from repro.legalize import check_legal
 from repro.place import GPConfig
 from repro.route import RouterConfig
-from repro.synth import toy_design
+from repro.synth import suite_design, toy_design
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +109,49 @@ class TestHarness:
         nl = toy_design(100, seed=1)
         with pytest.raises(ValueError):
             run_design(nl, placers=("Bogus",), gp_config=GPConfig(max_iters=50))
+
+    def test_ablation_extremes_equal_table1_recipes(self, shared):
+        """Row (-,-,-) is Xplace-Route and row (+,+,+) is Ours."""
+        nl, gp, rd, _ = shared
+        outcome = run_design(
+            nl,
+            placers=("Xplace-Route", "Ours", "baseline", "+MCI+DC+DPA"),
+            gp_config=gp,
+            rd_config=rd,
+            eval_config=EvalConfig(
+                grid_dim_factor=1, router=RouterConfig(rrr_rounds=1)
+            ),
+        )
+        qor = {
+            placer: [outcome.row(placer).metrics[k]
+                     for k in ("DRWL", "#DRVias", "#DRVs")]
+            for placer in outcome.flows
+        }
+        assert qor["baseline"] == qor["Xplace-Route"]
+        assert qor["+MCI+DC+DPA"] == qor["Ours"]
+
+    @pytest.mark.parametrize("names", [["fft_1", "fft_2"]])
+    def test_design_loop_small(self, names):
+        """End-to-end harness over a tiny suite subset, one design at a time."""
+        gp = GPConfig(max_iters=150)
+        outcomes = [
+            run_design(
+                suite_design(name, scale=0.25),
+                gp_config=gp,
+                rd_config=RDConfig(gp=gp, max_rounds=2, iters_per_round=10),
+                eval_config=EvalConfig(
+                    grid_dim_factor=1, router=RouterConfig(rrr_rounds=1)
+                ),
+            )
+            for name in names
+        ]
+        assert [o.design for o in outcomes] == names
+        rows = table_rows(outcomes)
+        assert len(rows) == 3 * len(names)
+
+        text = format_table(rows, reference_placer="Ours")
+        assert "Avg. Ratio" in text
+        ratios = ratio_row(rows, "Ours")
+        for placer in ("Xplace", "Xplace-Route", "Ours"):
+            for key in ("DRWL", "#DRVias", "#DRVs", "PT", "RT"):
+                assert ratios[placer][key] == ratios[placer][key]  # not NaN

@@ -1,4 +1,4 @@
-"""Grid-spec parsing, expansion determinism, sharding, knob binding."""
+"""Grid-spec parsing, expansion determinism, unit lists, knob binding."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.dse.grid import (
     load_spec,
     make_units,
     parse_spec,
-    shard_units,
     validate_knobs,
 )
 from repro.place.config import GPConfig
@@ -69,6 +68,8 @@ class TestSpecParsing:
          "share one length"),
         (lambda r: r.update(paired={"inflation.alpha": [0.3]}), "both"),
         (lambda r: r.update(scale=0), "scale"),
+        (lambda r: r.update(placers=["Ours", "NoSuchPlacer"]),
+         "unknown placer 'NoSuchPlacer'"),
     ])
     def test_invalid_specs_rejected(self, mutate, match):
         raw = json.loads(json.dumps(RAW))
@@ -107,7 +108,7 @@ class TestExpansion:
         ]
 
 
-class TestUnitsAndShards:
+class TestUnits:
     def test_unit_ids_and_order(self):
         spec = parse_spec(RAW)
         units = make_units(spec)
@@ -116,24 +117,6 @@ class TestUnitsAndShards:
         assert units[1].unit_id == "mini:p000:fft_1"
         assert [u.index for u in units] == list(range(len(units)))
         assert units[0].scale == 0.25 and units[0].seed == 3
-
-    def test_same_spec_same_shard_order(self):
-        units_a = make_units(parse_spec(RAW))
-        units_b = make_units(parse_spec(json.loads(json.dumps(RAW))))
-        for n in (1, 3, 5):
-            sa = shard_units(units_a, n)
-            sb = shard_units(units_b, n)
-            assert [[u.unit_id for u in s] for s in sa] == \
-                   [[u.unit_id for u in s] for s in sb]
-
-    def test_shards_partition_round_robin(self):
-        units = make_units(parse_spec(RAW))
-        shards = shard_units(units, 3)
-        assert sum(len(s) for s in shards) == len(units)
-        assert [u.index % 3 for s in shards for u in s] == \
-               [i for i, s in enumerate(shards) for _ in s]
-        with pytest.raises(ValueError):
-            shard_units(units, 0)
 
 
 class TestKnobBinding:

@@ -2,8 +2,9 @@
 
 Not a paper artifact, but the quantities that determine whether the
 framework scales: spectral Poisson solve, WA gradient, density
-rasterization, one full routing pass, and one two-pin net-moving
-gradient evaluation.
+rasterization, one full routing pass, one two-pin net-moving
+gradient evaluation, and one placer iteration on a whole design and on
+an ECO-shaped one (about 2% of cells movable, congestion closure on).
 """
 
 from __future__ import annotations
@@ -11,7 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CongestionField, two_pin_net_gradients
+from repro.core import (
+    CongestionField,
+    RDConfig,
+    RoutabilityDrivenPlacer,
+    two_pin_net_gradients,
+)
 from repro.density import CellRasterizer, PoissonSolver
 from repro.geometry import Grid2D
 from repro.place import GlobalPlacer, GPConfig, initial_placement
@@ -94,4 +100,33 @@ def test_one_placer_iteration(benchmark, placed_design):
     netlist, placer = placed_design
     benchmark.pedantic(
         lambda: placer.run(max_iters=1, min_iters=1), iterations=1, rounds=5
+    )
+
+
+@pytest.fixture(scope="module")
+def eco_placer(placed_design):
+    """The placed design with ~2% of its cells movable, RD closure on.
+
+    The shape of an ECO re-place: WA, Alg. 1 and Alg. 2 run over the
+    nets and cells with a movable pin, against a frozen remainder.
+    """
+    netlist, _ = placed_design
+    frozen = netlist.copy()
+    movable = np.flatnonzero(netlist.movable)
+    keep = np.random.default_rng(0).choice(
+        movable, max(1, len(movable) // 50), replace=False
+    )
+    fixed = np.ones(netlist.n_cells, dtype=bool)
+    fixed[keep] = False
+    frozen.cell_fixed = fixed | netlist.cell_fixed
+    rd = RoutabilityDrivenPlacer(frozen, RDConfig(gp=GPConfig(max_iters=1)))
+    routing = rd.router.route(frozen)
+    fld = CongestionField(rd.gp.grid, routing.utilization_map)
+    rd.gp.extra_grad_fn = rd._make_congestion_grad(fld, routing.congestion_map)
+    return rd.gp
+
+
+def test_one_eco_placer_iteration(benchmark, eco_placer):
+    benchmark.pedantic(
+        lambda: eco_placer.run(max_iters=1, min_iters=1), iterations=1, rounds=5
     )

@@ -41,9 +41,12 @@ class CongestionField:
             )
         self.grid = grid
         self.utilization = utilization
-        self.potential, self.field_x, self.field_y = SpectralWorkspace.for_grid(
+        self.potential, field_x, field_y = SpectralWorkspace.for_grid(
             grid
         ).solve(utilization)
+        # both field components as channels of one map, so a gradient
+        # query interpolates them with shared bilinear weights
+        self._field_xy = np.stack((field_x, field_y), axis=-1)
         if CONTRACTS.enabled:
             site = "congestion_field"
             CONTRACTS.check_array(site, "potential", self.potential, finite=True)
@@ -56,6 +59,24 @@ class CongestionField:
             # non-negative modal terms
             CONTRACTS.check_field_energy(site, utilization, self.potential)
 
+    @property
+    def field_x(self) -> np.ndarray:
+        """``E_x = -d(psi)/dx`` at the bin centers (a view of the channel map)."""
+        return self._field_xy[..., 0]
+
+    @field_x.setter
+    def field_x(self, value) -> None:
+        self._field_xy[..., 0] = value
+
+    @property
+    def field_y(self) -> np.ndarray:
+        """``E_y = -d(psi)/dy`` at the bin centers (a view of the channel map)."""
+        return self._field_xy[..., 1]
+
+    @field_y.setter
+    def field_y(self, value) -> None:
+        self._field_xy[..., 1] = value
+
     # ------------------------------------------------------------------
     def potential_at(self, x, y) -> np.ndarray:
         """Bilinear potential sample psi(x, y)."""
@@ -67,9 +88,9 @@ class CongestionField:
         Returns the *minimization* gradient ``A * grad(psi) = -A * E``:
         subtracting it moves the charge away from congestion.
         """
-        gx = -np.asarray(area) * self.grid.bilinear_at(self.field_x, x, y)
-        gy = -np.asarray(area) * self.grid.bilinear_at(self.field_y, x, y)
-        return gx, gy
+        e = self.grid.bilinear_at(self._field_xy, x, y)
+        neg_area = -np.asarray(area)
+        return neg_area * e[..., 0], neg_area * e[..., 1]
 
     def penalty(self, x, y, area) -> float:
         """``C(x, y) = 1/2 sum_i A_i psi_i`` over the given charges."""

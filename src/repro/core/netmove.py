@@ -8,13 +8,20 @@ congested region, Fig. 3), and each endpoint cell receives that
 projected gradient scaled by ``L / (2 d_iv)`` (Eq. 9) — cells close to
 the congestion move more.
 
-Everything is vectorized over all two-pin nets of the design: sampling
-positions form an ``(n_nets, S)`` matrix, the congestion lookup and the
-arg-max over samples are single numpy expressions.
+Everything is vectorized over the two-pin nets: sampling positions
+form an ``(n_nets, S)`` matrix, the congestion lookup and the arg-max
+over samples are single numpy expressions.  The per-iteration gradient
+samples only the nets with a movable endpoint (:class:`TwoPinNets`);
+a net between two fixed cells only ever deposits onto cells whose
+gradient is zeroed, and each net's virtual cell depends on that net
+alone, so the movable cells' gradients are the all-nets ones bit for
+bit.  :func:`virtual_cell_positions` still locates every two-pin net's
+virtual cell, for the round's C(x, y) bookkeeping.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +65,45 @@ def _two_pin_endpoints(netlist: Netlist):
     return two_pin, p1, p2
 
 
+class TwoPinNets:
+    """Endpoint arrays of the two-pin nets with a movable endpoint.
+
+    Built once per routability round from ``cell_fixed`` (an input
+    property of the round), then read by every solver iteration.
+    ``net_ids``/``p1``/``p2`` follow :func:`virtual_cell_positions`;
+    ``c1``/``c2`` are the endpoint cells and ``ox1``..``oy2`` the pin
+    offsets, so endpoint coordinates come from the cell positions
+    without computing every pin of the design.  A net whose two pins
+    sit on one cell (``same_cell``) has no segment to move across.
+    """
+
+    def __init__(self, netlist: Netlist) -> None:
+        two_pin, p1, p2 = _two_pin_endpoints(netlist)
+        c1 = netlist.pin_cell[p1]
+        c2 = netlist.pin_cell[p2]
+        keep = netlist.movable[c1] | netlist.movable[c2]
+        self.net_ids = two_pin[keep]
+        self.p1, self.p2 = p1[keep], p2[keep]
+        self.c1, self.c2 = c1[keep], c2[keep]
+        self.ox1 = netlist.pin_offset_x[self.p1]
+        self.oy1 = netlist.pin_offset_y[self.p1]
+        self.ox2 = netlist.pin_offset_x[self.p2]
+        self.oy2 = netlist.pin_offset_y[self.p2]
+        self.same_cell = self.c1 == self.c2
+
+    def coordinates(self, netlist: Netlist):
+        """Endpoint coordinates ``(x1, y1, x2, y2)`` at the current positions.
+
+        The same sums :meth:`Netlist.pin_positions` forms, per endpoint.
+        """
+        return (
+            netlist.x[self.c1] + self.ox1,
+            netlist.y[self.c1] + self.oy1,
+            netlist.x[self.c2] + self.ox2,
+            netlist.y[self.c2] + self.oy2,
+        )
+
+
 def _virtual_cells(x1, y1, x2, y2, k, congestion, grid):
     """Most congested interior sample of every segment (Eq. 7-8).
 
@@ -80,19 +126,29 @@ def _virtual_cells(x1, y1, x2, y2, k, congestion, grid):
     region = grid.region
     fx = (sx.reshape(-1) - region.xlo) / grid.dx
     fy = (sy.reshape(-1) - region.ylo) / grid.dy
-    # np.min/np.max propagate NaN and expose +/-Inf
-    if np.isfinite([fx.min(), fx.max(), fy.min(), fy.max()]).all():
-        flat = np.clip(np.floor(fx).astype(np.int64), 0, grid.nx - 1)
+    # a non-finite sample makes its sum non-finite; a finite sum proves
+    # every sample finite (an overflowing sum merely takes index_of)
+    if math.isfinite(np.add.reduce(fx) + np.add.reduce(fy)):
+        flat = np.floor(fx).astype(np.int64)
+        np.maximum(flat, 0, out=flat)
+        np.minimum(flat, grid.nx - 1, out=flat)
         flat *= grid.ny
-        flat += np.clip(np.floor(fy).astype(np.int64), 0, grid.ny - 1)
+        fj = np.floor(fy).astype(np.int64)
+        np.maximum(fj, 0, out=fj)
+        np.minimum(fj, grid.ny - 1, out=fj)
+        flat += fj
     else:
         ii, jj = grid.index_of(sx.reshape(-1), sy.reshape(-1))
         flat = ii * grid.ny + jj
     cval = np.take(congestion.reshape(-1), flat).reshape(n, s_max)
     cval[steps > kcol] = -np.inf
-    best = np.argmax(cval, axis=1)
-    rows = np.arange(n)
-    return sx[rows, best], sy[rows, best], cval[rows, best]
+    pick = np.argmax(cval, axis=1)
+    pick += np.arange(0, n * s_max, s_max)
+    return (
+        np.take(sx.reshape(-1), pick),
+        np.take(sy.reshape(-1), pick),
+        np.take(cval.reshape(-1), pick),
+    )
 
 
 def _scatter_pair(n, cells, vx, vy):
@@ -104,6 +160,42 @@ def _scatter_pair(n, cells, vx, vy):
     return (
         np.bincount(cells, weights=vx, minlength=n),
         np.bincount(cells, weights=vy, minlength=n),
+    )
+
+
+def _locate(x1, y1, x2, y2, grid, congestion, cfg):
+    """Virtual cell of each segment: ``(xv, yv, best_congestion, active)``."""
+    # Eq. (6): number of G-cells traversed
+    k = np.maximum(
+        np.floor(np.abs(x1 - x2) / grid.dx),
+        np.floor(np.abs(y1 - y2) / grid.dy),
+    ).astype(np.int64)
+    k = np.minimum(np.maximum(k, 1), cfg.max_samples)
+
+    # Eq. (7)-(8): interior sampling, congestion lookup, per-net arg-max
+    xv, yv, cbest = _virtual_cells(x1, y1, x2, y2, k, congestion, grid)
+    return xv, yv, cbest, cbest > cfg.min_congestion
+
+
+def _info(net_ids, p1, p2, xv, yv, cbest, active) -> dict:
+    """The virtual-cell dict over the given two-pin nets."""
+    return {
+        "net_ids": net_ids,
+        "p1": p1,
+        "p2": p2,
+        "xv": xv,
+        "yv": yv,
+        "congestion": cbest,
+        "active": active,
+    }
+
+
+def _empty_info(net_ids, p1, p2) -> dict:
+    """The virtual-cell dict when there is no two-pin net to sample."""
+    empty = np.zeros(0)
+    return _info(
+        net_ids, p1, p2, empty, empty.copy(), empty.copy(),
+        np.zeros(0, dtype=bool),
     )
 
 
@@ -121,41 +213,11 @@ def virtual_cell_positions(
     """
     cfg = config or NetMoveConfig()
     two_pin, p1, p2 = _two_pin_endpoints(netlist)
+    if len(two_pin) == 0:
+        return _empty_info(two_pin, p1, p2)
     px, py = netlist.pin_positions()
-    x1, y1 = px[p1], py[p1]
-    x2, y2 = px[p2], py[p2]
-    n = len(two_pin)
-    if n == 0:
-        empty = np.zeros(0)
-        return {
-            "net_ids": two_pin,
-            "p1": p1,
-            "p2": p2,
-            "xv": empty,
-            "yv": empty.copy(),
-            "congestion": empty.copy(),
-            "active": np.zeros(0, dtype=bool),
-        }
-
-    # Eq. (6): number of G-cells traversed
-    k = np.maximum(
-        np.floor(np.abs(x1 - x2) / grid.dx),
-        np.floor(np.abs(y1 - y2) / grid.dy),
-    ).astype(np.int64)
-    k = np.clip(k, 1, cfg.max_samples)
-
-    # Eq. (7)-(8): interior sampling, congestion lookup, per-net arg-max
-    xv, yv, cbest = _virtual_cells(x1, y1, x2, y2, k, congestion, grid)
-    active = cbest > cfg.min_congestion
-    return {
-        "net_ids": two_pin,
-        "p1": p1,
-        "p2": p2,
-        "xv": xv,
-        "yv": yv,
-        "congestion": cbest,
-        "active": active,
-    }
+    loc = _locate(px[p1], py[p1], px[p2], py[p2], grid, congestion, cfg)
+    return _info(two_pin, p1, p2, *loc)
 
 
 def two_pin_net_gradients(
@@ -165,8 +227,9 @@ def two_pin_net_gradients(
     field: CongestionField,
     virtual_area: float,
     config: NetMoveConfig | None = None,
+    nets: TwoPinNets | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Per-cell congestion gradients from all two-pin nets (Alg. 1).
+    """Per-cell congestion gradients from the two-pin nets (Alg. 1).
 
     Parameters
     ----------
@@ -176,40 +239,46 @@ def two_pin_net_gradients(
         Congestion field whose gradient drives the move.
     virtual_area:
         Charge of a virtual cell ("same size as a standard cell").
+    nets:
+        The netlist's :class:`TwoPinNets`, when the caller keeps one
+        across calls; built from ``netlist`` otherwise.
 
     Returns
     -------
     (grad_x, grad_y, info):
         Gradient arrays over all cells (zero for cells not on an
-        active two-pin net) and the virtual-cell info dict (with the
-        per-net projected gradients added, for inspection and the
-        C(x, y) bookkeeping).
+        active two-pin net, and for fixed cells) and the virtual-cell
+        info dict over the two-pin nets with a movable endpoint (with
+        the per-net projected gradients added, for inspection).
     """
     cfg = config or NetMoveConfig()
-    info = virtual_cell_positions(netlist, grid, congestion, cfg)
+    if nets is None:
+        nets = TwoPinNets(netlist)
     n_cells = netlist.n_cells
     grad_x = np.zeros(n_cells)
     grad_y = np.zeros(n_cells)
+    if len(nets.net_ids) == 0:
+        info = _empty_info(nets.net_ids, nets.p1, nets.p2)
+        info["lx"] = np.zeros(0)
+        return grad_x, grad_y, info
+    x1, y1, x2, y2 = nets.coordinates(netlist)
+    info = _info(
+        nets.net_ids, nets.p1, nets.p2,
+        *_locate(x1, y1, x2, y2, grid, congestion, cfg),
+    )
     # a two-pin net whose pins sit on the *same* cell has no segment to
     # move perpendicular to: applying Eq. (9) to both endpoints would
     # deposit the projected gradient twice onto one cell, doubling its
     # force.  Such nets are masked out of the update.
-    act = info["active"]
-    if act.any():
-        same_cell = netlist.pin_cell[info["p1"]] == netlist.pin_cell[info["p2"]]
-        act = act & ~same_cell
-        info["active"] = act
+    act = info["active"] & ~nets.same_cell
+    info["active"] = act
     if not act.any():
         info["lx"] = np.zeros(0)
         return grad_x, grad_y, info
 
-    p1 = info["p1"][act]
-    p2 = info["p2"][act]
+    x1, y1, x2, y2 = x1[act], y1[act], x2[act], y2[act]
     xv = info["xv"][act]
     yv = info["yv"][act]
-    px, py = netlist.pin_positions()
-    x1, y1 = px[p1], py[p1]
-    x2, y2 = px[p2], py[p2]
 
     # minimization gradient of the virtual cell (line 3 of Alg. 1)
     gvx, gvy = field.gradient_at(xv, yv, virtual_area)
@@ -238,7 +307,7 @@ def two_pin_net_gradients(
     scale1 = np.clip(length / (2.0 * np.maximum(d1, 1e-12)), 0.0, cfg.max_scale)
     d2 = np.hypot(xv - x2, yv - y2)
     scale2 = np.clip(length / (2.0 * np.maximum(d2, 1e-12)), 0.0, cfg.max_scale)
-    cells = np.concatenate((netlist.pin_cell[p1], netlist.pin_cell[p2]))
+    cells = np.concatenate((nets.c1[act], nets.c2[act]))
     vx = np.concatenate((scale1 * perp_x, scale2 * perp_x))
     vy = np.concatenate((scale1 * perp_y, scale2 * perp_y))
     grad_x, grad_y = _scatter_pair(n_cells, cells, vx, vy)

@@ -43,8 +43,8 @@ import numpy as np
 
 from repro.core.congestion_field import CongestionField
 from repro.core.inflation import InflationConfig, MomentumInflation
-from repro.core.multipin import multi_pin_cell_gradients
-from repro.core.netmove import NetMoveConfig, two_pin_net_gradients
+from repro.core.multipin import multi_pin_candidates, multi_pin_cell_gradients
+from repro.core.netmove import NetMoveConfig, TwoPinNets, two_pin_net_gradients
 from repro.core.pgrails import rail_area_map, select_pg_rails
 from repro.core.pinaccess import PinAccessConfig, pg_density_charge
 from repro.core.weights import congestion_penalty_weight, count_cells_in_congestion
@@ -962,19 +962,24 @@ class RoutabilityDrivenPlacer:
 
         Assembles CGrad per Alg. 2 (two-pin net moving + multi-pin
         cells) at the *current* positions against this round's fixed
-        congestion field, then scales it by Eq. (10).
+        congestion field, then scales it by Eq. (10).  The two-pin nets
+        with a movable endpoint and the movable multi-pin candidates
+        are found once here, so each iteration touches only what can
+        move.
         """
         nl = self.netlist
         grid = self.gp.grid
         cfg = self.config
         n_congested = count_cells_in_congestion(nl, grid, c_map)
+        two_pin = TwoPinNets(nl)
+        candidates = multi_pin_candidates(nl)
 
         def _grad() -> tuple[np.ndarray, np.ndarray]:
             net_gx, net_gy, _ = two_pin_net_gradients(
-                nl, grid, c_map, fld, self.virtual_area, cfg.netmove
+                nl, grid, c_map, fld, self.virtual_area, cfg.netmove, two_pin
             )
             cell_gx, cell_gy, _ = multi_pin_cell_gradients(
-                nl, grid, c_map, fld, cfg.multipin_threshold
+                nl, grid, c_map, fld, cfg.multipin_threshold, candidates
             )
             self.last_netmove_l1 = float(
                 np.abs(net_gx).sum() + np.abs(net_gy).sum()

@@ -104,7 +104,8 @@ def _knob_table() -> dict:
         Knob("rd.multipin_threshold", "rd", "multipin_threshold", "float",
              "Congestion threshold enabling multi-pin net moving (Alg. 2)"),
         Knob("rd.inflation_mode", "rd", "inflation_mode", "str",
-             "Inflation accumulation mode", choices=("momentum", "naive")),
+             "Inflation accumulation mode",
+             choices=("momentum", "present", "off")),
         Knob("rd.pg_mode", "rd", "pg_mode", "str",
              "Pseudo-gradient weighting mode", choices=("dynamic", "static")),
         Knob("rd.enable_dc", "rd", "enable_dc", "bool",

@@ -7,13 +7,24 @@ the edit landed.
 
 Freezing is mechanical, not special-cased: the loop runs on a
 :meth:`~repro.netlist.netlist.Netlist.copy` of the edited design whose
-``cell_fixed`` mask is widened to the clean region.  The
-:class:`~repro.place.global_placer.GlobalPlacer` then treats frozen
-cells as static charge — rasterized **once** into the density field
-instead of every iteration — and the Poisson solve reuses the
-process-wide cached :class:`~repro.density.poisson.SpectralWorkspace`
-for the grid geometry, so the per-iteration work scales with the dirty
-set, not the design.
+``cell_fixed`` mask is widened to the clean region.  Every pass that
+reads ``cell_fixed`` then restricts itself to what can move:
+
+* the :class:`~repro.place.global_placer.GlobalPlacer` rasterizes the
+  frozen cells **once** into the density field as static charge, and
+  the Poisson solve reuses the process-wide cached
+  :class:`~repro.density.poisson.SpectralWorkspace`;
+* the WA wirelength evaluates only the nets with a movable pin;
+* Alg. 1 samples only the two-pin nets with a movable endpoint, and
+  Alg. 2 looks up congestion only for movable multi-pin cells;
+* the RD rounds rip up and reroute only the dirty nets (below).
+
+Three passes still scale with the whole design: the clean-net base
+route (once per edit), the final full route that scores the result,
+and the HPWL total the placer takes on every iteration for its density
+weight feedback and divergence guard.  The O(cells) bookkeeping of the
+gradient assembly (per-cell arrays, the die clamp) is also
+design-sized, but it is a handful of vector operations per iteration.
 
 Routing is partial for the same reason: the clean nets (no pin on a
 dirty cell) are routed once into a

@@ -33,7 +33,7 @@ def _sanitize_fractional(fx, site: str, axis: str):
     contracts the non-finite input is reported first.
     """
     finite = np.isfinite(fx)
-    if bool(np.all(finite)):
+    if finite.all():
         return fx
     if CONTRACTS.enabled:
         n_bad = int(np.size(finite) - np.count_nonzero(finite))
@@ -46,6 +46,15 @@ def _sanitize_fractional(fx, site: str, axis: str):
     # them to the edge bins) yet exactly castable to int64, unlike
     # float64 max whose int cast overflows platform-dependently
     return np.nan_to_num(fx, nan=0.0, posinf=2.0**62, neginf=-(2.0**62))
+
+
+def _clamp(index, lo: int, hi: int):
+    """``np.clip`` of integer bin indices to ``[lo, hi]``.
+
+    Equal to ``np.clip`` on integers (which has no NaN or signed zero to
+    differ on), at a fraction of its dispatch cost on small arrays.
+    """
+    return np.minimum(np.maximum(index, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -94,8 +103,8 @@ class Grid2D:
         fy = (np.asarray(y, dtype=np.float64) - self.region.ylo) / self.dy
         fx = _sanitize_fractional(fx, "grid.index_of", "x")
         fy = _sanitize_fractional(fy, "grid.index_of", "y")
-        i = np.clip(np.floor(fx).astype(np.int64), 0, self.nx - 1)
-        j = np.clip(np.floor(fy).astype(np.int64), 0, self.ny - 1)
+        i = _clamp(np.floor(fx).astype(np.int64), 0, self.nx - 1)
+        j = _clamp(np.floor(fy).astype(np.int64), 0, self.ny - 1)
         if np.isscalar(x) or (hasattr(i, "ndim") and i.ndim == 0):
             return int(i), int(j)
         return i, j
@@ -140,9 +149,12 @@ class Grid2D:
         """Sample a scalar map with bilinear interpolation between bin centers.
 
         Used for evaluating smooth field maps (e.g. the congestion
-        electric field) at arbitrary cell / virtual-cell positions.
+        electric field) at arbitrary cell / virtual-cell positions.  A
+        map with trailing channel axes, ``(nx, ny, k)``, samples every
+        channel with the same weights; each channel's values equal a
+        separate call on that channel.
         """
-        if scalar_map.shape != (self.nx, self.ny):
+        if scalar_map.shape[:2] != (self.nx, self.ny):
             raise ValueError(
                 f"map shape {scalar_map.shape} != grid shape {(self.nx, self.ny)}"
             )
@@ -160,6 +172,9 @@ class Grid2D:
         j1 = np.minimum(j0 + 1, self.ny - 1)
         tx = fx - i0
         ty = fy - j0
+        channels = (Ellipsis,) + (None,) * (scalar_map.ndim - 2)
+        tx = tx[channels]
+        ty = ty[channels]
         v = (
             scalar_map[i0, j0] * (1 - tx) * (1 - ty)
             + scalar_map[i1, j0] * tx * (1 - ty)

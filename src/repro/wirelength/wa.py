@@ -17,15 +17,35 @@ cancels)::
     d WA-/d x_i = b_i (1 - (x_i - WA-)/gamma) / T,   b_i = e^{-(x_i-mn)/gamma}
     d WA /d x_i = d WA+/d x_i - d WA-/d x_i
 
-Per-net max/min come from a column sweep over the net-sorted pin
-layout instead of ``np.{maximum,minimum}.reduceat`` (which pays a
-per-segment dispatch for tens of thousands of tiny nets): column ``d``
-updates the running max/min of every net with more than ``d`` pins in
-one vectorized step.  Max/min are exact, so any evaluation order gives
-the same bits as ``reduceat``.  The layout and the per-pin scratch
-buffers are pure functions of the immutable topology and are cached on
-the netlist.  ``tests/oracle.py`` keeps the straight-line ``reduceat``
-form, and the tests pin this module to it at ``atol=0``.
+Both axes and both signs run as one ``(4, m)`` array over the
+net-sorted pins, rows ``x, y, -x, -y``.  The minus terms are the plus
+terms of the negated coordinates: ``min c = -max(-c)``,
+``b_i = e^{(-x_i - max(-x))/gamma}`` and ``WA- = -WA+(-x)``.  Negation
+is exact and rounding is sign-symmetric, so each row reproduces the
+separate per-axis, per-sign chain bit for bit, while every numpy call
+serves all four.
+
+Per-net maxima come from width buckets instead of
+``np.maximum.reduceat`` (which pays a per-segment dispatch for tens of
+thousands of tiny nets).  The nets are ranked by descending pin count
+and cut into a few buckets; each bucket gathers its nets' pins into
+one ``(4, nets, width)`` block, padded by repeating a net's last pin,
+and reduces it in one call.  Padding at most doubles a bucket's pins
+(small blocks may pad more, see :func:`_buckets`), and max is exact,
+so the result equals ``reduceat`` bit for bit.  The layout and the
+per-pin scratch buffers are pure functions of the immutable topology
+and are cached on the netlist.  ``tests/oracle.py`` keeps the
+straight-line ``reduceat`` form, and the tests pin this module to it
+at ``atol=0``.
+
+The placer's objective, :class:`WAWirelength`, evaluates a layout
+built over the nets with at least one movable pin only.  A net whose
+pins all sit on fixed cells contributes a constant to the wirelength
+and nothing to any gradient that survives the fixed-cell mask, and
+every movable cell's pins belong to kept nets, so the per-cell
+gradients are the all-nets ones bit for bit.  On a mostly frozen
+design (an ECO re-place) the evaluation scales with the movable part.
+:func:`wa_wirelength_and_grad` keeps the all-nets value.
 """
 
 from __future__ import annotations
@@ -38,60 +58,131 @@ from repro.netlist.netlist import Netlist
 
 
 class _WALayout:
-    """Net-sorted pin structure plus the column-sweep layout of one netlist.
+    """Net-sorted pin structure plus the padded max buckets of some nets.
 
+    The layout covers a subset of the nets (all of them by default) and
+    the pins of those nets, its *local* pins, kept in ascending global
+    pin order.  ``pin_cell``/``pin_offset_x``/``pin_offset_y`` and
+    ``pin_net`` (the layout's own net index) are per local pin;
     ``order``/``starts``/``seg``/``degrees`` are the CSR view of the
-    nets; ``columns[d - 1]`` lists the nets with more than ``d`` pins
-    and the net-sorted position of their ``d``-th pin.  Segments follow
+    nets over local pin indices.
+
+    The kernel labels nets by ``rank``, their position in the ranking
+    by descending width (stable).  Each entry ``(lo, hi, pad)`` of
+    ``buckets`` covers the ranks ``lo:hi``; ``pad[d, r, k]`` is the
+    flat ``(4, m)`` index of row ``r`` of the ``d``-th pin of net
+    ``lo + k``, its last pin repeated past its width.  Segments follow
     ``reduceat`` semantics on the clamped starts (an empty trailing net
-    reads one pin of its predecessor), so the sweep equals ``reduceat``
-    bit for bit.
+    reads one pin of its predecessor), so the reduction equals
+    ``reduceat`` bit for bit.
     """
 
-    def __init__(self, netlist: Netlist) -> None:
-        order = netlist.net_pin_order
-        starts = netlist.net_pin_starts[:-1]
-        degrees = netlist.net_degrees()
+    def __init__(self, netlist: Netlist, net_mask: np.ndarray | None = None) -> None:
+        if net_mask is None:
+            net_mask = np.ones(netlist.n_nets, dtype=bool)
+        self.nets = np.flatnonzero(net_mask)
+        keep = net_mask[netlist.pin_net]
+        pins = np.flatnonzero(keep)
+        local_net = np.cumsum(net_mask) - 1
+        local_pin = np.cumsum(keep) - 1
+        self.pin_cell = netlist.pin_cell[pins]
+        self.pin_offset_x = netlist.pin_offset_x[pins]
+        self.pin_offset_y = netlist.pin_offset_y[pins]
+        self.pin_net = local_net[netlist.pin_net[pins]]
+        # net-sorted order restricted to the kept pins keeps every net's
+        # pins in their all-nets sequence
+        global_order = netlist.net_pin_order
+        order = local_pin[global_order[keep[global_order]]]
+        degrees = netlist.net_degrees()[self.nets]
+        starts = np.cumsum(degrees) - degrees
         m = len(order)
+        n = len(degrees)
         self.order = order
         self.starts = starts
-        self.seg = netlist.pin_net[order]
+        self.seg = self.pin_net[order]
         self.degrees = degrees
-        self.n_nets = netlist.n_nets
+        self.n_nets = n
         self.m = m
         safe = np.minimum(starts, max(m - 1, 0))
         ends = np.append(safe[1:], m)
         width = np.maximum(ends - safe, 1)
-        self.safe = safe
-        self.columns = []
-        for col in range(1, int(width.max(initial=1))):
-            ids = np.flatnonzero(width > col)
-            self.columns.append((ids, safe[ids] + col))
-        self.valid = degrees >= 2
-        self.valid_seg = self.valid[self.seg]
-        # per-pin scratch: coordinate gather, shifted exps, two temps and
-        # the two gradient accumulators; overwritten on every call
-        self.c, self.a, self.b, self.t1, self.t2, self.ga, self.gb = (
-            np.empty(m) for _ in range(7)
+        by_width = np.argsort(-width, kind="stable")
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[by_width] = np.arange(n)
+        first = safe[by_width]
+        ranked_width = width[by_width]
+        self.buckets = []
+        row_base = (np.arange(4) * m)[None, :, None]
+        for lo, hi in _buckets(ranked_width):
+            w = ranked_width[None, lo:hi]
+            cols = np.arange(int(w[0, 0]))[:, None]
+            pad = first[None, lo:hi] + np.minimum(cols, w - 1)
+            # flat (width, row, net) index into the (4, m) block, so the
+            # max reduces over the leading axis in contiguous runs
+            self.buckets.append((lo, hi, pad[:, None, :] + row_base))
+        # kernel-side indices, flat over the (4, n) / (4, m) row blocks:
+        # the ranked net of every net-sorted pin, once per row
+        seg_rank = self.rank[self.seg]
+        self.seg4 = np.concatenate([seg_rank + r * n for r in range(4)])
+        self.valid_rank = (degrees >= 2)[by_width]
+        self.valid_seg = self.valid_rank[seg_rank]
+        # net-sorted cells and offsets, and the way back to pin order
+        self.cell_sorted = self.pin_cell[order]
+        self.offset_sorted = np.stack(
+            (self.pin_offset_x[order], self.pin_offset_y[order])
         )
+        position = np.empty(m, dtype=np.int64)
+        position[order] = np.arange(m)
+        self.unsort2 = np.concatenate((position, position + m))
+        # per-cell scatter of both axes in one bincount, pin order kept
+        n_cells = netlist.n_cells
+        self.cell2 = np.concatenate((self.pin_cell, self.pin_cell + n_cells))
+        # per-row scratch: coordinates, shifted exps and the gradient
+        self.c, self.a, self.t = (np.empty((4, m)) for _ in range(3))
 
-    def segment_max_min(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-net max and min of net-sorted ``c`` via the column sweep."""
-        mx = np.take(c, self.safe)
-        mn = mx.copy()
-        for ids, pos in self.columns:
-            v = np.take(c, pos)
-            cur = mx[ids]
-            np.maximum(cur, v, out=cur)
-            mx[ids] = cur
-            cur = mn[ids]
-            np.minimum(cur, v, out=cur)
-            mn[ids] = cur
-        return mx, mn
+    @classmethod
+    def movable(cls, netlist: Netlist) -> "_WALayout":
+        """Layout over the nets with at least one pin on a movable cell."""
+        net_mask = np.zeros(netlist.n_nets, dtype=bool)
+        net_mask[netlist.pin_net[netlist.movable[netlist.pin_cell]]] = True
+        return cls(netlist, net_mask)
+
+    def segment_max(self, c: np.ndarray) -> np.ndarray:
+        """Per-net, per-row max of the net-sorted ``(4, m)`` ``c``, by rank."""
+        mx = np.empty((4, self.n_nets))
+        flat = c.reshape(-1)
+        for lo, hi, pad in self.buckets:
+            np.maximum.reduce(np.take(flat, pad), axis=0, out=mx[:, lo:hi])
+        return mx
+
+
+#: a bucket may pad this many entries per row beyond twice its pins:
+#: below it one more numpy call costs more than the padding
+_PAD_SLACK = 1024
+
+
+def _buckets(ranked_width: np.ndarray) -> list:
+    """``(lo, hi)`` rank ranges of the padded max buckets.
+
+    Greedy over the descending widths: each bucket takes the longest
+    run of nets whose padding to the bucket's first width stays within
+    twice their pin count, or within ``_PAD_SLACK`` entries.
+    """
+    out = []
+    lo, n = 0, len(ranked_width)
+    while lo < n:
+        w = ranked_width[lo:]
+        k = np.arange(1, len(w) + 1)
+        padded = k * w[0]
+        fits = (padded <= 2 * np.cumsum(w)) | (padded <= _PAD_SLACK)
+        hi = lo + (len(w) if fits.all() else int(np.argmin(fits)))
+        out.append((lo, hi))
+        lo = hi
+    return out
 
 
 def _wa_structure(netlist: Netlist) -> _WALayout:
-    """The netlist's :class:`_WALayout`, built once and cached on it.
+    """The netlist's all-nets :class:`_WALayout`, built once and cached on it.
 
     Topology is immutable and :meth:`Netlist.copy` creates a fresh
     object, which rebuilds the cache.
@@ -102,78 +193,110 @@ def _wa_structure(netlist: Netlist) -> _WALayout:
     return cache
 
 
-def _wa_axis(
-    coords: np.ndarray, layout: _WALayout, gamma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-net WA wirelength and per-pin gradient along one axis.
+def _movable_structure(netlist: Netlist) -> _WALayout:
+    """The netlist's :meth:`_WALayout.movable`, cached on it.
 
-    Returns ``(wl_per_net, grad_per_pin)`` with the gradient in
-    original pin order; nets with fewer than two pins yield zeros.  The
-    elementwise chain runs through the layout's scratch with ``out=``
-    ufuncs.  Its only reorderings are commutations, which are exact in
-    IEEE arithmetic (``x + 1.0`` for ``1.0 + x``, ``(1+g)*a`` for
-    ``a*(1+g)``).
+    Every placer on one netlist shares the layout.  It is rebuilt when
+    the ``cell_fixed`` array is replaced (an ECO freeze assigns a new
+    mask to a :meth:`Netlist.copy`); a mask edited in place is not seen.
     """
-    n_nets = layout.n_nets
-    if layout.m == 0:
-        return np.zeros(n_nets), np.zeros(0)
-    seg = layout.seg
-    c = layout.c
-    np.take(coords, layout.order, out=c)
-    mx, mn = layout.segment_max_min(c)
+    cache = getattr(netlist, "_wa_movable_cache", None)
+    if cache is None or cache[0] is not netlist.cell_fixed:
+        cache = netlist._wa_movable_cache = (
+            netlist.cell_fixed,
+            _WALayout.movable(netlist),
+        )
+    return cache[1]
 
-    # a = exp((c - mx[seg]) / gamma)
+
+def _wa_axes(
+    x: np.ndarray, y: np.ndarray, layout: _WALayout, gamma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-net WA wirelength and per-pin gradient along both axes.
+
+    ``x``/``y`` are the cell centers; pin coordinates are
+    :meth:`Netlist.pin_positions`' sums, formed in net-sorted order.
+    Returns ``(wl, grad)``: ``wl`` is ``(2, n_nets)`` in the layout's
+    net order and ``grad`` is ``(2, m)`` in local pin order; nets with
+    fewer than two pins yield zeros.  The elementwise chain runs
+    through the layout's ``(4, m)`` scratch with ``out=`` ufuncs.  Its
+    only reorderings are commutations and sign flips, which are exact
+    in IEEE arithmetic (``x + 1.0`` for ``1.0 + x``, ``(1+g)*a`` for
+    ``a*(1+g)``, ``1.0 + (-q)`` for ``1.0 - q``).
+    """
+    n = layout.n_nets
+    m = layout.m
+    if m == 0:
+        return np.zeros((2, n)), np.zeros((2, 0))
+    seg4 = layout.seg4
+    c = layout.c
+    np.take(x, layout.cell_sorted, out=c[0])
+    np.take(y, layout.cell_sorted, out=c[1])
+    np.add(c[:2], layout.offset_sorted, out=c[:2])
+    np.negative(c[:2], out=c[2:])
+    mx = layout.segment_max(c)
+
+    # a = exp((c - mx[seg]) / gamma): rows 2-3 are the b_i of x and y
     a = layout.a
-    np.take(mx, seg, out=a)
+    flat_a = a.reshape(-1)
+    np.take(mx.reshape(-1), seg4, out=flat_a)
     np.subtract(c, a, out=a)
     a /= gamma
     np.exp(a, out=a)
-    # b = exp(-(c - mn[seg]) / gamma)
-    b = layout.b
-    np.take(mn, seg, out=b)
-    np.subtract(c, b, out=b)
-    np.negative(b, out=b)
-    b /= gamma
-    np.exp(b, out=b)
 
-    t1 = layout.t1
-    np.multiply(c, a, out=t1)
-    s_plus = np.bincount(seg, weights=a, minlength=n_nets)
-    p_plus = np.bincount(seg, weights=t1, minlength=n_nets)
-    np.multiply(c, b, out=t1)
-    s_minus = np.bincount(seg, weights=b, minlength=n_nets)
-    p_minus = np.bincount(seg, weights=t1, minlength=n_nets)
+    t = layout.t
+    flat_t = t.reshape(-1)
+    np.multiply(c, a, out=t)
+    s = np.bincount(seg4, weights=flat_a, minlength=4 * n)
+    p = np.bincount(seg4, weights=flat_t, minlength=4 * n)
+    s_safe = np.where(s > 0, s, 1.0)
+    wa = p / s_safe
+    rows = wa.reshape(4, n)  # WA+ of x, y and -WA- of x, y
+    wl = np.where(layout.valid_rank, rows[:2] + rows[2:], 0.0)
 
-    s_plus_safe = np.where(s_plus > 0, s_plus, 1.0)
-    s_minus_safe = np.where(s_minus > 0, s_minus, 1.0)
-    wa_plus = p_plus / s_plus_safe
-    wa_minus = p_minus / s_minus_safe
-    wl = np.where(layout.valid, wa_plus - wa_minus, 0.0)
+    # grad = a * (1 + (c - wa[seg]) / gamma) / s_safe[seg], per row
+    np.take(wa, seg4, out=flat_t)
+    np.subtract(c, t, out=t)
+    t /= gamma
+    t += 1.0
+    np.multiply(t, a, out=t)
+    np.take(s_safe, seg4, out=flat_a)
+    np.divide(t, a, out=t)
 
-    # grad_plus = a * (1 + (c - wa_plus[seg]) / gamma) / s_plus_safe[seg]
-    ga = layout.ga
-    np.take(wa_plus, seg, out=ga)
-    np.subtract(c, ga, out=ga)
-    ga /= gamma
-    ga += 1.0
-    np.multiply(ga, a, out=ga)
-    t2 = layout.t2
-    np.take(s_plus_safe, seg, out=t2)
-    np.divide(ga, t2, out=ga)
-    # grad_minus = b * (1 - (c - wa_minus[seg]) / gamma) / s_minus_safe[seg]
-    gb = layout.gb
-    np.take(wa_minus, seg, out=gb)
-    np.subtract(c, gb, out=gb)
-    gb /= gamma
-    np.subtract(1.0, gb, out=gb)
-    np.multiply(gb, b, out=gb)
-    np.take(s_minus_safe, seg, out=t2)
-    np.divide(gb, t2, out=gb)
+    g = np.where(layout.valid_seg, t[:2] - t[2:], 0.0)
+    grad = np.take(g.reshape(-1), layout.unsort2).reshape(2, m)
+    return np.take(wl, layout.rank, axis=1), grad
 
-    np.subtract(ga, gb, out=ga)
-    grad = np.zeros(layout.m)
-    grad[layout.order] = np.where(layout.valid_seg, ga, 0.0)
-    return wl, grad
+
+def _wa_eval(
+    netlist: Netlist,
+    layout: _WALayout,
+    gamma: float,
+    net_weights: np.ndarray | None,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """WA wirelength of ``layout``'s nets and its per-cell gradient.
+
+    Each cell's gradient sums its pins' terms in ascending pin order,
+    as over the whole design.
+    """
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    wl_xy, gpin = _wa_axes(netlist.x, netlist.y, layout, gamma)
+
+    if net_weights is not None:
+        w = net_weights[layout.nets]
+        wl = float((w * (wl_xy[0] + wl_xy[1])).sum())
+        gpin = gpin * w[layout.pin_net]
+    else:
+        wl = float(wl_xy[0].sum() + wl_xy[1].sum())
+
+    n_cells = netlist.n_cells
+    # astype: bincount returns integers when there are no pins at all
+    grad = np.bincount(
+        layout.cell2, weights=gpin.ravel(), minlength=2 * n_cells
+    ).astype(np.float64, copy=False).reshape(2, n_cells)
+    np.copyto(grad, 0.0, where=netlist.cell_fixed)
+    return wl, grad[0], grad[1]
 
 
 def wa_wirelength_and_grad(
@@ -181,31 +304,12 @@ def wa_wirelength_and_grad(
     gamma: float,
     net_weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Total WA wirelength and its gradient w.r.t. cell centers.
+    """Total WA wirelength over all nets and its gradient w.r.t. cell centers.
 
     Returns ``(wl, grad_x, grad_y)`` with per-cell gradient arrays.
     Fixed cells receive zero gradient.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    px, py = netlist.pin_positions()
-    layout = _wa_structure(netlist)
-    wl_x, gpin_x = _wa_axis(px, layout, gamma)
-    wl_y, gpin_y = _wa_axis(py, layout, gamma)
-
-    if net_weights is not None:
-        wl = float((net_weights * (wl_x + wl_y)).sum())
-        wpin = net_weights[netlist.pin_net]
-        gpin_x = gpin_x * wpin
-        gpin_y = gpin_y * wpin
-    else:
-        wl = float(wl_x.sum() + wl_y.sum())
-
-    grad_x = np.bincount(netlist.pin_cell, weights=gpin_x, minlength=netlist.n_cells)
-    grad_y = np.bincount(netlist.pin_cell, weights=gpin_y, minlength=netlist.n_cells)
-    grad_x[netlist.cell_fixed] = 0.0
-    grad_y[netlist.cell_fixed] = 0.0
-    return wl, grad_x, grad_y
+    return _wa_eval(netlist, _wa_structure(netlist), gamma, net_weights)
 
 
 @dataclass
@@ -216,6 +320,11 @@ class WAWirelength:
     HPWL approximation toward convergence:
     ``gamma = gamma_0 * base_unit * 10^(k*overflow + b)`` following the
     piecewise-linear schedule of ePlace.
+
+    Calls evaluate only the nets with a movable pin (see the module
+    docstring): the per-cell gradient equals
+    :func:`wa_wirelength_and_grad`'s, while the returned wirelength
+    omits the constant of the all-fixed nets.
     """
 
     base_unit: float
@@ -236,4 +345,4 @@ class WAWirelength:
     def __call__(
         self, netlist: Netlist, net_weights: np.ndarray | None = None
     ) -> tuple[float, np.ndarray, np.ndarray]:
-        return wa_wirelength_and_grad(netlist, self.gamma, net_weights)
+        return _wa_eval(netlist, _movable_structure(netlist), self.gamma, net_weights)

@@ -20,8 +20,8 @@ Covered kernels:
   (:mod:`~repro.core.pgrails`, :mod:`~repro.core.pinaccess`);
 * the WA wirelength objective and gradient, Sec. II-A
   (:func:`~repro.wirelength.wa.wa_wirelength_and_grad`) — this one
-  also pins the column-sweep WA layout: any drift beyond 1e-9 fails
-  here;
+  also pins the bucketed four-row WA layout: any drift beyond 1e-9
+  fails here;
 * the global router's demand, history and Eq. (3) congestion maps
   plus its wirelength / via / overflow totals
   (:meth:`~repro.route.GlobalRouter.route`) under the default, STT and

@@ -10,6 +10,12 @@ the tests pin them to the oracle at ``atol=0``: :func:`oracle_kernels`
 swaps every oracle into its call site, so a test can run the public
 entry point once each way and compare the bits.
 
+The placer's per-iteration passes have *all-nets* oracles: WA, Alg. 1
+and Alg. 2 as they were before they were restricted to the nets and
+cells with a movable pin.  :func:`all_nets_passes` swaps them in where
+the placer and the RD congestion closure look them up, so a whole GP
+run can be compared position for position.
+
 The routing oracle is a whole engine rather than a call-site swap:
 :func:`route_path` pattern-routes one segment into a
 :class:`~repro.route.patterns.RoutedPath`, and :func:`route_scalar`
@@ -25,7 +31,7 @@ import contextlib
 import numpy as np
 from scipy import fft as sfft
 
-from repro.core import netmove
+from repro.core import netmove, rd_placer
 from repro.density import rasterize
 from repro.geometry import Grid2D
 from repro.route.congestion import congestion_from_demand
@@ -35,6 +41,7 @@ from repro.route.maze import maze_route
 from repro.route.patterns import PatternRouter, RoutedPath
 from repro.route.router import GlobalRouter, RoutingResult
 from repro.wirelength import wa
+from repro.wirelength.wa import WAWirelength
 
 
 # ---------------------------------------------------------------- WA
@@ -78,6 +85,15 @@ def wa_axis(coords, layout, gamma):
     grad = np.zeros_like(grad_ordered)
     grad[order] = grad_ordered
     return wl, grad
+
+
+def wa_axes(x, y, layout, gamma):
+    """Both axes of :func:`wa_axis` at cell centers ``x``/``y``, as rows."""
+    px = x[layout.pin_cell] + layout.pin_offset_x
+    py = y[layout.pin_cell] + layout.pin_offset_y
+    wl_x, grad_x = wa_axis(px, layout, gamma)
+    wl_y, grad_y = wa_axis(py, layout, gamma)
+    return np.stack((wl_x, wl_y)), np.stack((grad_x, grad_y))
 
 
 # --------------------------------------------------------- rasterize
@@ -142,6 +158,92 @@ def value_at(grid, scalar_map, x, y):
         )
     i, j = grid.index_of(x, y)
     return scalar_map[i, j]
+
+
+# --------------------------------------------------- all-nets passes
+def wa_call(self, netlist, net_weights=None):
+    """``WAWirelength.__call__`` over every net of the design."""
+    return wa.wa_wirelength_and_grad(netlist, self.gamma, net_weights)
+
+
+def two_pin_net_gradients(
+    netlist, grid, congestion, field, virtual_area, config=None, nets=None
+):
+    """Alg. 1 over every two-pin net of the design (``nets`` is ignored)."""
+    cfg = config or netmove.NetMoveConfig()
+    info = netmove.virtual_cell_positions(netlist, grid, congestion, cfg)
+    n_cells = netlist.n_cells
+    grad_x = np.zeros(n_cells)
+    grad_y = np.zeros(n_cells)
+    act = info["active"]
+    if act.any():
+        same_cell = netlist.pin_cell[info["p1"]] == netlist.pin_cell[info["p2"]]
+        act = act & ~same_cell
+        info["active"] = act
+    if not act.any():
+        return grad_x, grad_y, info
+
+    p1 = info["p1"][act]
+    p2 = info["p2"][act]
+    xv = info["xv"][act]
+    yv = info["yv"][act]
+    px, py = netlist.pin_positions()
+    x1, y1 = px[p1], py[p1]
+    x2, y2 = px[p2], py[p2]
+    gvx = -virtual_area * grid.bilinear_at(field.field_x, xv, yv)
+    gvy = -virtual_area * grid.bilinear_at(field.field_y, xv, yv)
+
+    dx = x2 - x1
+    dy = y2 - y1
+    length = np.hypot(dx, dy)
+    safe_len = np.maximum(length, 1e-12)
+    nx = -dy / safe_len
+    ny = dx / safe_len
+    flip = (nx * gvx + ny * gvy) < 0
+    nx = np.where(flip, -nx, nx)
+    ny = np.where(flip, -ny, ny)
+    dot = gvx * nx + gvy * ny
+    perp_x = dot * nx
+    perp_y = dot * ny
+
+    d1 = np.hypot(xv - x1, yv - y1)
+    scale1 = np.clip(length / (2.0 * np.maximum(d1, 1e-12)), 0.0, cfg.max_scale)
+    d2 = np.hypot(xv - x2, yv - y2)
+    scale2 = np.clip(length / (2.0 * np.maximum(d2, 1e-12)), 0.0, cfg.max_scale)
+    grad_x, grad_y = scatter_pair(
+        n_cells,
+        np.concatenate((netlist.pin_cell[p1], netlist.pin_cell[p2])),
+        np.concatenate((scale1 * perp_x, scale2 * perp_x)),
+        np.concatenate((scale1 * perp_y, scale2 * perp_y)),
+    )
+    grad_x[netlist.cell_fixed] = 0.0
+    grad_y[netlist.cell_fixed] = 0.0
+    return grad_x, grad_y, info
+
+
+def multi_pin_cell_gradients(
+    netlist, grid, congestion, field, threshold=0.7, candidates=None
+):
+    """Alg. 2 with the congestion lookup over every cell (``candidates`` is ignored)."""
+    n_cells = netlist.n_cells
+    grad_x = np.zeros(n_cells)
+    grad_y = np.zeros(n_cells)
+    if n_cells == 0:
+        return grad_x, grad_y, np.zeros(0, dtype=bool)
+    pin_counts = netlist.cell_pin_counts()
+    n_bar = float(pin_counts.mean())
+    cell_cong = value_at(grid, congestion, netlist.x, netlist.y)
+    selected = (pin_counts > n_bar) & (cell_cong > threshold) & netlist.movable
+    if selected.any():
+        ids = np.flatnonzero(selected)
+        area = netlist.cell_area[ids]
+        grad_x[ids] = -area * grid.bilinear_at(
+            field.field_x, netlist.x[ids], netlist.y[ids]
+        )
+        grad_y[ids] = -area * grid.bilinear_at(
+            field.field_y, netlist.x[ids], netlist.y[ids]
+        )
+    return grad_x, grad_y, selected
 
 
 # ------------------------------------------------------------- route
@@ -397,7 +499,7 @@ def solve_poisson(grid, rho):
 # ------------------------------------------------------------- swap
 #: (owner, attribute, oracle) for every hot kernel's call site.
 CALL_SITES = (
-    (wa, "_wa_axis", wa_axis),
+    (wa, "_wa_axes", wa_axes),
     (rasterize, "_raster_overlaps", raster_overlaps),
     (netmove, "_virtual_cells", virtual_cells),
     (netmove, "_scatter_pair", scatter_pair),
@@ -407,14 +509,32 @@ CALL_SITES = (
 )
 
 
+#: (owner, attribute, oracle) of the placer's per-iteration passes
+ALL_NETS_SITES = (
+    (WAWirelength, "__call__", wa_call),
+    (rd_placer, "two_pin_net_gradients", two_pin_net_gradients),
+    (rd_placer, "multi_pin_cell_gradients", multi_pin_cell_gradients),
+)
+
+
 @contextlib.contextmanager
-def oracle_kernels():
-    """Run every hot kernel's call site on its oracle inside the block."""
-    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in CALL_SITES]
+def _swapped(sites):
+    """Rebind every ``(owner, name)`` of ``sites`` to its oracle inside the block."""
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in sites]
     try:
-        for owner, name, fn in CALL_SITES:
+        for owner, name, fn in sites:
             setattr(owner, name, fn)
         yield
     finally:
         for owner, name, fn in saved:
             setattr(owner, name, fn)
+
+
+def oracle_kernels():
+    """Run every hot kernel's call site on its oracle inside the block."""
+    return _swapped(CALL_SITES)
+
+
+def all_nets_passes():
+    """Run WA, Alg. 1 and Alg. 2 over every net and cell inside the block."""
+    return _swapped(ALL_NETS_SITES)

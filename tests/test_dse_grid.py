@@ -160,14 +160,15 @@ class TestKnobBinding:
 
     def test_every_registered_knob_applies(self):
         for name, knob in KNOBS.items():
-            sample = {"float": 0.95, "int": 2, "bool": True, "str": None}[knob.kind]
-            if knob.choices:
-                sample = knob.choices[0]
-            binding = apply_knobs({name: sample})
-            if knob.section == "gp":
-                assert getattr(binding.gp_config, knob.attr) == sample
-            elif knob.section == "rd":
-                assert getattr(binding.rd_config, knob.attr) == sample
-            else:
-                sub = getattr(binding.rd_config, knob.section)
-                assert getattr(sub, knob.attr) == sample
+            samples = knob.choices or (
+                {"float": 0.95, "int": 2, "bool": True}[knob.kind],
+            )
+            for sample in samples:
+                binding = apply_knobs({name: sample})
+                if knob.section == "gp":
+                    assert getattr(binding.gp_config, knob.attr) == sample
+                elif knob.section == "rd":
+                    assert getattr(binding.rd_config, knob.attr) == sample
+                else:
+                    sub = getattr(binding.rd_config, knob.section)
+                    assert getattr(sub, knob.attr) == sample

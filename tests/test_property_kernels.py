@@ -3,7 +3,7 @@
 The equivalence tests in ``test_kernel_backends.py`` pin one frozen
 scenario; this module lets hypothesis hunt for a scene where a call
 site diverges from :mod:`tests.oracle`.  Scenes deliberately include
-the degenerate structure the column-sweep/broadcast layouts are most
+the degenerate structure the bucketed/broadcast layouts are most
 sensitive to:
 
 * **same-cell nets** — both pins on one cell, so per-net max == min and

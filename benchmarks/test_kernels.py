@@ -2,9 +2,11 @@
 
 Not a paper artifact, but the quantities that determine whether the
 framework scales: spectral Poisson solve, WA gradient, density
-rasterization, one full routing pass, one two-pin net-moving
-gradient evaluation, and one placer iteration on a whole design and on
-an ECO-shaped one (about 2% of cells movable, congestion closure on).
+rasterization, net decomposition on the largest design, one full
+routing pass and one ECO-shaped partial pass (3% of nets over a frozen
+base load), one two-pin net-moving gradient evaluation, and one placer
+iteration on a whole design and on an ECO-shaped one (about 2% of
+cells movable, congestion closure on).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.core import (
 from repro.density import CellRasterizer, PoissonSolver
 from repro.geometry import Grid2D
 from repro.place import GlobalPlacer, GPConfig, initial_placement
-from repro.route import GlobalRouter, PatternRouter
+from repro.route import DemandSnapshot, GlobalRouter, PatternRouter, segment_endpoints
 from repro.synth import suite_design
 from repro.wirelength import wa_wirelength_and_grad
 
@@ -66,6 +68,29 @@ def test_full_routing_pass(benchmark, placed_design):
     netlist, placer = placed_design
     router = GlobalRouter(placer.grid)
     benchmark.pedantic(router.route, args=(netlist,), iterations=1, rounds=3)
+
+
+def test_routing_pass_partial(benchmark, placed_design):
+    netlist, placer = placed_design
+    router = GlobalRouter(placer.grid)
+    dirty = np.random.default_rng(0).choice(
+        netlist.n_nets, max(1, netlist.n_nets * 3 // 100), replace=False
+    )
+    clean = np.setdiff1d(np.arange(netlist.n_nets), dirty)
+    base = DemandSnapshot.from_result(router.route(netlist, net_ids=clean))
+    benchmark.pedantic(
+        router.route,
+        args=(netlist,),
+        kwargs={"net_ids": dirty, "base_demand": base},
+        iterations=1,
+        rounds=5,
+    )
+
+
+def test_segment_endpoints_superblue12(benchmark):
+    netlist = suite_design("superblue12", scale=0.85)
+    initial_placement(netlist, 0)
+    benchmark(segment_endpoints, netlist)
 
 
 @pytest.fixture(scope="module")

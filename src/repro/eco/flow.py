@@ -17,11 +17,12 @@ reads ``cell_fixed`` then restricts itself to what can move:
 * the WA wirelength evaluates only the nets with a movable pin;
 * Alg. 1 samples only the two-pin nets with a movable endpoint, and
   Alg. 2 looks up congestion only for movable multi-pin cells;
-* the RD rounds rip up and reroute only the dirty nets (below).
+* the RD rounds rip up and reroute only the dirty nets (below), and
+  decompose only those nets into two-pin segments.
 
 Three passes still scale with the whole design: the clean-net base
-route (once per edit), the final full route that scores the result,
-and the HPWL total the placer takes on every iteration for its density
+route (once per edit), the final full route that scores the result
+(both decompose and route every net they cover), and the HPWL total the placer takes on every iteration for its density
 weight feedback and divergence guard.  The O(cells) bookkeeping of the
 gradient assembly (per-cell arrays, the die clamp) is also
 design-sized, but it is a handful of vector operations per iteration.
@@ -31,6 +32,8 @@ dirty cell) are routed once into a
 :class:`~repro.route.router.DemandSnapshot`, and every pass of the ECO
 loop then rips up and reroutes **only** the dirty nets on top of that
 frozen base load (see ``GlobalRouter.route(net_ids=, base_demand=)``).
+A partial pass decomposes only its ``net_ids``, so its cost follows
+the dirty nets, not the design.
 
 A null diff with a baseline checkpoint degenerates to a plain
 checkpoint resume of the original flow — bit-identical to ``repro

@@ -12,7 +12,7 @@ classic RUDY estimator as a cheap baseline.
 
 from repro.route.config import RouterConfig
 from repro.route.grid import RoutingGrid
-from repro.route.decompose import decompose_net, decompose_netlist, segment_endpoints
+from repro.route.decompose import segment_endpoints
 from repro.route.patterns import PatternRouter, RoutedPath, RoutedPathBatch
 from repro.route.router import DemandSnapshot, GlobalRouter, RoutingResult
 from repro.route.congestion import CongestionData, congestion_from_demand
@@ -23,8 +23,6 @@ from repro.route.stt import single_trunk_segments, stt_length
 __all__ = [
     "RouterConfig",
     "RoutingGrid",
-    "decompose_net",
-    "decompose_netlist",
     "segment_endpoints",
     "PatternRouter",
     "RoutedPath",

@@ -4,6 +4,11 @@ Multi-pin nets are broken into a rectilinear minimum spanning tree
 (Prim's algorithm over pin locations in the Manhattan metric), the
 standard topology generator for pattern routers when a Steiner-tree
 package is unavailable.  Two-pin nets map to a single segment.
+
+Prim runs over whole degree buckets at once: every net of degree ``d``
+is one row of a ``(n_nets, d)`` coordinate array, so a decomposition
+costs one array step per tree edge of each distinct degree rather than
+one Python iteration per net.
 """
 
 from __future__ import annotations
@@ -11,127 +16,108 @@ from __future__ import annotations
 import numpy as np
 
 from repro.netlist.netlist import Netlist
+from repro.route.stt import single_trunk_segments
 
 
-def mst_edges(px: np.ndarray, py: np.ndarray) -> list[tuple[int, int]]:
-    """Prim MST edge list over points in the Manhattan metric.
+def prim_mst(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prim MST of each row of ``(n, d)`` point arrays, Manhattan metric.
 
-    ``O(d^2)`` — fine for net degrees up to a few dozen.  Duplicate
-    points get zero-length edges, which routers treat as via-only.
+    Returns ``(src, dst)``, two ``(n, d - 1)`` arrays of column
+    indices: edge ``k`` of row ``r`` joins point ``src[r, k]`` (already
+    in the tree) to ``dst[r, k]``, in the order Prim adds them.  The
+    tree grows from column 0; the nearest remaining point is picked
+    with ``argmin``, so ties go to the lowest column.  Duplicate points
+    get zero-length edges, which routers treat as via-only.
     """
-    d = len(px)
-    if d < 2:
-        return []
-    in_tree = np.zeros(d, dtype=bool)
-    best_dist = np.full(d, np.inf)
-    best_from = np.zeros(d, dtype=np.int64)
-    in_tree[0] = True
-    dist0 = np.abs(px - px[0]) + np.abs(py - py[0])
-    best_dist = np.where(in_tree, np.inf, dist0)
-    edges: list[tuple[int, int]] = []
-    for _ in range(d - 1):
-        nxt = int(np.argmin(best_dist))
-        edges.append((int(best_from[nxt]), nxt))
-        in_tree[nxt] = True
-        best_dist[nxt] = np.inf
-        dist_new = np.abs(px - px[nxt]) + np.abs(py - py[nxt])
-        improved = (~in_tree) & (dist_new < best_dist)
-        best_dist[improved] = dist_new[improved]
-        best_from[improved] = nxt
-    return edges
-
-
-def decompose_net(
-    netlist: Netlist,
-    net_id: int,
-    px: np.ndarray,
-    py: np.ndarray,
-    topology: str = "mst",
-) -> list[tuple[float, float, float, float]]:
-    """Two-pin segments ``(x1, y1, x2, y2)`` of one net.
-
-    ``px``/``py`` are the full pin-position arrays (precomputed once
-    per routing pass for speed).  ``topology`` selects the multi-pin
-    decomposition: ``"mst"`` (Prim, default) or ``"stt"``
-    (single-trunk Steiner tree, see :mod:`repro.route.stt`).
-    """
-    pins = netlist.net_pins(net_id)
-    if len(pins) < 2:
-        return []
-    sx = px[pins]
-    sy = py[pins]
-    if len(pins) == 2:
-        return [(float(sx[0]), float(sy[0]), float(sx[1]), float(sy[1]))]
-    if topology == "stt":
-        from repro.route.stt import single_trunk_segments
-
-        return single_trunk_segments(sx, sy)
-    if topology != "mst":
-        raise ValueError(f"unknown topology {topology!r}")
-    return [
-        (float(sx[a]), float(sy[a]), float(sx[b]), float(sy[b]))
-        for a, b in mst_edges(sx, sy)
-    ]
-
-
-def decompose_netlist(
-    netlist: Netlist, topology: str = "mst"
-) -> list[list[tuple[float, float, float, float]]]:
-    """Segments of every net, indexed by net id."""
-    px, py = netlist.pin_positions()
-    return [
-        decompose_net(netlist, e, px, py, topology)
-        for e in range(netlist.n_nets)
-    ]
+    n, d = px.shape
+    rows = np.arange(n)
+    best_dist = np.abs(px - px[:, :1]) + np.abs(py - py[:, :1])
+    best_dist[:, 0] = np.inf
+    best_from = np.zeros((n, d), dtype=np.int64)
+    dst = np.zeros((n, max(d - 1, 0)), dtype=np.int64)
+    # a point that joins the tree moves to x = inf: its distance to
+    # every later pick is inf, so no later pick improves it
+    tree_x = px.copy()
+    tree_x[:, 0] = np.inf
+    for k in range(d - 1):
+        nxt = np.argmin(best_dist, axis=1)
+        dst[:, k] = nxt
+        nxt_x = px[rows, nxt][:, None]
+        nxt_y = py[rows, nxt][:, None]
+        tree_x[rows, nxt] = np.inf
+        best_dist[rows, nxt] = np.inf
+        dist_new = np.abs(tree_x - nxt_x) + np.abs(py - nxt_y)
+        improved = dist_new < best_dist
+        np.copyto(best_dist, dist_new, where=improved)
+        np.copyto(best_from, nxt[:, None], where=improved)
+    # best_from of a point is final once it joins the tree
+    return np.take_along_axis(best_from, dst, axis=1), dst
 
 
 def segment_endpoints(
-    netlist: Netlist, topology: str = "mst"
+    netlist: Netlist, topology: str = "mst", net_ids=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Endpoint arrays ``(net_id, x1, y1, x2, y2)`` of every segment.
 
-    Array form of :func:`decompose_netlist`, in the same segment order
-    (net id ascending, per-net segment order preserved).  Two-pin nets
-    — the bulk of any netlist — are extracted with pure array indexing
-    from the CSR structure; only nets of degree >= 3 fall back to the
-    per-net topology generator.
+    Segments come in ascending net id, each net's segments in the order
+    its topology generator emits them.  ``net_ids`` restricts the
+    decomposition to the given nets (any order; ids that name no net
+    are ignored), so a partial routing pass pays only for what it
+    routes.  ``topology`` selects the multi-pin decomposition:
+    ``"mst"`` (Prim, default) or ``"stt"`` (single-trunk Steiner tree,
+    see :mod:`repro.route.stt`).  Two-pin nets are one segment under
+    either topology, and nets with fewer than two pins have none.
     """
+    if topology not in ("mst", "stt"):
+        raise ValueError(f"unknown topology {topology!r}")
     px, py = netlist.pin_positions()
     deg = netlist.net_degrees()
     starts = netlist.net_pin_starts
     order = netlist.net_pin_order
+    if net_ids is None:
+        nets = np.arange(netlist.n_nets)
+    else:
+        nets = np.flatnonzero(np.isin(np.arange(netlist.n_nets), net_ids))
+    nets = nets[deg[nets] >= 2]
+    # stt decomposes only its multi-pin nets one by one; the two-pin
+    # ones join the Prim buckets, where d = 2 gives the single edge
+    prim_nets = nets if topology == "mst" else nets[deg[nets] == 2]
 
-    two = np.flatnonzero(deg == 2)
-    pa = order[starts[two]]
-    pb = order[starts[two] + 1]
-    net_id = [two]
-    x1, y1 = [px[pa]], [py[pa]]
-    x2, y2 = [px[pb]], [py[pb]]
+    empty = np.zeros(0, dtype=np.float64)
+    net_id = [np.zeros(0, dtype=np.int64)]
+    x1, y1, x2, y2 = [empty], [empty], [empty], [empty]
+    for d in np.unique(deg[prim_nets]):
+        bucket = prim_nets[deg[prim_nets] == d]
+        pins = order[starts[bucket][:, None] + np.arange(d)]
+        bx, by = px[pins], py[pins]
+        src, dst = prim_mst(bx, by)
+        rows = np.arange(len(bucket))[:, None]
+        net_id.append(np.repeat(bucket, d - 1))
+        x1.append(bx[rows, src].ravel())
+        y1.append(by[rows, src].ravel())
+        x2.append(bx[rows, dst].ravel())
+        y2.append(by[rows, dst].ravel())
+    if topology == "stt":
+        multi = nets[deg[nets] >= 3]
+        trees = [
+            single_trunk_segments(px[pins], py[pins])
+            for pins in (order[starts[e] : starts[e + 1]] for e in multi)
+        ]
+        net_id.append(np.repeat(multi, [len(t) for t in trees]))
+        cols = np.asarray(
+            [seg for t in trees for seg in t], dtype=np.float64
+        ).reshape(-1, 4).T
+        x1.append(cols[0])
+        y1.append(cols[1])
+        x2.append(cols[2])
+        y2.append(cols[3])
 
-    multi_ids: list[int] = []
-    mx1: list[float] = []
-    my1: list[float] = []
-    mx2: list[float] = []
-    my2: list[float] = []
-    for e in np.flatnonzero(deg >= 3):
-        for (sx1, sy1, sx2, sy2) in decompose_net(netlist, int(e), px, py, topology):
-            multi_ids.append(int(e))
-            mx1.append(sx1)
-            my1.append(sy1)
-            mx2.append(sx2)
-            my2.append(sy2)
-    net_id.append(np.asarray(multi_ids, dtype=np.int64))
-    x1.append(np.asarray(mx1, dtype=np.float64))
-    y1.append(np.asarray(my1, dtype=np.float64))
-    x2.append(np.asarray(mx2, dtype=np.float64))
-    y2.append(np.asarray(my2, dtype=np.float64))
-
-    nets = np.concatenate(net_id)
-    # merge the two blocks back into global net order; the sort is
-    # stable, so each net's internal segment order is untouched
-    perm = np.argsort(nets, kind="stable")
+    seg_net = np.concatenate(net_id).astype(np.int64, copy=False)
+    # buckets come out grouped by degree; the stable sort restores
+    # global net order without touching each net's segment order
+    perm = np.argsort(seg_net, kind="stable")
     return (
-        nets[perm],
+        seg_net[perm],
         np.concatenate(x1)[perm],
         np.concatenate(y1)[perm],
         np.concatenate(x2)[perm],

@@ -226,12 +226,9 @@ class GlobalRouter:
         longer segments then see realistic congestion.  The sort is
         stable, so equal-span segments keep net order.  ``net_ids``
         restricts the batch to segments of the given nets (partial ECO
-        pass).
+        pass); only those nets are decomposed.
         """
-        nets, x1, y1, x2, y2 = segment_endpoints(netlist, self.config.topology)
-        if net_ids is not None:
-            keep = np.isin(nets, net_ids)
-            nets, x1, y1, x2, y2 = nets[keep], x1[keep], y1[keep], x2[keep], y2[keep]
+        _, x1, y1, x2, y2 = segment_endpoints(netlist, self.config.topology, net_ids)
         i1, j1 = self.grid.index_of(x1, y1)
         i2, j2 = self.grid.index_of(x2, y2)
         span = np.abs(i2 - i1) + np.abs(j2 - j1)

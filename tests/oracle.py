@@ -22,6 +22,13 @@ The routing oracle is a whole engine rather than a call-site swap:
 runs the full pass (initial routing, rip-up-and-reroute, maze cleanup)
 one segment at a time with per-run commits.  ``GlobalRouter.route``
 must reproduce its demand, history and congestion maps bit for bit.
+
+Net decomposition has the per-net Prim loop as its oracle:
+:func:`segment_endpoints` decomposes every net one at a time and only
+then filters to ``net_ids``, which is what the degree-bucketed product
+form must match at ``atol=0``.  :func:`per_net_decomposition` swaps
+:func:`collect_segment_batch`, the router's batch builder in that
+decompose-all-then-filter form, into ``GlobalRouter``.
 """
 
 from __future__ import annotations
@@ -35,11 +42,11 @@ from repro.core import netmove, rd_placer
 from repro.density import rasterize
 from repro.geometry import Grid2D
 from repro.route.congestion import congestion_from_demand
-from repro.route.decompose import segment_endpoints
 from repro.route.grid import RoutingGrid
 from repro.route.maze import maze_route
-from repro.route.patterns import PatternRouter, RoutedPath
+from repro.route.patterns import PatternRouter, RoutedPath, RoutedPathBatch
 from repro.route.router import GlobalRouter, RoutingResult
+from repro.route.stt import single_trunk_segments
 from repro.wirelength import wa
 from repro.wirelength.wa import WAWirelength
 
@@ -244,6 +251,96 @@ def multi_pin_cell_gradients(
             field.field_y, netlist.x[ids], netlist.y[ids]
         )
     return grad_x, grad_y, selected
+
+
+# --------------------------------------------------------- decompose
+def mst_edges(px, py):
+    """Prim MST edge list over one net's points, Manhattan metric.
+
+    Duplicate points get zero-length edges, which routers treat as
+    via-only.
+    """
+    d = len(px)
+    if d < 2:
+        return []
+    in_tree = np.zeros(d, dtype=bool)
+    best_from = np.zeros(d, dtype=np.int64)
+    in_tree[0] = True
+    dist0 = np.abs(px - px[0]) + np.abs(py - py[0])
+    best_dist = np.where(in_tree, np.inf, dist0)
+    edges = []
+    for _ in range(d - 1):
+        nxt = int(np.argmin(best_dist))
+        edges.append((int(best_from[nxt]), nxt))
+        in_tree[nxt] = True
+        best_dist[nxt] = np.inf
+        dist_new = np.abs(px - px[nxt]) + np.abs(py - py[nxt])
+        improved = (~in_tree) & (dist_new < best_dist)
+        best_dist[improved] = dist_new[improved]
+        best_from[improved] = nxt
+    return edges
+
+
+def decompose_net(netlist, net_id, px, py, topology="mst"):
+    """Two-pin segments ``(x1, y1, x2, y2)`` of one net."""
+    pins = netlist.net_pins(net_id)
+    if len(pins) < 2:
+        return []
+    sx = px[pins]
+    sy = py[pins]
+    if len(pins) == 2:
+        return [(float(sx[0]), float(sy[0]), float(sx[1]), float(sy[1]))]
+    if topology == "stt":
+        return single_trunk_segments(sx, sy)
+    if topology != "mst":
+        raise ValueError(f"unknown topology {topology!r}")
+    return [
+        (float(sx[a]), float(sy[a]), float(sx[b]), float(sy[b]))
+        for a, b in mst_edges(sx, sy)
+    ]
+
+
+def decompose_netlist(netlist, topology="mst"):
+    """Segments of every net, indexed by net id."""
+    px, py = netlist.pin_positions()
+    return [
+        decompose_net(netlist, e, px, py, topology)
+        for e in range(netlist.n_nets)
+    ]
+
+
+def segment_endpoints(netlist, topology="mst", net_ids=None):
+    """``(net_id, x1, y1, x2, y2)`` of every net, decomposed one by one.
+
+    ``net_ids`` filters the finished arrays with ``np.isin``.
+    """
+    segs = decompose_netlist(netlist, topology)
+    nets = np.repeat(np.arange(netlist.n_nets), [len(t) for t in segs])
+    cols = np.array(
+        [seg for t in segs for seg in t], dtype=np.float64
+    ).reshape(-1, 4).T
+    keep = np.ones(len(nets), dtype=bool) if net_ids is None else np.isin(nets, net_ids)
+    return (nets[keep], *(c[keep] for c in cols))
+
+
+def collect_segment_batch(self, netlist, net_ids=None):
+    """``GlobalRouter._collect_segment_batch`` that filters last.
+
+    Every net is decomposed by :func:`segment_endpoints`, which picks
+    out the segments of ``net_ids`` afterwards; they are then sorted by
+    bbox span.
+    """
+    _, x1, y1, x2, y2 = segment_endpoints(netlist, self.config.topology, net_ids)
+    i1, j1 = self.grid.index_of(x1, y1)
+    i2, j2 = self.grid.index_of(x2, y2)
+    order = np.argsort(np.abs(i2 - i1) + np.abs(j2 - j1), kind="stable")
+    n = len(order)
+    return RoutedPathBatch(
+        i1=i1[order], j1=j1[order], i2=i2[order], j2=j2[order],
+        family=np.full(n, -1, dtype=np.int8),
+        bend=np.zeros(n, dtype=np.int64),
+        cost=np.zeros(n, dtype=np.float64),
+    )
 
 
 # ------------------------------------------------------------- route
@@ -496,6 +593,39 @@ def solve_poisson(grid, rho):
     return psi, ex, ey
 
 
+# ---------------------------------------------------------- legality
+def band_overlaps(netlist, tolerance=1e-6):
+    """``{(row, a, b)}`` of every cell pair overlapping in a shared row band.
+
+    Brute force over all pairs: each cell's bands come from the per-cell
+    formula, and a pair sharing a band is flagged when the rectangles
+    overlap by more than ``tolerance`` in both x and y.  ``a < b`` are
+    cell indices.
+    """
+    die, rh = netlist.die, netlist.row_height
+    n_rows = max(int(np.floor(die.height / rh + 1e-9)), 1)
+    hw = netlist.cell_width / 2
+    hh = netlist.cell_height / 2
+    x, y = netlist.x, netlist.y
+    bands = []
+    for i in range(netlist.n_cells):
+        r0 = int(np.floor((y[i] - hh[i] - die.ylo) / rh + 1e-6))
+        r1 = int(np.ceil((y[i] + hh[i] - die.ylo) / rh - 1e-6)) - 1
+        bands.append(set(range(max(r0, 0), min(r1, n_rows - 1) + 1)))
+    found = set()
+    for a in range(netlist.n_cells):
+        for b in range(a + 1, netlist.n_cells):
+            overlap = (
+                x[a] + hw[a] > x[b] - hw[b] + tolerance
+                and x[b] + hw[b] > x[a] - hw[a] + tolerance
+                and y[a] + hh[a] > y[b] - hh[b] + tolerance
+                and y[b] + hh[b] > y[a] - hh[a] + tolerance
+            )
+            if overlap:
+                found.update((r, a, b) for r in bands[a] & bands[b])
+    return found
+
+
 # ------------------------------------------------------------- swap
 #: (owner, attribute, oracle) for every hot kernel's call site.
 CALL_SITES = (
@@ -538,3 +668,8 @@ def oracle_kernels():
 def all_nets_passes():
     """Run WA, Alg. 1 and Alg. 2 over every net and cell inside the block."""
     return _swapped(ALL_NETS_SITES)
+
+
+def per_net_decomposition():
+    """Route inside the block on :func:`collect_segment_batch` above."""
+    return _swapped(((GlobalRouter, "_collect_segment_batch", collect_segment_batch),))

@@ -1,11 +1,19 @@
 """Legalization tests: rows, Tetris, Abacus, legality checking."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.geometry import Rect
 from repro.legalize import build_row_map, check_legal, legalize
 from repro.legalize.abacus import _place_segment
+from repro.netlist import CellSpec, Netlist
 from repro.place import GlobalPlacer, GPConfig, initial_placement
+from repro.synth import suite_design
+from tests.oracle import band_overlaps
 
 
 class TestRowMap:
@@ -158,3 +166,63 @@ class TestCheckLegal:
         mv = np.flatnonzero(toy120.movable)
         toy120.y[mv[0]] += 0.33
         assert any("row-aligned" in v for v in check_legal(toy120))
+
+    def test_macros_sharing_a_band_but_not_a_y_range_are_legal(self):
+        # edit_dist_a@0.5, generator seed 5: m5 spans y 27.41-34.41 and
+        # m1 y 34.99-42.99, so both touch row 34 and overlap in x only
+        nl = suite_design("edit_dist_a", 0.5, 5)
+        issues = check_legal(nl)
+        assert "overlap in row 34: m5 / m1" not in issues
+        m1 = nl.cell_names.index("m1")
+        nl.y[m1] -= 1.0  # now the rectangles do overlap
+        assert "overlap in row 34: m5 / m1" in check_legal(nl)
+
+    def test_non_finite_position_is_outside_die(self, tiny_netlist):
+        tiny_netlist.y[1] = np.nan
+        issues = check_legal(tiny_netlist)
+        assert "cell b outside die" in issues
+        assert not any(": b /" in v or "/ b" in v for v in issues)
+
+
+_OVERLAP = re.compile(r"overlap in row (\d+): (\S+) / (\S+)")
+
+
+def _random_blocks(seed, n):
+    """Cells of mixed heights on a quarter-unit lattice.
+
+    Lattice coordinates make abutting edges (legal) and exact overlaps
+    common; heights up to 3.5 rows leave macros off the row grid.
+    """
+    rng = np.random.default_rng(seed)
+    cells = []
+    for i in range(n):
+        w = 0.25 * rng.integers(1, 12)
+        h = 0.25 * rng.integers(1, 15)
+        cells.append(
+            CellSpec(
+                f"c{i}", w, h,
+                x=0.25 * rng.integers(0, 48), y=0.25 * rng.integers(0, 40),
+                fixed=bool(rng.integers(0, 2)),
+            )
+        )
+    return Netlist.from_specs("blocks", Rect(0, 0, 12, 10), cells, [])
+
+
+class TestCheckLegalOracle:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_overlaps_match_pairwise_oracle(self, seed, n):
+        nl = _random_blocks(seed, n)
+        index = {name: i for i, name in enumerate(nl.cell_names)}
+        got = [
+            (int(m[1]), index[m[2]], index[m[3]])
+            for m in map(_OVERLAP.fullmatch, check_legal(nl))
+            if m
+        ]
+        left = nl.x - nl.cell_width / 2
+        # a pair is named once per band, the cell starting further left first
+        assert len(got) == len(set(got))
+        assert all(
+            (left[a], a) < (left[b], b) for _, a, b in got
+        )
+        assert {(r, min(a, b), max(a, b)) for r, a, b in got} == band_overlaps(nl)

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from repro.geometry import Grid2D, Rect
-from repro.route import GlobalRouter, RouterConfig
+from repro.route import DemandSnapshot, GlobalRouter, RouterConfig
 from repro.route.grid import RoutingGrid
 from repro.route.patterns import PatternRouter, RoutedPath
 from repro.synth import toy_design
 
-from tests.oracle import route_path, route_scalar
+from tests.oracle import per_net_decomposition, route_path, route_scalar
 
 
 def _random_router(rng, nx=24, ny=20, **kw):
@@ -208,3 +208,22 @@ class TestOracleEquivalence:
         bare = tiny_netlist.copy()
         scalar, batched = _route_both(bare)
         _assert_equivalent(scalar, batched)
+
+
+class TestPartialPassOracle:
+    """A partial pass decomposes only ``net_ids``; the oracle decomposes
+    every net and filters afterwards.  Both must route the same batch."""
+
+    @pytest.mark.parametrize("topology", ["mst", "stt"])
+    def test_partial_pass_matches_filter_after_decompose(self, topology):
+        netlist = toy_design(300, seed=6)
+        grid = Grid2D(netlist.die, 24, 24)
+        router = GlobalRouter(grid, RouterConfig(topology=topology))
+        base = DemandSnapshot.from_result(router.route(netlist))
+        rng = np.random.default_rng(0)
+        ids = rng.permutation(netlist.n_nets)[: netlist.n_nets // 10]
+        for net_ids in (ids, ids[:0]):
+            partial = router.route(netlist, net_ids=net_ids, base_demand=base)
+            with per_net_decomposition():
+                want = router.route(netlist, net_ids=net_ids, base_demand=base)
+            _assert_equivalent(want, partial)

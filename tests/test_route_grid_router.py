@@ -101,16 +101,14 @@ class TestGlobalRouter:
 
     def test_wirelength_at_least_mst_bound(self, toy120):
         # routed wirelength >= sum of manhattan segment spans (discretized)
-        from repro.route import decompose_netlist
+        from repro.route import segment_endpoints
 
         g = Grid2D(toy120.die, 32, 32)
         res = GlobalRouter(g).route(toy120)
-        lower = 0.0
-        for segs in decompose_netlist(toy120):
-            for (x1, y1, x2, y2) in segs:
-                i1, j1 = g.index_of(x1, y1)
-                i2, j2 = g.index_of(x2, y2)
-                lower += abs(i2 - i1) * g.dx + abs(j2 - j1) * g.dy
+        _, x1, y1, x2, y2 = segment_endpoints(toy120)
+        i1, j1 = g.index_of(x1, y1)
+        i2, j2 = g.index_of(x2, y2)
+        lower = float((np.abs(i2 - i1) * g.dx + np.abs(j2 - j1) * g.dy).sum())
         assert res.wirelength >= lower - 1e-6
 
     def test_rrr_reduces_or_keeps_overflow(self, toy300):

@@ -5,8 +5,8 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.geometry import Grid2D, Rect
-from repro.route import pin_rudy_map, single_trunk_segments, stt_length
-from repro.route.decompose import decompose_net, mst_edges
+from repro.route import pin_rudy_map, segment_endpoints, single_trunk_segments, stt_length
+from tests.oracle import mst_edges
 from repro.viz import ascii_heatmap, placement_svg, save_heatmap_ppm, save_placement_svg
 
 
@@ -57,14 +57,12 @@ class TestSteinerTree:
             assert stt_length(px, py) >= lower - 1e-9
 
     def test_decompose_with_stt_topology(self, tiny_netlist):
-        px, py = tiny_netlist.pin_positions()
-        segs = decompose_net(tiny_netlist, 1, px, py, topology="stt")
-        assert len(segs) >= 2
+        nets, *_ = segment_endpoints(tiny_netlist, "stt", net_ids=[1])
+        assert len(nets) >= 2
 
     def test_unknown_topology(self, tiny_netlist):
-        px, py = tiny_netlist.pin_positions()
         with pytest.raises(ValueError):
-            decompose_net(tiny_netlist, 1, px, py, topology="bogus")
+            segment_endpoints(tiny_netlist, "bogus", net_ids=[1])
 
 
 class TestPinRudy:

@@ -9,7 +9,7 @@ any bench rerun with ``python scripts/fill_experiments.py``.
 Both result shapes are accepted: the bare row list the early table
 scripts wrote (``results/table1.json``) and the full payload of
 ``python -m repro bench --table N --out results/tableN.json``
-(``{"rows": [...], "supervisor": {...}, ...}``).
+(``{"rows": [...], "errors": [...], ...}``).
 """
 
 from __future__ import annotations

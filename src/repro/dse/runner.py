@@ -1,4 +1,4 @@
-"""Sweep execution: run grid units in-process or supervised.
+"""Sweep execution: run grid units in-process or one process per unit.
 
 This is the one sweep runner: ``repro dse run`` drives it with a spec
 file and ``repro bench`` with the Table I / II specs of
@@ -6,39 +6,34 @@ file and ``repro bench`` with the Table I / II specs of
 same deterministic unit list from :func:`repro.dse.grid.make_units`:
 
 * ``jobs <= 1`` — plain in-process loop (bit-identical baseline);
-* ``jobs > 1`` — one :class:`~repro.jobs.spec.JobSpec` per unit
-  dispatched through :func:`repro.jobs.run_jobs`, inheriting the
-  supervisor's deadlines, hung-worker reaping and retry-with-resume.
+* ``jobs > 1`` — one process per unit, at most ``jobs`` alive at a
+  time (:func:`_run_pool`); each sends its payload back over a pipe.
 
 Every unit produces a JSON payload (``dse_unit: 1``) that
 :class:`repro.dse.store.RunDB` ingests; :func:`run_grid` writes the
 payloads plus a sweep manifest under ``out_dir`` and, when ``db_path``
 is given, ingests them immediately.  A unit never raises: a failing
-unit — an exception, or a worker the supervisor reaped — is a payload
-with ``error`` set, so a sweep always reports every unit in order.
-
-Fault-injection hook: each unit fires the ``bench.design.<design>``
-fault site before running its flows, with the sweep's
-:class:`~repro.utils.faults.FaultPlan` objects installed (plans with
-``attempts=N`` stop firing on retries).  Tests use this to crash,
-hang or SIGKILL one specific design of a supervised sweep.
+unit — an exception, or a unit process that exited without sending a
+result — is a payload with ``error`` set, so a sweep always reports
+every unit in order.  There are no retries and no timeouts.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import multiprocessing
 import time
 import traceback
-from contextlib import nullcontext
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 
 from repro.dse.grid import DseUnit, GridSpec, apply_knobs, make_units
 
 
 def _unit_stem(unit_id: str) -> str:
-    """Filesystem-safe name for a unit id (payload file, checkpoint dir)."""
+    """Filesystem-safe name for a unit id (payload file name)."""
     return unit_id.replace(":", "__").replace("/", "_")
 
 
@@ -57,43 +52,24 @@ def _unit_payload(unit: DseUnit, **fields) -> dict:
     }
 
 
-def run_unit(unit: DseUnit, ctx=None, fault_plans: tuple = (),
-             checkpoint_dir: str | None = None) -> dict:
+def run_unit(unit: DseUnit) -> dict:
     """Execute one sweep unit; never raises.
 
     Telemetry goes to a private in-memory registry whose events ride
-    back on the payload, and exceptions — injected faults included —
-    become traceback strings.  ``fault_plans`` are installed for the
-    unit's duration, filtered for the attempt.
-
-    ``ctx`` is the supervised runtime's
-    :class:`~repro.jobs.spec.JobContext`.  On a retry the flows resume
-    from their checkpoints under ``checkpoint_dir`` and the unit's
-    ``run.start`` carries an ``attempt`` field; first attempts emit
-    the exact in-process stream.  The payload's ``attempts`` counts
-    this attempt; ``job_state`` is set by the supervised path only.
+    back on the payload, and exceptions become traceback strings, so
+    the unit emits the same stream in-process and in a pool process.
     """
-    from repro.utils import faults
     from repro.utils.metrics import MemorySink, MetricsRegistry
 
-    attempt = ctx.attempt if ctx is not None else 0
     t0 = time.perf_counter()
     sink = MemorySink()
     metrics = MetricsRegistry(sink=sink)
-    start_fields = dict(command="dse", sweep=unit.unit_id.split(":", 1)[0],
-                        design=unit.design, shard=unit.index)
-    if attempt > 0:
-        start_fields["attempt"] = attempt
-    metrics.start_run(**start_fields)
+    metrics.start_run(command="dse", sweep=unit.unit_id.split(":", 1)[0],
+                      design=unit.design, shard=unit.index)
     error = None
     rows: list = []
-    plans = faults.plans_for_attempt(fault_plans, attempt)
     try:
-        with faults.injected(*plans) if plans else nullcontext():
-            faults.fire(f"bench.design.{unit.design}")
-            binding = apply_knobs(unit.knobs)
-            rows = _run_unit_flow(unit, binding, metrics, checkpoint_dir,
-                                  resume=attempt > 0)
+        rows = _run_unit_flow(unit, apply_knobs(unit.knobs), metrics)
     except BaseException:
         error = traceback.format_exc()
     metrics.close()
@@ -103,13 +79,10 @@ def run_unit(unit: DseUnit, ctx=None, fault_plans: tuple = (),
         events=[json.loads(line) for line in sink.lines],
         error=error,
         elapsed_s=time.perf_counter() - t0,
-        attempts=attempt + 1,
-        job_state=None,
     )
 
 
-def _run_unit_flow(unit: DseUnit, binding, metrics, checkpoint_dir,
-                   resume: bool) -> list:
+def _run_unit_flow(unit: DseUnit, binding, metrics) -> list:
     """Generate the design and run the bench flow under the binding."""
     from repro.bench.harness import run_design, table_rows
     from repro.synth.suite import suite_design
@@ -121,8 +94,6 @@ def _run_unit_flow(unit: DseUnit, binding, metrics, checkpoint_dir,
         gp_config=binding.gp_config,
         rd_config=binding.rd_config,
         metrics=metrics,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
     )
     return [
         {"design": row.design, "placer": row.placer, "metrics": dict(row.metrics)}
@@ -157,7 +128,7 @@ class GridResult:
 
         Each segment is a complete registry run (``run.start`` at
         ``seq == 0`` through ``run.end``), so the concatenation is one
-        schema-valid multi-segment stream.  A unit whose worker died
+        schema-valid multi-segment stream.  A unit whose process died
         contributes no segment.
         """
         return [event for p in self.payloads for event in p["events"]]
@@ -180,45 +151,21 @@ def _sweep_events(spec: GridSpec, units: list) -> list:
     return [json.loads(line) for line in sink.lines]
 
 
-def run_grid(spec: GridSpec, jobs: int = 1, out_dir=None, db_path=None,
-             job_timeout: float | None = None,
-             heartbeat_timeout: float | None = None,
-             max_retries: int = 1,
-             checkpoint_dir: str | None = None,
-             fault_plans: tuple = ()) -> GridResult:
+def run_grid(spec: GridSpec, jobs: int = 1, out_dir=None,
+             db_path=None) -> GridResult:
     """Run every unit of a grid spec; optionally persist and ingest.
 
-    With ``jobs > 1`` the units run under the supervised job runtime
-    (one worker process per unit, ``jobs`` at a time); the supervisor's
-    own ``job.*`` lifecycle segment is appended to the sweep events.
-    Unit payload order always matches unit order, independent of worker
-    completion order.
-
-    ``job_timeout`` / ``heartbeat_timeout`` / ``max_retries`` configure
-    the supervisor (pooled runs only): a per-unit wall-clock deadline,
-    the silence after which a unit counts as hung, and the replacement
-    attempts after an involuntary worker death.  Unit *exceptions* are
-    terminal — deterministic outcomes, not flakes.  With
-    ``checkpoint_dir`` each unit checkpoints its flows under
-    ``<checkpoint_dir>/<unit>/`` and a retried unit resumes from there.
-    ``fault_plans`` are installed inside every unit (see
-    :func:`run_unit`).
+    With ``jobs > 1`` each unit runs in its own process, ``jobs`` at a
+    time.  Unit payload order always matches unit order, independent
+    of completion order.
     """
     t0 = time.perf_counter()
     units = make_units(spec)
     events = _sweep_events(spec, units)
-
     if jobs <= 1:
-        payloads = [
-            run_unit(unit, fault_plans=fault_plans,
-                     checkpoint_dir=_unit_checkpoint_dir(checkpoint_dir, unit))
-            for unit in units
-        ]
+        payloads = [run_unit(unit) for unit in units]
     else:
-        payloads, sup_events = _run_supervised(
-            units, jobs, job_timeout, heartbeat_timeout, max_retries,
-            checkpoint_dir, fault_plans)
-        events = events + sup_events
+        payloads = _run_pool(run_unit, units, jobs)
 
     result = GridResult(spec=spec, units=units, payloads=payloads,
                         events=events, elapsed_s=time.perf_counter() - t0)
@@ -233,52 +180,52 @@ def run_grid(spec: GridSpec, jobs: int = 1, out_dir=None, db_path=None,
     return result
 
 
-def _unit_checkpoint_dir(checkpoint_dir, unit: DseUnit) -> str | None:
-    """The unit's own checkpoint directory under ``checkpoint_dir``."""
-    if not checkpoint_dir:
-        return None
-    return os.path.join(checkpoint_dir, _unit_stem(unit.unit_id))
+def _pool_main(fn, unit: DseUnit, conn) -> None:
+    """Unit process body: send ``fn(unit)`` back to the parent."""
+    conn.send(fn(unit))
+    conn.close()
 
 
-def _run_supervised(units: list, jobs: int, job_timeout, heartbeat_timeout,
-                    max_retries, checkpoint_dir, fault_plans) -> tuple:
-    """Dispatch units through :func:`repro.jobs.run_jobs`.
+def _run_pool(fn, units: list, jobs: int) -> list:
+    """``fn(unit)`` for every unit, one process each, ``jobs`` at a time.
 
-    A unit exception is already captured inside :func:`run_unit`; a job
-    that ends in any other state than ``done`` (crashed, hung, timed
-    out) gets an error payload carrying the supervisor's reason.
+    Each process sends its payload back over a pipe, which is read
+    before the process is joined: a payload with its events can be
+    MBs, more than a pipe buffers.  A process that exits without
+    sending one (killed, ``os._exit``, an exception escaping ``fn``)
+    gets an error payload naming its exit code; the other units still
+    complete, and payloads come back in unit order.  ``fn`` is
+    :func:`run_unit` except in tests.
     """
-    from repro.jobs import DONE, JobSpec, SupervisorConfig, run_jobs
-    from repro.utils.metrics import MemorySink, MetricsRegistry
-
-    sink = MemorySink()
-    sup_metrics = MetricsRegistry(sink=sink)
-    sup_metrics.start_run(command="dse.supervise", jobs=jobs)
-    specs = []
-    for unit in units:
-        ckpt = _unit_checkpoint_dir(checkpoint_dir, unit)
-        specs.append(JobSpec(
-            job_id=unit.unit_id, fn=run_unit, args=(unit,),
-            kwargs=dict(fault_plans=fault_plans, checkpoint_dir=ckpt),
-            with_context=True, checkpoint_path=ckpt, index=unit.index))
-    config = SupervisorConfig(max_workers=jobs, timeout=job_timeout,
-                              heartbeat_timeout=heartbeat_timeout,
-                              max_retries=max_retries)
-    job_results = run_jobs(specs, config=config, metrics=sup_metrics)
-    sup_metrics.close()
-
-    payloads = []
-    for unit, job in zip(units, job_results):
-        if job.state == DONE:
-            payload = job.value
-        else:
-            payload = _unit_payload(
-                unit, rows=[], events=[],
-                error=job.error or f"job ended in state {job.state!r}",
-                elapsed_s=job.elapsed)
-        payload.update(attempts=job.attempts, job_state=job.state)
-        payloads.append(payload)
-    return payloads, [json.loads(line) for line in sink.lines]
+    ctx = multiprocessing.get_context()
+    payloads: list = [None] * len(units)
+    queue = deque(enumerate(units))
+    running: dict = {}  # receiving end -> (index, process, start time)
+    while queue or running:
+        while queue and len(running) < jobs:
+            index, unit = queue.popleft()
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_pool_main, args=(fn, unit, send),
+                               daemon=True, name=f"repro-unit-{index}")
+            proc.start()
+            # close the parent's write end so a dead child reads as EOF
+            send.close()
+            running[recv] = (index, proc, time.perf_counter())
+        for recv in wait(list(running)):
+            index, proc, started = running.pop(recv)
+            try:
+                payloads[index] = recv.recv()
+            except (EOFError, OSError):
+                pass
+            recv.close()
+            proc.join()
+            if payloads[index] is None:
+                payloads[index] = _unit_payload(
+                    units[index], rows=[], events=[],
+                    error=f"unit process exited with code {proc.exitcode} "
+                          "without sending a result",
+                    elapsed_s=time.perf_counter() - started)
+    return payloads
 
 
 def _write_outputs(result: GridResult, out_dir) -> None:

@@ -198,8 +198,9 @@ class RunDB:
             kind = event.get("kind", "")
             if kind == "run.start":
                 sweep = event.get("sweep", sweep) or sweep
-            # service.* kinds only occur in streams recorded while the
-            # placement daemon still existed; keep ingesting them
+            # job.* and service.* kinds only occur in streams recorded
+            # while the supervised job runtime and the placement daemon
+            # still existed; keep ingesting them
             if kind.startswith(("job.", "dse.", "service.")):
                 payload = {k: v for k, v in event.items()
                            if k not in ("v", "seq", "kind", "job", "attempt", "t")}

@@ -197,7 +197,7 @@ def eco_place(
     (bit-identically, after cloning it to ``checkpoint_path`` so the
     baseline file is never overwritten).  ``checkpoint_path`` is the
     ECO loop's own checkpoint — an existing one resumes a previous
-    attempt, which is how supervised retries warm-start.
+    attempt.
     """
     cfg = cfg or EcoConfig()
     profiler = profiler or StageProfiler()

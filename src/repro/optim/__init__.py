@@ -1,6 +1,5 @@
 """First-order optimizers used by the placement engines."""
 
 from repro.optim.nesterov import NesterovOptimizer
-from repro.optim.adam import AdamOptimizer
 
-__all__ = ["NesterovOptimizer", "AdamOptimizer"]
+__all__ = ["NesterovOptimizer"]

@@ -32,8 +32,6 @@ class GPConfig:
     use_fillers:
         Insert filler cells to occupy whitespace (standard for
         electrostatic placers; required for proper spreading).
-    optimizer:
-        ``"nesterov"`` (ePlace solver, default) or ``"adam"``.
     initial_move_fraction:
         First-step displacement target, as a fraction of a bin.
     seed:
@@ -51,15 +49,12 @@ class GPConfig:
     stop_overflow: float = 0.07
     density_force_cap: float = 100.0
     use_fillers: bool = True
-    optimizer: str = "nesterov"
     initial_move_fraction: float = 0.1
     seed: int = 0
     verbose: bool = False
     guard: GuardConfig = field(default_factory=GuardConfig)
 
     def __post_init__(self) -> None:
-        if self.optimizer not in ("nesterov", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 < self.target_density <= 1.0 + 1e-9:
             raise ValueError("target_density must be in (0, 1]")
         if self.max_iters < 1:

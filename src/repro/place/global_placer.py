@@ -28,11 +28,9 @@ import numpy as np
 from repro.density.electrostatic import ElectrostaticSystem, FieldSolution
 from repro.geometry.grid import Grid2D
 from repro.netlist.netlist import Netlist
-from repro.optim.adam import AdamOptimizer
 from repro.optim.nesterov import NesterovOptimizer
 from repro.place.config import GPConfig, auto_grid_dim
 from repro.place.initial import initial_placement, scatter_fillers
-from repro.utils import heartbeat
 from repro.utils.contracts import CONTRACTS
 from repro.utils.guards import (
     DivergenceSentinel,
@@ -308,19 +306,16 @@ class GlobalPlacer:
         gmax = float(np.abs(g0).max())
         bin_unit = 0.5 * (self.grid.dx + self.grid.dy)
         step0 = self.config.initial_move_fraction * bin_unit / max(gmax, 1e-12)
-        if self.config.optimizer == "nesterov":
-            self._optimizer = NesterovOptimizer(
-                pos0,
-                self._gradient,
-                initial_step=step0,
-                max_move=1.0 * bin_unit,
-                guard=self.config.guard,
-            )
-            # one shared log: optimizer-level gradient trips and
-            # placement-level divergence trips read as one stream
-            self._optimizer.guard_log = self.guard_log
-        else:
-            self._optimizer = AdamOptimizer(pos0, self._gradient, lr=0.5 * bin_unit)
+        self._optimizer = NesterovOptimizer(
+            pos0,
+            self._gradient,
+            initial_step=step0,
+            max_move=1.0 * bin_unit,
+            guard=self.config.guard,
+        )
+        # one shared log: optimizer-level gradient trips and
+        # placement-level divergence trips read as one stream
+        self._optimizer.guard_log = self.guard_log
 
     def prepare(self, reinitialize_positions: bool = False) -> None:
         """Build the optimizer (optionally re-centering cells first)."""
@@ -337,7 +332,7 @@ class GlobalPlacer:
         gradients shift the force balance, so the old lambda_1 and the
         old momentum direction are both stale).
         """
-        if isinstance(self._optimizer, NesterovOptimizer):
+        if self._optimizer is not None:
             self._optimizer.reset_momentum()
         self.density_weight = 0.0
         self._prev_hpwl = None
@@ -355,9 +350,6 @@ class GlobalPlacer:
 
         consecutive_trips = 0
         for it in range(iters):
-            # supervised-job progress marker (one attribute read when
-            # unsupervised); a hung solver iteration stops beating
-            heartbeat.beat()
             # inclusive of gp.wirelength / gp.poisson / gp.congestion_grad
             try:
                 with self.profiler.timer("gp.step"):
@@ -373,9 +365,8 @@ class GlobalPlacer:
             # point v, the momentum extrapolation diverges when cells
             # press against the boundary.  u is projected last so the
             # netlist state reflects the major point.
-            if isinstance(self._optimizer, NesterovOptimizer):
-                self._unpack(self._optimizer.v)
-                self._optimizer.v = self._pack()
+            self._unpack(self._optimizer.v)
+            self._optimizer.v = self._pack()
             self._unpack(self._optimizer.u)
             self._optimizer.u = self._pack()
 
@@ -469,8 +460,7 @@ class GlobalPlacer:
             opt.u = self._last_good.copy()
         else:
             scrub_nonfinite(opt.u)
-        if isinstance(opt, NesterovOptimizer):
-            opt._backoff()  # clears momentum, v <- u, shrinks step
+        opt._backoff()  # clears momentum, v <- u, shrinks step
         self._unpack(opt.u)
         opt.u = self._pack()
         opt.v = opt.u.copy()
@@ -529,17 +519,14 @@ class GlobalPlacer:
             self._optimizer = None
         else:
             bin_unit = 0.5 * (self.grid.dx + self.grid.dy)
-            if self.config.optimizer == "nesterov":
-                opt = NesterovOptimizer(
-                    opt_state["u"],
-                    self._gradient,
-                    initial_step=float(opt_state["step"]),
-                    max_move=1.0 * bin_unit,
-                    guard=self.config.guard,
-                )
-                opt.guard_log = self.guard_log
-            else:
-                opt = AdamOptimizer(opt_state["u"], self._gradient, lr=0.5 * bin_unit)
+            opt = NesterovOptimizer(
+                opt_state["u"],
+                self._gradient,
+                initial_step=float(opt_state["step"]),
+                max_move=1.0 * bin_unit,
+                guard=self.config.guard,
+            )
+            opt.guard_log = self.guard_log
             opt.load_state_dict(opt_state)
             self._optimizer = opt
         self._last_good = None

@@ -18,13 +18,13 @@ Integrity: the meta member carries a SHA-256 digest of every array
 member's serialized bytes, verified on read.  A truncated archive or a
 digest mismatch raises :class:`CheckpointCorruptError` — naming the
 file, the member and the expected/actual digests — instead of numpy's
-opaque zipfile error; the supervised retry path then falls back to the
+opaque zipfile error; a resuming flow then falls back to the
 previous good checkpoint (``<path>.bak``, kept when callers pass
 ``keep_previous=True``).  Checkpoints written before the digest format
 (no envelope in the meta member) still load, without verification.
 
 Fault site ``checkpoint.write`` exposes the serialized archive bytes
-to :mod:`repro.utils.faults` so torn-write chaos tests can corrupt the
+to :mod:`repro.utils.faults` so torn-write tests can corrupt the
 file that actually lands on disk.
 
 Pickle is disabled on both ends: a checkpoint is data, not code.
@@ -159,7 +159,7 @@ def write_checkpoint(
             info.external_attr = 0o600 << 16
             with zf.open(info, "w") as fh:
                 fh.write(data)
-    # chaos hook: torn-write plans truncate the bytes that hit the disk
+    # fault hook: torn-write plans truncate the bytes that hit the disk
     payload = faults.fire("checkpoint.write", buf.getvalue())
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as handle:

@@ -15,25 +15,10 @@ trigger count is reached the plan fires deterministically:
 * ``mode="inf"`` — same with ``+inf``;
 * ``mode="poison"`` — multiply the payload by ``scale`` and NaN-poison
   entry 0 (degenerate congestion maps);
-* ``mode="raise"`` — raise :class:`InjectedFault` at the site.
-
-Chaos modes — the failure vocabulary of the supervised job runtime
-(:mod:`repro.jobs`); these model *processes* misbehaving, not values:
-
-* ``mode="delay"`` — sleep ``delay`` seconds, then continue (a *slow*
-  worker: progress heartbeats keep flowing);
-* ``mode="hang"`` — sleep ``delay`` seconds (default effectively
-  forever) in the calling thread, so progress heartbeats stop (a
-  *hung* worker; the supervisor reaps it at the heartbeat deadline);
-* ``mode="sigkill"`` — SIGKILL the calling process (a hard worker
-  death: no exception, no cleanup, no result);
+* ``mode="raise"`` — raise :class:`InjectedFault` at the site;
 * ``mode="torn"`` — truncate a ``bytes`` payload to half its length
   (a torn file write; the checkpoint writer fires the
   ``checkpoint.write`` site with the archive bytes).
-
-Plans carried into the supervised runtime may set ``attempts=N`` so
-the fault only fires on the first ``N`` job attempts — retries then
-exercise the recovery path instead of dying identically forever.
 
 Known sites
 -----------
@@ -51,25 +36,14 @@ Known sites
     Serialized archive bytes inside
     :func:`~repro.utils.checkpoint.write_checkpoint` (``torn`` plans
     corrupt the file that lands on disk).
-``bench.design.<name>``
-    Fired by a sweep worker before running design ``<name>``.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-
-#: Sleep ceiling of ``mode="hang"`` plans with no explicit ``delay`` —
-#: long enough to be "forever" for any supervisor deadline, short
-#: enough that an unsupervised test cannot wedge CI for a day.
-HANG_SECONDS = 3600.0
-
 
 class InjectedFault(RuntimeError):
     """Raised by ``mode="raise"`` plans; carries the site name."""
@@ -88,8 +62,7 @@ class FaultPlan:
     site:
         Fault-site name the plan matches.
     mode:
-        ``"nan" | "inf" | "poison" | "raise"`` (value faults) or
-        ``"delay" | "hang" | "sigkill" | "torn"`` (chaos faults).
+        ``"nan" | "inf" | "poison" | "raise" | "torn"``.
     trigger:
         0-based invocation index of the site at which the plan starts
         firing (e.g. ``trigger=2`` corrupts the third gradient).
@@ -100,14 +73,6 @@ class FaultPlan:
         For ``nan``/``inf``: corrupt every ``stride``-th entry.
     scale:
         For ``poison``: multiplier applied to the payload.
-    delay:
-        Seconds slept by ``delay``/``hang`` plans (``hang`` defaults
-        to :data:`HANG_SECONDS` when left at 0).
-    attempts:
-        Supervised-runtime filter: when ``>= 0``, the plan is only
-        installed for job attempt indices ``< attempts`` (so
-        ``attempts=1`` faults the first attempt and lets the retry
-        succeed).  ``-1`` (default) fires on every attempt.
     """
 
     site: str
@@ -116,22 +81,12 @@ class FaultPlan:
     count: int = 1
     stride: int = 7
     scale: float = 1e30
-    delay: float = 0.0
-    attempts: int = -1
 
     def __post_init__(self) -> None:
-        if self.mode not in (
-            "nan", "inf", "poison", "raise", "delay", "hang", "sigkill", "torn"
-        ):
+        if self.mode not in ("nan", "inf", "poison", "raise", "torn"):
             raise ValueError(f"unknown fault mode {self.mode!r}")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
-
-    def active_on_attempt(self, attempt: int) -> bool:
-        """True when the plan applies to job attempt index ``attempt``."""
-        return self.attempts < 0 or attempt < self.attempts
 
     def active_at(self, hit: int) -> bool:
         """True when the ``hit``-th invocation falls in the trigger window."""
@@ -163,14 +118,6 @@ class FaultInjector:
             self.fired.append((site, hit, plan.mode))
             if plan.mode == "raise":
                 raise InjectedFault(site)
-            if plan.mode == "sigkill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            if plan.mode in ("delay", "hang"):
-                seconds = plan.delay
-                if plan.mode == "hang" and seconds <= 0:
-                    seconds = HANG_SECONDS
-                time.sleep(seconds)
-                continue
             if plan.mode == "torn":
                 if isinstance(value, (bytes, bytearray)) and len(value) > 1:
                     value = bytes(value[: len(value) // 2])
@@ -224,15 +171,6 @@ def fire(site: str, value=None):
     if _ACTIVE is None:
         return value
     return _ACTIVE.fire(site, value)
-
-
-def plans_for_attempt(plans, attempt: int) -> tuple:
-    """Filter fault plans down to those active on job ``attempt``.
-
-    Used by the supervised job runtime so ``attempts``-limited plans
-    stop firing on retries (see :class:`FaultPlan`).
-    """
-    return tuple(p for p in plans if p.active_on_attempt(attempt))
 
 
 @contextmanager

@@ -57,24 +57,15 @@ SUPPORTED_SCHEMA_VERSIONS = (1, 2)
 
 #: Required per-kind fields beyond the ``v``/``seq``/``kind`` envelope.
 #: Unknown kinds are accepted by validation; known kinds must carry at
-#: least these fields (extra fields are always allowed).
+#: least these fields (extra fields are always allowed).  Kinds that
+#: only older streams carry (``job.*``, ``service.*``,
+#: ``kernel.backend``) are unknown kinds now and still validate.
 EVENT_FIELDS: dict = {
     "run.start": (),
     "run.end": ("counters", "gauges", "histograms"),
     # terminal marker of an abnormally-ended run (SIGTERM / interpreter
     # exit with an unflushed registry); see install_abort_flush
     "run.aborted": ("reason",),
-    # supervised job runtime lifecycle (see repro.jobs) — emitted by
-    # the supervisor, never by workers, so per-design worker segments
-    # stay bit-identical whether or not a run is supervised
-    "job.submit": ("job", "index"),
-    "job.start": ("job", "attempt", "pid"),
-    "job.end": ("job", "attempt", "state", "elapsed_s"),
-    "job.timeout": ("job", "attempt", "timeout_s"),
-    "job.hung": ("job", "attempt", "silent_s"),
-    "job.crashed": ("job", "attempt", "exitcode"),
-    "job.retry": ("job", "attempt", "backoff_s", "resume"),
-    "job.degrade": ("rung", "reason"),
     # one per GlobalPlacer solver iteration
     "gp.iter": ("iter", "hpwl", "overflow", "density_weight", "step", "grad_norm"),
     # one per divergence-guard trip inside the placer loop

@@ -7,10 +7,11 @@ matching ``run_*_job`` in-process on the same input, then compares
 every output file byte for byte: placed positions, the metrics
 stream, and the checkpoint with its ``.bak`` predecessor.
 
-The second half pins the surface the placement daemon left behind:
-its commands and the job-cancellation API are gone, and streams
-recorded while it existed still read.  Its keyword options are
-rejected in ``test_kernel_backends.py::test_removed_keywords_rejected``.
+The second half pins the surface the placement daemon and the
+supervised job runtime left behind: their commands, options and
+modules are gone, and streams recorded while they existed still read.
+Their keyword options are rejected in
+``test_kernel_backends.py::test_removed_keywords_rejected``.
 """
 
 from __future__ import annotations
@@ -169,17 +170,6 @@ class TestRemovedDaemonSurface:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_job_runtime_has_no_cancellation(self):
-        import repro.jobs as jobs
-        from repro.jobs.supervisor import Supervisor
-
-        for name in ("CANCELLED", "JobCancelled"):
-            assert not hasattr(jobs, name)
-        assert "cancelled" not in jobs.TERMINAL_STATES
-        for name in ("cancel", "take_completed", "worker_pid", "job_state",
-                     "unfinished_specs"):
-            assert not hasattr(Supervisor, name)
-
     def test_service_package_is_gone(self):
         with pytest.raises(ImportError):
             __import__("repro.service")
@@ -207,3 +197,63 @@ class TestRemovedDaemonSurface:
                 "SELECT kind FROM supervisor_events ORDER BY seq"
             ).fetchall()
         assert [r[0] for r in rows] == list(kinds)
+
+
+class TestRemovedJobRuntime:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["bench", "--job-timeout", "5"], id="bench-job-timeout"),
+        pytest.param(["bench", "--heartbeat-timeout", "5"],
+                     id="bench-heartbeat-timeout"),
+        pytest.param(["bench", "--job-retries", "2"], id="bench-job-retries"),
+        pytest.param(["bench", "--checkpoint-dir", "ck"],
+                     id="bench-checkpoint-dir"),
+        pytest.param(["dse", "run", "--grid", "g.json", "--job-timeout", "5"],
+                     id="dse-run-job-timeout"),
+        pytest.param(["dse", "run", "--grid", "g.json",
+                      "--heartbeat-timeout", "5"],
+                     id="dse-run-heartbeat-timeout"),
+        pytest.param(["dse", "run", "--grid", "g.json", "--job-retries", "2"],
+                     id="dse-run-job-retries"),
+    ])
+    def test_parser_rejects_supervisor_options(self, argv, capsys):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        parser.parse_args(argv[:-2])  # the command itself still parses
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module", [
+        "repro.jobs", "repro.utils.heartbeat", "repro.optim.adam"])
+    def test_job_runtime_is_gone(self, module):
+        with pytest.raises(ImportError):
+            __import__(module)
+
+    def test_supervised_sweep_stream_still_validates_and_ingests(self, tmp_path):
+        """``job.*`` are unknown kinds now; a sweep stream the supervised
+        runtime wrote still validates and ingests."""
+        from repro.dse.store import RunDB
+        from repro.utils.metrics import EVENT_FIELDS
+
+        kinds = ("job.submit", "job.start", "job.crashed", "job.retry",
+                 "job.end", "job.degrade")
+        assert not any(k.startswith("job.") for k in EVENT_FIELDS)
+        events = [{"v": 2, "seq": 0, "kind": "run.start",
+                   "command": "dse.supervise", "sweep": "old"}]
+        events += [
+            {"v": 2, "seq": k, "kind": kind, "job": f"old:p000:d{k}",
+             "attempt": 0}
+            for k, kind in enumerate(kinds, start=1)
+        ]
+        validate_stream(events)
+        path = tmp_path / "supervised.jsonl"
+        path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        with RunDB(str(tmp_path / "runs.sqlite")) as db:
+            assert db.ingest_jsonl(path)
+            rows = db.conn.execute(
+                "SELECT kind, job FROM supervisor_events ORDER BY seq"
+            ).fetchall()
+        assert [r[0] for r in rows] == list(kinds)
+        assert rows[0][1] == "old:p000:d1"

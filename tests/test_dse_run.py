@@ -1,17 +1,18 @@
-"""End-to-end sweep runs: determinism, supervision, isolation, CLI."""
+"""End-to-end sweep runs: determinism, the unit pool, isolation, CLI."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 
 import pytest
 
 from repro.bench.harness import ABLATION_ROWS, table_spec
 from repro.cli import main
-from repro.dse.grid import make_units, parse_spec
-from repro.dse.runner import run_grid, run_unit
+from repro.dse.grid import DseUnit, make_units, parse_spec
+from repro.dse.runner import _run_pool, run_grid, run_unit
 from repro.dse.store import RunDB
-from repro.utils.faults import FaultPlan
 from repro.utils.metrics import read_jsonl, validate_stream
 
 #: Minutes-not-hours settings: one tiny design, short flows.
@@ -42,6 +43,20 @@ ABLATION_LABELS = [label for label, _ in ABLATION_ROWS]
 def sweep_spec(designs=DESIGNS):
     """The three-design sweep, or a prefix of it."""
     return parse_spec({**SWEEP, "designs": list(designs)})
+
+
+def unknown_design_unit(index: int = 0) -> DseUnit:
+    """A unit naming no suite design: its flow raises at once."""
+    return DseUnit(unit_id=f"bad:p000:no_such_design{index}", index=index,
+                   point=0, design=f"no_such_design{index}", knobs={},
+                   scale=0.1, seed=0, placers=("Xplace",))
+
+
+def exit_on_second_unit(unit: DseUnit) -> dict:
+    """Pool body whose second unit's process dies without a result."""
+    if unit.index == 1:
+        os._exit(3)
+    return run_unit(unit)
 
 
 def segments(events: list, kind: str = "run.start") -> list:
@@ -105,18 +120,18 @@ class TestRunGrid:
 
     def test_supervised_matches_inprocess(self, inprocess_result):
         result, _ = inprocess_result
-        supervised = run_grid(parse_spec(RAW), jobs=2)
-        assert comparable_rows(supervised.payloads) == \
+        pooled = run_grid(parse_spec(RAW), jobs=2)
+        assert comparable_rows(pooled.payloads) == \
             comparable_rows(result.payloads)
-        kinds = {e["kind"] for e in supervised.events}
-        assert {"dse.sweep", "dse.shard", "job.submit", "job.end"} <= kinds
+        assert {e["kind"] for e in pooled.events} == \
+            {"run.start", "dse.sweep", "dse.shard", "run.end"}
 
     def test_failed_unit_is_captured_not_raised(self):
-        spec = parse_spec({**RAW, "grid": {}})
-        result = run_grid(spec, jobs=1, fault_plans=(
-            FaultPlan("bench.design.des_perf_1", mode="raise"),))
+        spec = dataclasses.replace(parse_spec({**RAW, "grid": {}}),
+                                   designs=("no_such_design",))
+        result = run_grid(spec, jobs=1)
         assert len(result.errors) == 1
-        assert "InjectedFault" in result.errors[0][1]
+        assert "unknown suite design" in result.errors[0][1]
         assert result.payloads[0]["rows"] == []
 
     def test_run_unit_respects_knobs(self, inprocess_result):
@@ -135,8 +150,8 @@ class TestSequentialSweep:
         assert all(row["placer"] == "Xplace" for row in result.rows)
         assert all({"DRWL", "#DRVias", "#DRVs", "PT", "RT"} <= set(row["metrics"])
                    for row in result.rows)
-        assert all(p["attempts"] == 1 and p["job_state"] is None
-                   for p in result.payloads)
+        assert not any({"attempts", "job_state"} & set(p)
+                       for p in result.payloads)
 
     def test_merged_stream_is_schema_valid(self):
         events = run_grid(sweep_spec(DESIGNS[:2]), jobs=1).unit_events
@@ -153,31 +168,33 @@ class TestSequentialSweep:
             table_spec(1, ["no_such_design"])
 
 
+#: The three-design sweep with its middle design replaced by one that
+#: names no suite design, so that unit's flow raises.
+FAULTED = ["des_perf_1", "no_such_design", "des_perf_b"]
+
+
 @pytest.fixture(scope="module")
 def pooled_sweep():
-    """One pooled sweep with a fault injected into the middle design.
+    """One pooled sweep whose middle unit raises.
 
-    Module-scoped: the pool spin-up and three placements are the
+    Module-scoped: the pool spin-up and two placements are the
     expensive part, and every assertion below reads the same result.
     """
-    return run_grid(sweep_spec(), jobs=2, fault_plans=(
-        FaultPlan("bench.design.des_perf_a", mode="raise"),))
+    spec = dataclasses.replace(sweep_spec(), designs=tuple(FAULTED))
+    return run_grid(spec, jobs=2)
 
 
-@pytest.mark.faultinject
 class TestPoolIsolation:
     def test_results_stay_in_input_order(self, pooled_sweep):
-        assert [p["design"] for p in pooled_sweep.payloads] == DESIGNS
+        assert [p["design"] for p in pooled_sweep.payloads] == FAULTED
         assert [p["unit_index"] for p in pooled_sweep.payloads] == [0, 1, 2]
 
     def test_faulted_design_reports_error_entry(self, pooled_sweep):
         [(unit_id, error)] = pooled_sweep.errors
-        assert unit_id == "sweep:p000:des_perf_a"
-        assert "InjectedFault" in error
+        assert unit_id == "sweep:p000:no_such_design"
+        assert "unknown suite design" in error
         failed = pooled_sweep.payloads[1]
         assert failed["rows"] == []
-        # an exception is terminal: one attempt, the job itself is done
-        assert failed["attempts"] == 1 and failed["job_state"] == "done"
 
     def test_surviving_designs_complete(self, pooled_sweep):
         ok = [p for p in pooled_sweep.payloads if not p["error"]]
@@ -190,44 +207,56 @@ class TestPoolIsolation:
         events = pooled_sweep.unit_events
         validate_stream(events)
         segs = segments(events)
-        assert [seg[0]["design"] for seg in segs] == DESIGNS
+        assert [seg[0]["design"] for seg in segs] == FAULTED
         # the faulted design still contributes a well-formed (short)
         # segment: run.start then run.end, nothing in between
         assert [e["kind"] for e in segs[1]] == ["run.start", "run.end"]
 
 
+class TestUnitPool:
+    """One process per unit: a dead or raising unit is one error payload."""
+
+    def test_dead_unit_reports_exit_code_others_finish_in_order(self):
+        units = make_units(sweep_spec())
+        payloads = _run_pool(exit_on_second_unit, units, jobs=2)
+        assert [p["design"] for p in payloads] == DESIGNS
+        assert [p["unit_index"] for p in payloads] == [0, 1, 2]
+        dead = payloads[1]
+        assert "exited with code 3" in dead["error"]
+        assert dead["rows"] == [] and dead["events"] == []
+        for payload in (payloads[0], payloads[2]):
+            assert payload["error"] is None and payload["rows"]
+            validate_stream(payload["events"])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_unit_gives_error_payload(self, jobs):
+        units = [unknown_design_unit(0), unknown_design_unit(1)]
+        if jobs == 1:
+            payloads = [run_unit(unit) for unit in units]
+        else:
+            payloads = _run_pool(run_unit, units, jobs)
+        assert [p["design"] for p in payloads] == \
+            ["no_such_design0", "no_such_design1"]
+        for payload in payloads:
+            assert "unknown suite design" in payload["error"]
+            assert payload["rows"] == []
+            assert [e["kind"] for e in payload["events"]] == \
+                ["run.start", "run.end"]
+
+
 class TestSupervisedIdentity:
-    """The supervised pool changes *where* units run, never the output."""
+    """The unit pool changes *where* units run, never the output."""
 
     def test_no_fault_sweep_matches_in_process_bit_for_bit(self):
         seq = run_grid(sweep_spec(DESIGNS[:2]), jobs=1)
-        sup = run_grid(sweep_spec(DESIGNS[:2]), jobs=2)
+        pooled = run_grid(sweep_spec(DESIGNS[:2]), jobs=2)
         # per-unit telemetry: bit-identical
-        assert seq.unit_events == sup.unit_events
+        assert seq.unit_events == pooled.unit_events
         # rows: identical up to wall-clock timings
-        assert comparable_rows(seq.payloads) == comparable_rows(sup.payloads)
-        # supervisor lifecycle telemetry stays in the sweep-level stream
-        assert not any(e["kind"].startswith("job.") for e in seq.events)
-        assert not any(e["kind"].startswith("job.") for e in sup.unit_events)
-        kinds = {e["kind"] for e in sup.events}
-        assert {"job.submit", "job.start", "job.end"} <= kinds
-        validate_stream(sup.events)
-        assert all(p["job_state"] == "done" and p["attempts"] == 1
-                   for p in sup.payloads)
-
-
-@pytest.mark.faultinject
-class TestInProcessFaults:
-    def test_jobs1_fault_is_isolated_and_uninstalled(self):
-        """The in-process path installs/uninstalls the injector cleanly."""
-        from repro.utils import faults
-
-        [unit] = make_units(sweep_spec(DESIGNS[:1]))
-        payload = run_unit(unit, fault_plans=(
-            FaultPlan("bench.design.des_perf_1", mode="raise"),))
-        assert payload["error"] and "InjectedFault" in payload["error"]
-        assert faults.active() is None
-        validate_stream(payload["events"])
+        assert comparable_rows(seq.payloads) == comparable_rows(pooled.payloads)
+        # the sweep-level stream is the same dse.* segment either way
+        assert seq.events == pooled.events
+        validate_stream(pooled.events)
 
 
 class TestTables:
@@ -255,12 +284,9 @@ class TestTables:
         assert kinds.count("rd.start") == len(ABLATION_LABELS)
         assert "gp.iter" in kinds
         payload = json.loads(out.read_text())
-        assert {"kind", "jobs", "elapsed_s", "rows", "errors",
-                "supervisor"} <= set(payload)
+        assert set(payload) == {"kind", "jobs", "elapsed_s", "rows", "errors"}
         assert payload["kind"] == "table2" and payload["errors"] == []
         assert [r["placer"] for r in payload["rows"]] == ABLATION_LABELS
-        assert payload["supervisor"]["designs"] == [
-            {"design": "des_perf_1", "attempts": 1, "job_state": None}]
 
     def test_table2_payload_ingests_rounds(self):
         [unit] = make_units(table_spec(2, ["des_perf_1"], scale=0.1))

@@ -13,7 +13,8 @@ layout and its scratch reuse are covered too.
 nothing selects among layouts any more, so the former selection
 options (CLI flag, environment variable, solver keywords, telemetry
 event) are rejected or inert.  The keyword options of the retired
-placement daemon ride along in ``test_removed_keywords_rejected``.
+placement daemon, supervised job runtime and Adam solver ride along in
+``test_removed_keywords_rejected``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.harness import kernel_info
+from repro.baselines.flows import run_ours
+from repro.bench.harness import kernel_info, run_design
 from repro.cli import build_parser
 from repro.core.congestion_field import CongestionField
 from repro.core.multipin import multi_pin_cell_gradients
@@ -34,12 +36,14 @@ from repro.density.electrostatic import ElectrostaticSystem
 from repro.density.poisson import PoissonSolver, SpectralWorkspace
 from repro.density.rasterize import CellRasterizer
 from repro.dse.grid import apply_knobs
+from repro.dse.runner import run_grid, run_unit
 from repro.geometry import Grid2D, Rect
-from repro.jobs import SupervisorConfig
+from repro.place.config import GPConfig
 from repro.place.initial import initial_placement
 from repro.route import GlobalRouter, RouterConfig
 from repro.run import EcoRequest, PlaceRequest, RouteRequest, open_metrics
 from repro.synth import toy_design
+from repro.utils.faults import FaultPlan
 from repro.utils.metrics import EVENT_FIELDS, validate_event
 from repro.wirelength.wa import wa_wirelength_and_grad
 from tests.oracle import oracle_kernels
@@ -278,9 +282,29 @@ class TestNoKernelSelection:
                 lambda g: open_metrics(None, "place", "d.bl", buffer_lines=1),
                 id="open_metrics-buffer_lines",
             ),
+            # nor the supervised job runtime's retry/resume options
             pytest.param(
-                lambda g: SupervisorConfig(cancel_grace=0.5),
-                id="SupervisorConfig-cancel_grace",
+                lambda g: run_grid(None, job_timeout=1), id="run_grid-job_timeout"
+            ),
+            pytest.param(
+                lambda g: run_grid(None, checkpoint_dir="ck"),
+                id="run_grid-checkpoint_dir",
+            ),
+            pytest.param(
+                lambda g: run_unit(None, fault_plans=()), id="run_unit-fault_plans"
+            ),
+            pytest.param(
+                lambda g: run_design(None, resume=True), id="run_design-resume"
+            ),
+            pytest.param(
+                lambda g: run_ours(None, resume=True), id="run_ours-resume"
+            ),
+            pytest.param(
+                lambda g: FaultPlan("s", attempts=1), id="FaultPlan-attempts"
+            ),
+            # nor the Adam solver
+            pytest.param(
+                lambda g: GPConfig(optimizer="adam"), id="GPConfig-optimizer"
             ),
             pytest.param(
                 lambda g: apply_knobs({}, gp_base=None), id="apply_knobs-gp_base"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.optim import AdamOptimizer, NesterovOptimizer
+from repro.optim import NesterovOptimizer
 
 
 def quad_grad(target, scale=1.0):
@@ -69,24 +69,3 @@ class TestNesterov:
         info = opt.do_step()
         assert info["iteration"] == 1
         assert info["grad_norm"] == pytest.approx(np.sqrt(2))
-
-
-class TestAdam:
-    def test_converges_on_quadratic(self):
-        target = np.array([1.0, -4.0])
-        opt = AdamOptimizer(np.zeros(2), quad_grad(target), lr=0.1)
-        for _ in range(1000):
-            opt.do_step()
-        assert np.allclose(opt.u, target, atol=1e-3)
-
-    def test_bias_correction_first_step(self):
-        opt = AdamOptimizer(np.zeros(1), lambda x: np.ones(1), lr=0.5)
-        opt.do_step()
-        # first Adam step magnitude == lr regardless of gradient scale
-        assert opt.u[0] == pytest.approx(-0.5, rel=1e-6)
-
-    def test_iteration_counter(self):
-        opt = AdamOptimizer(np.zeros(1), lambda x: np.ones(1))
-        for k in range(3):
-            info = opt.do_step()
-        assert info["iteration"] == 3

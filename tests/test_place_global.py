@@ -17,8 +17,6 @@ from repro.wirelength import hpwl
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            GPConfig(optimizer="sgd")
-        with pytest.raises(ValueError):
             GPConfig(target_density=0.0)
         with pytest.raises(ValueError):
             GPConfig(max_iters=0)
@@ -87,12 +85,6 @@ class TestPlacerRun:
         hist = gp.run()
         assert {"hpwl", "overflow", "energy", "step", "grad_norm"} <= set(hist.records[0])
         assert len(hist) == 20 or hist.final["overflow"] <= 0.07
-
-    def test_adam_also_spreads(self, toy120):
-        initial_placement(toy120, 0)
-        gp = GlobalPlacer(toy120, GPConfig(max_iters=150, optimizer="adam"))
-        hist = gp.run()
-        assert hist.final["overflow"] < hist.records[0]["overflow"]
 
     def test_fixed_cells_never_move(self, toy120):
         fixed = ~toy120.movable

@@ -11,7 +11,7 @@ Two structural properties the differential checker cannot cover:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.congestion_field import CongestionField
@@ -58,6 +58,17 @@ def _scene(positions, fixed_mask, shift=(0.0, 0.0)):
     return netlist, grid, congestion, field
 
 
+def _round_trips(nl0, nl1, shift) -> bool:
+    """True when the shifted scene is exactly the unshifted one moved.
+
+    Adding the shift can round a coordinate (``1.5 + 2.2e-16 + 15``
+    loses the epsilon), and then the two frames describe different
+    scenes, which translation invariance says nothing about.
+    """
+    sx, sy = shift
+    return bool(np.all(nl1.x - sx == nl0.x) and np.all(nl1.y - sy == nl0.y))
+
+
 coords = st.lists(
     st.floats(0.0, 1.0, allow_nan=False, width=32), min_size=12, max_size=12
 )
@@ -101,6 +112,7 @@ class TestTranslationInvariance:
         fixed = [False] * 6
         nl0, g0, c0, f0 = _scene(positions, fixed)
         nl1, g1, c1, f1 = _scene(positions, fixed, shift=shift)
+        assume(_round_trips(nl0, nl1, shift))
         gx0, gy0, _ = two_pin_net_gradients(nl0, g0, c0, f0, virtual_area=0.25)
         gx1, gy1, _ = two_pin_net_gradients(nl1, g1, c1, f1, virtual_area=0.25)
         np.testing.assert_allclose(gx1, gx0, rtol=1e-9, atol=1e-9)
@@ -118,6 +130,7 @@ class TestTranslationInvariance:
         fixed = [False] * 6
         nl0, g0, c0, f0 = _scene(positions, fixed)
         nl1, g1, c1, f1 = _scene(positions, fixed, shift=shift)
+        assume(_round_trips(nl0, nl1, shift))
         gx0, gy0, s0 = multi_pin_cell_gradients(nl0, g0, c0, f0, threshold=0.2)
         gx1, gy1, s1 = multi_pin_cell_gradients(nl1, g1, c1, f1, threshold=0.2)
         assert np.array_equal(s0, s1)

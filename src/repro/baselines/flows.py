@@ -6,6 +6,7 @@ placement wall time (the PT column of Table I).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 
 from repro.core.rd_placer import RDConfig, RDResult, RoutabilityDrivenPlacer
@@ -16,7 +17,6 @@ from repro.place.config import GPConfig
 from repro.place.global_placer import converge_placement
 from repro.place.initial import initial_placement
 from repro.utils.profile import StageProfiler
-from repro.utils.timer import Timer
 
 
 @dataclass
@@ -53,11 +53,10 @@ def make_gp_seed(
 ) -> GPSeed:
     """Run the wirelength-driven GP once, for all flows to start from."""
     nl = netlist.copy()
-    timer = Timer().start()
+    t0 = time.perf_counter()
     initial_placement(nl, (gp_config or GPConfig()).seed)
     converge_placement(nl, gp_config, metrics=metrics)
-    timer.stop()
-    return GPSeed(netlist=nl, time=timer.elapsed)
+    return GPSeed(netlist=nl, time=time.perf_counter() - t0)
 
 
 def run_xplace(
@@ -69,17 +68,16 @@ def run_xplace(
     if seed_gp is None:
         seed_gp = make_gp_seed(netlist, gp_config)
     nl = seed_gp.netlist.copy()
-    timer = Timer().start()
+    t0 = time.perf_counter()
     profiler = StageProfiler()
     with profiler.timer("flow.legalize"):
         lstats = legalize(nl)
     with profiler.timer("flow.detail"):
         dstats = detailed_place(nl, passes=2)
-    timer.stop()
     return FlowResult(
         name="Xplace",
         netlist=nl,
-        placement_time=seed_gp.time + timer.elapsed,
+        placement_time=seed_gp.time + (time.perf_counter() - t0),
         legalize_stats=lstats,
         detail_stats=dstats,
         profile=profiler.as_dict(),
@@ -106,7 +104,7 @@ def run_flow(
         seed_time = seed_gp.time
     else:
         nl = netlist.copy()
-    timer = Timer().start()
+    t0 = time.perf_counter()
     profiler = StageProfiler()
     placer = RoutabilityDrivenPlacer(
         nl, rd_config, profiler=profiler, metrics=metrics
@@ -126,11 +124,10 @@ def run_flow(
             grid=placer.gp.grid,
             congestion=rd_result.final_routing.congestion_map,
         )
-    timer.stop()
     return FlowResult(
         name=name,
         netlist=nl,
-        placement_time=seed_time + timer.elapsed,
+        placement_time=seed_time + (time.perf_counter() - t0),
         legalize_stats=lstats,
         detail_stats=dstats,
         rd_result=rd_result,

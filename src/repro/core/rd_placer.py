@@ -37,6 +37,7 @@ The loop never returns garbage and never dies mid-flow:
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -66,11 +67,10 @@ from repro.utils.checkpoint import (
     write_checkpoint,
 )
 from repro.utils.contracts import CONTRACTS
-from repro.utils.guards import GuardEvent, GuardLog, all_finite, scrub_nonfinite
+from repro.utils.guards import all_finite, scrub_nonfinite
 from repro.utils.logging import get_logger
 from repro.utils.metrics import NULL
 from repro.utils.profile import StageProfiler
-from repro.utils.timer import Timer
 from repro.wirelength.hpwl import hpwl as hpwl_of
 
 logger = get_logger("core.rd_placer")
@@ -141,8 +141,9 @@ class RoundRecord:
     while preparing this round (scrubbed congestion maps, rollbacks of
     a previous failed round); ``router_fallbacks`` counts routing
     chunks retried one segment at a time in the pass that produced
-    this round's congestion (``RoutingResult.n_fallbacks``); ``guard_trips`` is the cumulative solver guard-trip
-    count at record time.
+    this round's congestion (``RoutingResult.n_fallbacks``);
+    ``guard_trips`` is the cumulative solver guard-trip count at record
+    time (``GlobalPlacer.n_guard_trips``).
 
     ``n_deflated`` counts cells whose Eq. 12 deflation correction fired
     in this round's MCI update.  ``netmove_grad_l1`` /
@@ -177,7 +178,12 @@ class RoundRecord:
 
 @dataclass
 class RDResult:
-    """Outcome of the full routability-driven global placement."""
+    """Outcome of the full routability-driven global placement.
+
+    ``n_guard_events`` counts the solver guard trips (``gp.guard``
+    events) plus the flow recoveries (``rd.recovery`` events) of this
+    run.
+    """
 
     netlist: Netlist
     rounds: list
@@ -186,8 +192,7 @@ class RDResult:
     placement_time: float
     initial_gp_iters: int
     best_round: int = -1
-    profile: dict = field(default_factory=dict)
-    guard_events: list = field(default_factory=list)
+    n_guard_events: int = 0
     resumed_from_round: int = -1
 
     @property
@@ -263,7 +268,10 @@ class RoutabilityDrivenPlacer:
         self.last_multipin_l1 = 0.0
         # (bins adjusted, total charge) of the most recent DPA update
         self._last_dpa = (0, 0.0)
-        self.recovery_log = GuardLog()
+        # every flow recovery goes through _note_recovery, which
+        # counts it here; round-level ones also land in the next
+        # RoundRecord.recovery through _pending_recovery
+        self.n_recoveries = 0
         self._pending_recovery: list = []
 
     # ------------------------------------------------------------------
@@ -291,7 +299,7 @@ class RoutabilityDrivenPlacer:
             bit-identical to the uninterrupted run.
         """
         cfg = self.config
-        timer = Timer().start()
+        t0 = time.perf_counter()
 
         state: _FlowState | None = None
         if resume and checkpoint_path and _checkpoint_candidates(checkpoint_path):
@@ -301,24 +309,8 @@ class RoutabilityDrivenPlacer:
                 # torn write with no good predecessor: a cold start is
                 # the correct recovery (the retry recomputes), but the
                 # damage is reported, never silently absorbed
-                self.recovery_log.record(
-                    GuardEvent(
-                        site="rd.checkpoint",
-                        kind="checkpoint_corrupt",
-                        detail=str(exc),
-                        action="cold_start",
-                    )
-                )
-                if self.metrics.enabled:
-                    self.metrics.emit(
-                        "rd.recovery",
-                        round=-1,
-                        guard="checkpoint_corrupt",
-                        detail=str(exc),
-                        action="cold_start",
-                    )
-                logger.warning(
-                    "checkpoint unusable, starting flow from scratch: %s", exc
+                self._note_recovery(
+                    -1, "checkpoint_corrupt", str(exc), action="cold_start"
                 )
         if state is not None:
             if self.metrics.enabled:
@@ -335,7 +327,6 @@ class RoutabilityDrivenPlacer:
 
         failures = 0
         for round_id in range(state.next_round, cfg.max_rounds):
-            self.profiler.count("rd.rounds")
             try:
                 outcome = self._run_round(round_id, state)
             except Exception as exc:  # noqa: BLE001 — rollback, don't die
@@ -378,18 +369,15 @@ class RoutabilityDrivenPlacer:
             routing = state.best_routing
             logger.info("restored best placement from round %d", state.best_round)
 
-        timer.stop()
         return RDResult(
             netlist=self.netlist,
             rounds=state.rounds,
             final_routing=routing,
             selected_rails=state.selected_rails,
-            placement_time=timer.elapsed,
+            placement_time=time.perf_counter() - t0,
             initial_gp_iters=state.initial_iters,
             best_round=state.best_round,
-            profile=self.profiler.as_dict(),
-            guard_events=self.gp.guard_log.as_dicts()
-            + self.recovery_log.as_dicts(),
+            n_guard_events=self.gp.n_guard_trips + self.n_recoveries,
             resumed_from_round=state.resumed_from_round,
         )
 
@@ -603,10 +591,14 @@ class RoutabilityDrivenPlacer:
     def _note_recovery(
         self, round_id: int, kind: str, detail: str, action: str
     ) -> None:
+        """Record one flow recovery: count, log, ``rd.recovery`` event.
+
+        ``round_id`` -1 marks a checkpoint recovery at resume time; it
+        precedes every round and so joins no ``RoundRecord.recovery``.
+        """
         logger.warning("round %d: %s (%s)", round_id, detail, action)
-        self.profiler.count("rd.recoveries")
+        self.n_recoveries += 1
         if self.metrics.enabled:
-            self.metrics.inc("rd.recoveries")
             self.metrics.emit(
                 "rd.recovery",
                 round=round_id,
@@ -614,16 +606,8 @@ class RoutabilityDrivenPlacer:
                 detail=detail,
                 action=action,
             )
-        self.recovery_log.record(
-            GuardEvent(
-                site="rd.flow",
-                kind=kind,
-                iteration=round_id,
-                detail=detail,
-                action=action,
-            )
-        )
-        self._pending_recovery.append(detail)
+        if round_id >= 0:
+            self._pending_recovery.append(detail)
 
     def _rollback_round(
         self, state: _FlowState, round_id: int, exc: Exception
@@ -774,7 +758,6 @@ class RoutabilityDrivenPlacer:
             # cost the flow its only resume point
             write_checkpoint(path, meta, arrays, keep_previous=True)
         if self.metrics.enabled:
-            self.metrics.inc("rd.checkpoints")
             self.metrics.emit("rd.checkpoint", round=state.next_round)
         logger.info(
             "checkpoint written to %s (next round %d)", path, state.next_round
@@ -784,18 +767,12 @@ class RoutabilityDrivenPlacer:
         cfg = self.config
         meta, arrays, used_path = read_checkpoint_with_fallback(path)
         if used_path != path:
-            logger.warning(
-                "checkpoint %s unusable; resuming from previous good "
-                "checkpoint %s", path, used_path,
+            self._note_recovery(
+                -1,
+                "checkpoint_corrupt",
+                f"{path} unusable, fell back to {used_path}",
+                action="fallback",
             )
-            if self.metrics.enabled:
-                self.metrics.emit(
-                    "rd.recovery",
-                    round=-1,
-                    guard="checkpoint_corrupt",
-                    detail=f"fell back to {used_path}",
-                    action="fallback",
-                )
         if meta.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: checkpoint version {meta.get('version')!r} "
@@ -1045,7 +1022,7 @@ class RoutabilityDrivenPlacer:
             max_inflation=float((self.gp.size_scale**2).max()),
             recovery=recovery,
             router_fallbacks=routing.n_fallbacks,
-            guard_trips=len(self.gp.guard_log),
+            guard_trips=self.gp.n_guard_trips,
             n_deflated=self.inflation.last_n_deflated,
             netmove_grad_l1=self.last_netmove_l1,
             multipin_grad_l1=self.last_multipin_l1,
@@ -1055,29 +1032,13 @@ class RoutabilityDrivenPlacer:
 
     def _emit_round(self, record: RoundRecord) -> None:
         """One ``rd.round`` telemetry event mirroring the record."""
-        m = self.metrics
-        m.inc("rd.rounds")
-        m.observe("rd.total_overflow", record.total_overflow)
-        m.gauge("rd.mean_inflation", record.mean_inflation)
-        m.emit(
+        fields = asdict(record)
+        recovery = fields.pop("recovery")
+        # the stream names the round ``round`` and counts the recovery
+        # notes (dse/store.py reads both names)
+        self.metrics.emit(
             "rd.round",
-            round=record.round_id,
-            c_value=record.c_value,
-            mean_congestion=record.mean_congestion,
-            max_congestion=record.max_congestion,
-            congested_fraction=record.congested_fraction,
-            total_overflow=record.total_overflow,
-            hpwl=record.hpwl,
-            lambda2=record.lambda2,
-            n_congested_cells=record.n_congested_cells,
-            mean_inflation=record.mean_inflation,
-            max_inflation=record.max_inflation,
-            n_deflated=record.n_deflated,
-            netmove_grad_l1=record.netmove_grad_l1,
-            multipin_grad_l1=record.multipin_grad_l1,
-            dpa_bins=record.dpa_bins,
-            dpa_charge=record.dpa_charge,
-            router_fallbacks=record.router_fallbacks,
-            guard_trips=record.guard_trips,
-            n_recoveries=len(record.recovery),
+            round=fields.pop("round_id"),
+            **fields,
+            n_recoveries=len(recovery),
         )

@@ -398,14 +398,21 @@ class RunDB:
         return {"counts": counts, "sweeps": sweeps}
 
     def dump(self) -> dict:
-        """Canonical sorted dict of all tables (determinism tests)."""
+        """All tables as row dicts, each ordered by its primary key.
+
+        Keys never hold wall-clock values, so two databases of the same
+        spec list the same rows in the same order and differ only in
+        ``units.elapsed_s`` and the PT/RT metric values.
+        """
         out = {}
         for table in ("units", "knobs", "runs", "metrics", "rounds",
                       "kernel_events", "supervisor_events", "bench_payloads",
                       "bench_metrics"):
-            cur = self.conn.execute(f"SELECT * FROM {table}")
+            # table_info rows: (cid, name, type, notnull, default, pk)
+            pk = sorted((c[5], c[1]) for c in
+                        self.conn.execute(f"PRAGMA table_info({table})") if c[5])
+            order = ", ".join(name for _, name in pk)
+            cur = self.conn.execute(f"SELECT * FROM {table} ORDER BY {order}")
             cols = [d[0] for d in cur.description]
-            out[table] = sorted(
-                [dict(zip(cols, row)) for row in cur.fetchall()],
-                key=lambda r: json.dumps(r, sort_keys=True, default=str))
+            out[table] = [dict(zip(cols, row)) for row in cur.fetchall()]
         return out

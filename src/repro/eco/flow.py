@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,6 @@ from repro.utils.checkpoint import backup_path
 from repro.utils.logging import get_logger
 from repro.utils.metrics import NULL
 from repro.utils.profile import StageProfiler
-from repro.utils.timer import Timer
 from repro.wirelength.hpwl import hpwl
 
 logger = get_logger("eco.flow")
@@ -202,7 +202,7 @@ def eco_place(
     cfg = cfg or EcoConfig()
     profiler = profiler or StageProfiler()
     metrics = metrics if metrics is not None else NULL
-    timer = Timer().start()
+    t0 = time.perf_counter()
 
     with profiler.timer("eco.diff"):
         diff = diff_netlists(old, new)
@@ -241,7 +241,7 @@ def eco_place(
             n_rounds=result.n_rounds,
             routing=result.final_routing,
             resumed=True,
-            elapsed=timer.stop(),
+            elapsed=time.perf_counter() - t0,
         )
         _emit_place(metrics, out)
         return out
@@ -293,7 +293,7 @@ def eco_place(
             netlist=new, diff=diff, warm=warm, region=region,
             hpwl=float(hpwl(new)),
             total_overflow=float(routing.total_overflow),
-            n_rounds=0, routing=routing, elapsed=timer.stop(),
+            n_rounds=0, routing=routing, elapsed=time.perf_counter() - t0,
         )
         _emit_place(metrics, out)
         return out
@@ -332,7 +332,7 @@ def eco_place(
         hpwl=float(hpwl(new)),
         total_overflow=float(routing.total_overflow),
         n_rounds=result.n_rounds, routing=routing,
-        elapsed=timer.stop(),
+        elapsed=time.perf_counter() - t0,
     )
     _emit_place(metrics, out)
     return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +13,6 @@ from repro.geometry.grid import Grid2D
 from repro.netlist.netlist import Netlist
 from repro.place.config import auto_grid_dim
 from repro.route.router import GlobalRouter, RoutingResult
-from repro.utils.timer import Timer
 
 
 @dataclass
@@ -58,12 +58,12 @@ def evaluate_routing(
     if grid is None:
         grid = evaluation_grid(netlist, cfg)
 
-    timer = Timer().start()
+    t0 = time.perf_counter()
     router = GlobalRouter(grid, cfg.router)
     routing = router.route(netlist)
     util = routing.utilization_map
     pin_report = pin_access_violations(netlist, grid, util, cfg)
-    timer.stop()
+    routing_time = time.perf_counter() - t0
 
     # violations scale superlinearly with overflow depth: a G-cell
     # 5 tracks over capacity produces far more shorts than five cells
@@ -86,6 +86,6 @@ def evaluate_routing(
         n_drvs=float(np.round(n_drvs)),
         overflow_drvs=overflow_drvs,
         pin_report=pin_report,
-        routing_time=timer.elapsed,
+        routing_time=routing_time,
         routing=routing,
     )

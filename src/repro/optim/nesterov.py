@@ -27,8 +27,6 @@ import numpy as np
 from repro.utils import faults
 from repro.utils.guards import (
     GuardConfig,
-    GuardEvent,
-    GuardLog,
     NumericalFault,
     all_finite,
     scrub_nonfinite,
@@ -47,6 +45,7 @@ class NesterovOptimizer:
         min_step: float = 1e-12,
         max_move: float | None = None,
         guard: GuardConfig | None = None,
+        on_guard: Callable[[str, str, str], None] | None = None,
     ) -> None:
         """
         Parameters
@@ -74,6 +73,10 @@ class NesterovOptimizer:
             corrupted afterwards has its bad entries scrubbed to zero
             so the trajectory continues on the healthy coordinates.
             Checks are read-only on the healthy path.
+        on_guard:
+            Called as ``on_guard(kind, detail, action)`` on every
+            backoff and scrub, so the owning placer can record the
+            trip.
         """
         self.u = np.array(x0, dtype=np.float64, copy=True)
         self.v = self.u.copy()
@@ -84,7 +87,7 @@ class NesterovOptimizer:
         self.min_step = min_step
         self.max_move = max_move
         self.guard = guard or GuardConfig()
-        self.guard_log = GuardLog()
+        self.on_guard = on_guard or (lambda kind, detail, action: None)
         self._prev_v: np.ndarray | None = None
         self._prev_g: np.ndarray | None = None
         self.iteration = 0
@@ -127,15 +130,7 @@ class NesterovOptimizer:
         error: str = ""
         for attempt in range(attempts + 1):
             if attempt:
-                self.guard_log.record(
-                    GuardEvent(
-                        site="optim.gradient",
-                        kind="nonfinite",
-                        iteration=self.iteration,
-                        detail=error,
-                        action="backoff",
-                    )
-                )
+                self.on_guard("nonfinite", error, "backoff")
                 self._backoff()
             try:
                 g = faults.fire("optim.gradient", self.grad_fn(self.v))
@@ -153,14 +148,8 @@ class NesterovOptimizer:
                 f"gradient callback failed {attempts + 1} times: {error}"
             )
         _, n_bad = scrub_nonfinite(g)
-        self.guard_log.record(
-            GuardEvent(
-                site="optim.gradient",
-                kind="nonfinite",
-                iteration=self.iteration,
-                detail=f"scrubbed {n_bad} entries after {attempts} backoffs",
-                action="scrub",
-            )
+        self.on_guard(
+            "nonfinite", f"scrubbed {n_bad} entries after {attempts} backoffs", "scrub"
         )
         return g
 
@@ -192,7 +181,6 @@ class NesterovOptimizer:
             "iteration": self.iteration,
             "step": self.step,
             "grad_norm": float(np.linalg.norm(g)),
-            "guard_trips": len(self.guard_log),
         }
 
     # ------------------------------------------------------------------

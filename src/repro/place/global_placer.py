@@ -32,13 +32,7 @@ from repro.optim.nesterov import NesterovOptimizer
 from repro.place.config import GPConfig, auto_grid_dim
 from repro.place.initial import initial_placement, scatter_fillers
 from repro.utils.contracts import CONTRACTS
-from repro.utils.guards import (
-    DivergenceSentinel,
-    GuardEvent,
-    GuardLog,
-    NumericalFault,
-    scrub_nonfinite,
-)
+from repro.utils.guards import DivergenceSentinel, NumericalFault, scrub_nonfinite
 from repro.utils.logging import get_logger
 from repro.utils.metrics import NULL
 from repro.utils.profile import StageProfiler
@@ -142,8 +136,9 @@ class GlobalPlacer:
         self._optimizer = None
 
         # divergence guard: rolling HPWL watchdog plus the last known
-        # healthy parameter vector the loop can roll back to
-        self.guard_log = GuardLog()
+        # healthy parameter vector the loop can roll back to; trips of
+        # both this loop and the optimizer are counted by _note_guard
+        self.n_guard_trips = 0
         self._sentinel = DivergenceSentinel(cfg.guard)
         self._last_good: np.ndarray | None = None
 
@@ -312,10 +307,8 @@ class GlobalPlacer:
             initial_step=step0,
             max_move=1.0 * bin_unit,
             guard=self.config.guard,
+            on_guard=self._note_guard,
         )
-        # one shared log: optimizer-level gradient trips and
-        # placement-level divergence trips read as one stream
-        self._optimizer.guard_log = self.guard_log
 
     def prepare(self, reinitialize_positions: bool = False) -> None:
         """Build the optimizer (optionally re-centering cells first)."""
@@ -428,6 +421,24 @@ class GlobalPlacer:
             self.reset_solver()
             self.run(max_iters=burst_iters, min_iters=burst_iters)
 
+    def _note_guard(self, kind: str, detail: str, action: str) -> None:
+        """Record one guard trip of this placer or its optimizer.
+
+        ``action`` is ``"rollback"`` for a placement-level trip (see
+        :meth:`_recover_from_trip`) and ``"backoff"``/``"scrub"`` for a
+        gradient trip inside :class:`NesterovOptimizer`.
+        """
+        self.n_guard_trips += 1
+        logger.warning("guard tripped (%s, %s): %s", kind, action, detail)
+        if self.metrics.enabled:
+            self.metrics.emit(
+                "gp.guard",
+                iter=len(self.history),
+                guard=kind,
+                detail=detail,
+                action=action,
+            )
+
     def _recover_from_trip(self, kind: str, detail: str) -> None:
         """Roll the solver back to the last healthy point and back off.
 
@@ -439,22 +450,7 @@ class GlobalPlacer:
         descends again from known-good coordinates instead of
         propagating garbage.
         """
-        self.guard_log.record(
-            GuardEvent(
-                site="gp.run",
-                kind=kind,
-                iteration=len(self.history),
-                detail=detail,
-                action="rollback",
-            )
-        )
-        self.profiler.count("gp.guard_trips")
-        if self.metrics.enabled:
-            self.metrics.inc("gp.guard_trips")
-            self.metrics.emit(
-                "gp.guard", iter=len(self.history), guard=kind, detail=detail
-            )
-        logger.warning("divergence guard tripped (%s): %s", kind, detail)
+        self._note_guard(kind, detail, "rollback")
         opt = self._optimizer
         if self._last_good is not None:
             opt.u = self._last_good.copy()
@@ -525,8 +521,8 @@ class GlobalPlacer:
                 initial_step=float(opt_state["step"]),
                 max_move=1.0 * bin_unit,
                 guard=self.config.guard,
+                on_guard=self._note_guard,
             )
-            opt.guard_log = self.guard_log
             opt.load_state_dict(opt_state)
             self._optimizer = opt
         self._last_good = None

@@ -64,7 +64,9 @@ class RoutingResult:
     ``n_fallbacks`` counts the cost-refresh chunks whose
     :meth:`PatternRouter.route_batch` call raised and that were routed
     one segment at a time with :meth:`PatternRouter.route_one` instead
-    (bit-identical, only slower).
+    (bit-identical, only slower).  ``n_rerouted`` counts the segments
+    ripped up and rerouted over all RRR rounds (a segment rerouted in
+    two rounds counts twice).
     """
 
     grid: RoutingGrid
@@ -74,6 +76,7 @@ class RoutingResult:
     total_overflow: float
     n_segments: int
     n_fallbacks: int = 0
+    n_rerouted: int = 0
 
     @property
     def congestion_map(self) -> np.ndarray:
@@ -124,7 +127,6 @@ class GlobalRouter:
         the caller bounds and reports it (the routability loop rolls
         the round back, a sweep job records an error).
         """
-        self.profiler.count("route.calls")
         with self.profiler.timer("route.total"):
             faults.fire("route.batched")
             result = self._route_pass(netlist, net_ids, base_demand)
@@ -148,8 +150,6 @@ class GlobalRouter:
             return
         rgrid = result.grid
         util = result.utilization_map
-        m.inc("route.passes")
-        m.observe("route.overflow", result.total_overflow)
         m.emit(
             "route.pass",
             n_segments=result.n_segments,
@@ -162,6 +162,7 @@ class GlobalRouter:
             v_cap=float(rgrid.v_cap.sum()),
             max_utilization=float(util.max()) if util.size else 0.0,
             n_fallbacks=result.n_fallbacks,
+            n_rerouted=result.n_rerouted,
         )
 
     # ------------------------------------------------------------------
@@ -178,7 +179,6 @@ class GlobalRouter:
 
         with prof.timer("route.decompose"):
             batch = self._collect_segment_batch(netlist, net_ids)
-        prof.count("route.segments", len(batch))
         self._add_pin_via_demand(rgrid, netlist, net_ids)
 
         with prof.timer("route.initial"):
@@ -186,6 +186,7 @@ class GlobalRouter:
                 rgrid, batch, np.arange(len(batch), dtype=np.int64)
             )
 
+        n_rerouted = 0
         with prof.timer("route.rrr"):
             for round_id in range(cfg.rrr_rounds):
                 rgrid.accumulate_history()
@@ -195,7 +196,7 @@ class GlobalRouter:
                 logger.info(
                     "RRR round %d: rerouting %d segments", round_id, len(victims)
                 )
-                prof.count("route.rerouted", len(victims))
+                n_rerouted += len(victims)
                 self._commit_idx(rgrid, batch, victims, sign=-1.0)
                 n_fallbacks += self._route_chunks(rgrid, batch, victims)
 
@@ -204,7 +205,7 @@ class GlobalRouter:
             with prof.timer("route.maze"):
                 overrides = self._maze_cleanup(rgrid, batch)
 
-        return self._result(rgrid, batch, overrides, n_fallbacks)
+        return self._result(rgrid, batch, overrides, n_fallbacks, n_rerouted)
 
     @staticmethod
     def _apply_base_demand(
@@ -283,7 +284,6 @@ class GlobalRouter:
                     "one segment at a time",
                     len(chunk),
                 )
-                self.profiler.count("route.chunk_fallbacks")
                 n_fallbacks += 1
                 for k in chunk:
                     fam, bend, cost = router.route_one(
@@ -382,6 +382,7 @@ class GlobalRouter:
         batch: RoutedPathBatch,
         overrides: dict,
         n_fallbacks: int,
+        n_rerouted: int,
     ) -> RoutingResult:
         wl = batch.wirelengths(self.grid.dx, self.grid.dy)
         for k, path in overrides.items():
@@ -395,6 +396,7 @@ class GlobalRouter:
             total_overflow=float(rgrid.overflow_map().sum()),
             n_segments=len(batch),
             n_fallbacks=n_fallbacks,
+            n_rerouted=n_rerouted,
         )
 
     def _add_pin_via_demand(

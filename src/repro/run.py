@@ -203,7 +203,7 @@ def run_place_job(req: PlaceRequest) -> PlaceOutcome:
         outcome.n_rounds = result.n_rounds
         outcome.best_round = result.best_round
         outcome.resumed_from_round = result.resumed_from_round
-        outcome.n_guard_events = len(result.guard_events)
+        outcome.n_guard_events = result.n_guard_events
         congestion = result.final_routing.congestion_map
         grid = placer.gp.grid
     else:

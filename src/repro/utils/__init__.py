@@ -1,4 +1,4 @@
-"""Shared utilities: logging, seeded RNG, timers, profiling, telemetry."""
+"""Shared utilities: logging, seeded RNG, profiling, telemetry."""
 
 from repro.utils.clock import Clock, FakeClock, SystemClock
 from repro.utils.contracts import (
@@ -12,7 +12,6 @@ from repro.utils.metrics import (
     NULL,
     JsonlSink,
     MemorySink,
-    MetricsConfig,
     MetricsError,
     MetricsRegistry,
     MetricsReport,
@@ -22,7 +21,6 @@ from repro.utils.metrics import (
 )
 from repro.utils.profile import StageProfiler, StageStats
 from repro.utils.rng import make_rng
-from repro.utils.timer import Timer
 
 __all__ = [
     "CONTRACTS",
@@ -36,10 +34,8 @@ __all__ = [
     "SystemClock",
     "StageProfiler",
     "StageStats",
-    "Timer",
     "NULL",
     "NullMetrics",
-    "MetricsConfig",
     "MetricsError",
     "MetricsRegistry",
     "MetricsReport",

@@ -1,11 +1,10 @@
-"""Injectable monotonic clock shared by the timing/telemetry layer.
+"""Injectable monotonic clock of the stage profiler.
 
-:class:`~repro.utils.profile.StageProfiler`,
-:class:`~repro.utils.timer.Timer` and
-:class:`~repro.utils.metrics.MetricsRegistry` all read time through a
+:class:`~repro.utils.profile.StageProfiler` reads time through a
 :class:`Clock` object instead of calling ``time.perf_counter()``
 directly, so tests can drive a :class:`FakeClock` deterministically
-instead of sleeping and asserting on real wall time.
+instead of sleeping and asserting on real wall time.  Flow-level
+PT/RT columns are plain ``time.perf_counter()`` differences.
 """
 
 from __future__ import annotations

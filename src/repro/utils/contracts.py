@@ -125,7 +125,6 @@ class ContractChecker:
             )
         logger.warning("contract violation at %s (%s): %s", site, contract, detail)
         if self.metrics.enabled:
-            self.metrics.inc("contract.violations")
             self.metrics.emit(
                 "contract.violation", site=site, contract=contract, detail=detail
             )

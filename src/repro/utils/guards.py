@@ -11,9 +11,11 @@ module centralizes the detection and the (cheap) recovery primitives:
 * :class:`DivergenceSentinel` — rolling-baseline watchdog over a scalar
   trajectory (HPWL, overflow); trips when the metric blows up relative
   to the best recently-seen value;
-* :class:`GuardConfig` / :class:`GuardEvent` — tuning knobs and the
-  structured trip records surfaced in placement histories and round
-  records.
+* :class:`GuardConfig` — the tuning knobs.
+
+Trips are recorded once, by the guarded component: ``gp.guard`` and
+``rd.recovery`` telemetry events, counted in
+``RoundRecord.guard_trips`` and ``RDResult.n_guard_events``.
 
 The guarded components (:class:`~repro.optim.nesterov.NesterovOptimizer`,
 :class:`~repro.place.global_placer.GlobalPlacer`,
@@ -24,7 +26,7 @@ abort the flow, never return non-finite positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,27 +75,6 @@ class GuardConfig:
             raise ValueError("max_backoffs must be >= 1")
         if not 0.0 < self.backoff_factor < 1.0:
             raise ValueError("backoff_factor must be in (0, 1)")
-
-
-@dataclass
-class GuardEvent:
-    """One guard trip: where, when, what, and how it was handled."""
-
-    site: str
-    kind: str  # "nonfinite" | "divergence" | "exception"
-    iteration: int = -1
-    detail: str = ""
-    action: str = ""  # "backoff" | "scrub" | "rollback" | "fallback"
-
-    def as_dict(self) -> dict:
-        """JSON-ready event record."""
-        return {
-            "site": self.site,
-            "kind": self.kind,
-            "iteration": self.iteration,
-            "detail": self.detail,
-            "action": self.action,
-        }
 
 
 def all_finite(arr: np.ndarray) -> bool:
@@ -165,22 +146,3 @@ class DivergenceSentinel:
     def reset(self) -> None:
         """Forget the baseline (after a rollback the landscape moved)."""
         self._recent.clear()
-
-
-@dataclass
-class GuardLog:
-    """Accumulates :class:`GuardEvent` records for one component run."""
-
-    events: list = field(default_factory=list)
-
-    def record(self, event: GuardEvent) -> GuardEvent:
-        """Append one guard event; returns it for chaining."""
-        self.events.append(event)
-        return event
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def as_dicts(self) -> list:
-        """All recorded events as JSON-ready dicts."""
-        return [e.as_dict() for e in self.events]

@@ -1,9 +1,14 @@
-"""Run telemetry: metric aggregates plus a structured JSONL event stream.
+"""Run telemetry: a structured JSONL event stream.
 
-A :class:`MetricsRegistry` collects what the algorithms *did* during a
-run — counters, gauges, histograms and per-iteration event series —
-and streams every event to a sink as one JSON line.  The flow
-components (:class:`~repro.place.global_placer.GlobalPlacer`,
+A :class:`MetricsRegistry` records what the algorithms *did* during a
+run as events — one per placer iteration, routing pass, routability
+round, guard trip or recovery — and streams every event to a sink as
+one JSON line.  The stream is the only record of those facts: counts
+and trajectories are derived from it (:class:`MetricsReport`), stage
+wall time lives in :class:`~repro.utils.profile.StageProfiler`, and
+the flows' result dataclasses carry what callers need when telemetry
+is off.  The flow components
+(:class:`~repro.place.global_placer.GlobalPlacer`,
 :class:`~repro.core.rd_placer.RoutabilityDrivenPlacer`,
 :class:`~repro.route.router.GlobalRouter`) accept a shared registry,
 the CLI exposes it as ``--metrics-out``, and the bench harness embeds
@@ -15,11 +20,10 @@ Design constraints, in order:
   registry has ``enabled = False`` and no-op methods; hot loops guard
   each emission with ``if metrics.enabled:`` so a disabled run pays one
   attribute read per iteration (asserted by a micro-benchmark test);
-* **deterministic by default** — events carry a schema version, a
-  sequence number and structured fields, but *no* wall-clock timestamp
-  unless ``MetricsConfig(record_time=True)``; two runs with the same
-  seed therefore produce bit-identical streams (the e2e determinism
-  test relies on this);
+* **deterministic** — events carry a schema version, a sequence number
+  and structured fields, but no wall-clock timestamp; two runs with
+  the same seed therefore produce bit-identical streams (the e2e
+  determinism test relies on this);
 * **resume-consistent** — a resumed flow appends to the same JSONL
   file; each run segment starts with a ``run.start`` event (with
   ``resumed: true`` on continuation) and sequence numbers restart per
@@ -31,11 +35,10 @@ Every event is one JSON object per line with at least::
 
     {"v": 1, "seq": <int>, "kind": "<str>", ...}
 
-``seq`` is contiguous from 0 within a run segment.  ``t`` (monotonic
-seconds from the registry's clock) appears only when timestamps are
-enabled.  Known kinds and their required fields are listed in
-:data:`EVENT_FIELDS`; unknown kinds are allowed (forward
-compatibility) but must still carry the envelope keys.
+``seq`` is contiguous from 0 within a run segment.  Known kinds and
+their required fields are listed in :data:`EVENT_FIELDS`; unknown
+kinds are allowed (forward compatibility) but must still carry the
+envelope keys.
 """
 
 from __future__ import annotations
@@ -44,9 +47,11 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from repro.utils.clock import Clock, SystemClock
-
 SCHEMA_VERSION = 2
+
+#: In-memory cap on retained events per kind (the sink still receives
+#: everything; the cap only bounds report memory).
+MAX_SERIES = 200_000
 
 #: Versions :func:`validate_event` accepts.  v2 added the ``dse.*``
 #: kinds (sweep expansion / sharding / run-database ingest) and later,
@@ -62,13 +67,16 @@ SUPPORTED_SCHEMA_VERSIONS = (1, 2)
 #: ``kernel.backend``) are unknown kinds now and still validate.
 EVENT_FIELDS: dict = {
     "run.start": (),
-    "run.end": ("counters", "gauges", "histograms"),
+    # streams written before the registry lost its aggregates carry
+    # counters/gauges/histograms here; they still validate
+    "run.end": (),
     # terminal marker of an abnormally-ended run (SIGTERM / interpreter
     # exit with an unflushed registry); see install_abort_flush
     "run.aborted": ("reason",),
     # one per GlobalPlacer solver iteration
     "gp.iter": ("iter", "hpwl", "overflow", "density_weight", "step", "grad_norm"),
-    # one per divergence-guard trip inside the placer loop
+    # one per guard trip of the placer (rollback) or its optimizer
+    # (gradient backoff / scrub); ``action`` names which
     "gp.guard": ("iter", "guard", "detail"),
     # one per routability round (mirrors RoundRecord)
     "rd.round": (
@@ -216,40 +224,6 @@ class JsonlSink:
 
 
 # ----------------------------------------------------------------------
-# aggregates
-# ----------------------------------------------------------------------
-@dataclass
-class HistStats:
-    """Streaming histogram summary (count / sum / min / max)."""
-
-    count: int = 0
-    total: float = 0.0
-    min: float = float("inf")
-    max: float = float("-inf")
-
-    def observe(self, value: float) -> None:
-        """Fold one sample into the running summary."""
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def as_dict(self) -> dict:
-        """JSON-ready summary (count/sum/min/max/mean; None when empty)."""
-        if self.count == 0:
-            return {"count": 0, "sum": 0.0, "min": None, "max": None, "mean": None}
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.total / self.count,
-        }
-
-
-# ----------------------------------------------------------------------
 # registries
 # ----------------------------------------------------------------------
 class NullMetrics:
@@ -262,15 +236,6 @@ class NullMetrics:
     """
 
     enabled = False
-
-    def inc(self, name: str, n: float = 1) -> None:
-        """No-op counter increment."""
-
-    def gauge(self, name: str, value: float) -> None:
-        """No-op gauge update."""
-
-    def observe(self, name: str, value: float) -> None:
-        """No-op histogram observation."""
 
     def emit(self, kind: str, **fields) -> None:
         """No-op event emission."""
@@ -289,78 +254,22 @@ class NullMetrics:
 NULL = NullMetrics()
 
 
-@dataclass
-class MetricsConfig:
-    """Telemetry knobs.
-
-    Attributes
-    ----------
-    record_time:
-        Add a ``t`` field (monotonic seconds from the registry clock)
-        to every event.  Off by default so equal-seed runs emit
-        bit-identical streams.
-    max_series:
-        In-memory cap on retained events per kind (the JSONL sink still
-        receives everything; the cap only bounds report memory).
-    """
-
-    record_time: bool = False
-    max_series: int = 200_000
-
-
 class MetricsRegistry:
-    """Enabled telemetry: aggregates in memory, events to the sink.
+    """Enabled telemetry: events to the sink and to per-kind series.
 
-    ``inc``/``gauge``/``observe`` update aggregates only (no event per
-    call — they are for totals the final snapshot reports).  ``emit``
-    appends one schema-versioned event to the sink and to the in-memory
-    per-kind series.  :meth:`close` writes a ``run.end`` event carrying
-    the aggregate snapshot, making the JSONL stream self-contained.
+    ``emit`` appends one schema-versioned event to the sink and to the
+    in-memory per-kind series (capped at :data:`MAX_SERIES` per kind).
+    :meth:`close` writes a terminal ``run.end`` event and closes the
+    sink.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        sink=None,
-        config: MetricsConfig | None = None,
-        clock: Clock | None = None,
-    ) -> None:
+    def __init__(self, sink=None) -> None:
         self.sink = sink if sink is not None else MemorySink()
-        self.config = config or MetricsConfig()
-        self.clock = clock or SystemClock()
-        self.counters: dict = {}
-        self.gauges: dict = {}
-        self.histograms: dict = {}
         self.series: dict = {}
         self._seq = 0
         self._closed = False
-
-    # ---------------------------------------------------------- aggregates
-    def inc(self, name: str, n: float = 1) -> None:
-        """Add ``n`` to counter ``name`` (no event emitted)."""
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to its latest value (no event emitted)."""
-        self.gauges[name] = value
-
-    def observe(self, name: str, value: float) -> None:
-        """Fold ``value`` into histogram ``name`` (no event emitted)."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = HistStats()
-        hist.observe(value)
-
-    def snapshot(self) -> dict:
-        """JSON-ready aggregate state."""
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "histograms": {
-                name: h.as_dict() for name, h in sorted(self.histograms.items())
-            },
-        }
 
     # ------------------------------------------------------------- events
     def start_run(self, **fields) -> dict:
@@ -377,8 +286,6 @@ class MetricsRegistry:
             # lazily keeps ad-hoc registry use schema-valid
             self._append({"v": SCHEMA_VERSION, "seq": 0, "kind": "run.start"})
         event = {"v": SCHEMA_VERSION, "seq": self._seq, "kind": kind}
-        if self.config.record_time:
-            event["t"] = self.clock.now()
         event.update(fields)
         self._append(event)
         return event
@@ -386,7 +293,7 @@ class MetricsRegistry:
     def _append(self, event: dict) -> None:
         self._seq = event["seq"] + 1
         bucket = self.series.setdefault(event["kind"], [])
-        if len(bucket) < self.config.max_series:
+        if len(bucket) < MAX_SERIES:
             bucket.append(event)
         self.sink.write(json.dumps(event, separators=(",", ":")))
 
@@ -395,10 +302,10 @@ class MetricsRegistry:
         self.sink.flush()
 
     def close(self) -> None:
-        """Emit ``run.end`` with the aggregate snapshot and close the sink."""
+        """Emit ``run.end`` and close the sink (idempotent)."""
         if self._closed:
             return
-        self.emit("run.end", **self.snapshot())
+        self.emit("run.end")
         self._closed = True
         self.sink.close()
 
@@ -581,17 +488,16 @@ def read_jsonl(path: str) -> list:
 # ----------------------------------------------------------------------
 # reporting
 # ----------------------------------------------------------------------
-_SUMMARY_SKIP = frozenset(("v", "seq", "kind", "t"))
+_SUMMARY_SKIP = frozenset(("v", "seq", "kind"))
 
 
 @dataclass
 class MetricsReport:
     """Run summary derived from an event stream.
 
-    Aggregates per-kind event counts, numeric field trajectories
-    (first / last / min / max over each series) and the final
-    ``run.end`` snapshot; renders as text (:meth:`render`) or JSON
-    (:meth:`as_dict`).
+    Counts each event kind and summarises every numeric field as a
+    trajectory (first / last / min / max over that kind's events);
+    renders as text (:meth:`render`) or JSON (:meth:`as_dict`).
     """
 
     events: list = field(default_factory=list)
@@ -606,34 +512,19 @@ class MetricsReport:
         """Build a report from a (possibly still-open) registry."""
         events = [e for kind in registry.series.values() for e in kind]
         events.sort(key=lambda e: (e.get("segment", 0), e["seq"]))
-        report = cls(events=events)
-        # a live registry may not have emitted run.end yet; graft the
-        # current aggregate snapshot so the report is complete
-        if not any(e["kind"] == "run.end" for e in events):
-            report._snapshot = registry.snapshot()
-        return report
-
-    _snapshot: dict | None = None
+        return cls(events=events)
 
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
-        """Summarize the stream: kind counts, series ranges, snapshot."""
+        """Summarize the stream: kind counts and series ranges."""
         kinds: dict = {}
         series: dict = {}
         segments = 0
-        snapshot = self._snapshot
         for event in self.events:
             kind = event["kind"]
             kinds[kind] = kinds.get(kind, 0) + 1
             if kind == "run.start":
                 segments += 1
-            if kind == "run.end":
-                snapshot = {
-                    "counters": event.get("counters", {}),
-                    "gauges": event.get("gauges", {}),
-                    "histograms": event.get("histograms", {}),
-                }
-                continue
             summary = series.setdefault(kind, {})
             for name, value in event.items():
                 if name in _SUMMARY_SKIP or isinstance(value, (str, list, dict)):
@@ -657,7 +548,6 @@ class MetricsReport:
             "segments": segments,
             "kinds": dict(sorted(kinds.items())),
             "series": {k: series[k] for k in sorted(series)},
-            "snapshot": snapshot or {"counters": {}, "gauges": {}, "histograms": {}},
         }
 
     def to_json(self, path: str) -> dict:
@@ -685,16 +575,5 @@ class MetricsReport:
                     f"    {kind}.{name:<22} first {st['first']:.6g}"
                     f"  last {st['last']:.6g}"
                     f"  min {st['min']:.6g}  max {st['max']:.6g}"
-                )
-        snap = data["snapshot"]
-        for name, value in snap["counters"].items():
-            lines.append(f"  counter {name:<24} {value:g}")
-        for name, value in snap["gauges"].items():
-            lines.append(f"  gauge   {name:<24} {value:g}")
-        for name, h in snap["histograms"].items():
-            if h["count"]:
-                lines.append(
-                    f"  hist    {name:<24} n={h['count']} mean={h['mean']:.6g}"
-                    f" min={h['min']:.6g} max={h['max']:.6g}"
                 )
         return "\n".join(lines)

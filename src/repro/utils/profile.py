@@ -1,9 +1,12 @@
 """Named per-stage wall-clock profiling.
 
-A :class:`StageProfiler` accumulates time and call counts under
+A :class:`StageProfiler` accumulates time, call and error counts under
 hierarchical dot-scoped stage names (``"route.initial"``,
-``"gp.poisson"``) plus free-form counters (``"route.segments"``).
-Flow components (:class:`~repro.route.router.GlobalRouter`,
+``"gp.poisson"``).  It records stage wall time and nothing else: what
+a stage *did* (segments routed, rounds run, guard trips) belongs to
+the event stream of :mod:`repro.utils.metrics` and to the flows'
+result dataclasses.  Flow components
+(:class:`~repro.route.router.GlobalRouter`,
 :class:`~repro.place.global_placer.GlobalPlacer`,
 :class:`~repro.core.rd_placer.RoutabilityDrivenPlacer`) accept a
 shared profiler so one object collects the whole per-stage breakdown
@@ -42,16 +45,14 @@ class StageProfiler:
     >>> prof = StageProfiler()
     >>> with prof.timer("route.initial"):
     ...     pass
-    >>> prof.count("route.segments", 42)
     >>> prof.stages["route.initial"].calls
     1
     """
 
     stages: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
     open_stages: list = field(default_factory=list)
-    # injectable clock (shared abstraction with the metrics registry)
-    # so tests assert on deterministic fake time instead of sleeping
+    # injectable clock so tests assert on deterministic fake time
+    # instead of sleeping
     clock: Clock = field(default_factory=SystemClock, repr=False)
 
     # ------------------------------------------------------------------
@@ -82,63 +83,21 @@ class StageProfiler:
                 last = len(self.open_stages) - 1 - self.open_stages[::-1].index(name)
                 del self.open_stages[last:]
 
-    def add_time(self, name: str, dt: float, calls: int = 1, errors: int = 0) -> None:
-        """Accumulate ``dt`` seconds (plus call/error counts) on a stage."""
+    def add_time(self, name: str, dt: float) -> None:
+        """Accumulate one call of ``dt`` seconds on a stage."""
         st = self.stages.setdefault(name, StageStats())
         st.time += dt
-        st.calls += calls
-        st.errors += errors
-
-    def count(self, name: str, n: float = 1) -> None:
-        """Add ``n`` to the profiler counter ``name``."""
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    # ------------------------------------------------------------------
-    def time_of(self, name: str) -> float:
-        """Accumulated seconds of stage ``name`` (0.0 when absent)."""
-        st = self.stages.get(name)
-        return st.time if st is not None else 0.0
-
-    def total(self, prefix: str = "") -> float:
-        """Summed time of all stages whose name starts with ``prefix``."""
-        return sum(
-            st.time for name, st in self.stages.items() if name.startswith(prefix)
-        )
-
-    def reset(self) -> None:
-        """Drop all stages, counters and open timers."""
-        self.stages.clear()
-        self.counters.clear()
-        self.open_stages.clear()
-
-    def merge(self, other: "StageProfiler") -> "StageProfiler":
-        """Accumulate another profiler's stages/counters into this one."""
-        for name, st in other.stages.items():
-            self.add_time(name, st.time, st.calls, st.errors)
-        for name, n in other.counters.items():
-            self.count(name, n)
-        return self
+        st.calls += 1
 
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:
-        """JSON-ready snapshot: ``{"stages": ..., "counters": ...}``."""
+        """JSON-ready snapshot: ``{"stages": {name: {time_s, calls, errors}}}``."""
         return {
             "stages": {
                 name: {"time_s": st.time, "calls": st.calls, "errors": st.errors}
                 for name, st in sorted(self.stages.items())
             },
-            "counters": dict(sorted(self.counters.items())),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StageProfiler":
-        """Rebuild a profiler from :meth:`as_dict` output."""
-        prof = cls()
-        for name, st in data.get("stages", {}).items():
-            prof.add_time(name, st["time_s"], st.get("calls", 1), st.get("errors", 0))
-        for name, n in data.get("counters", {}).items():
-            prof.count(name, n)
-        return prof
 
     # ------------------------------------------------------------------
     def report(self, title: str = "stage profile") -> str:
@@ -156,9 +115,4 @@ class StageProfiler:
                 )
         else:
             lines.append("  (no stages recorded)")
-        if self.counters:
-            width = max(len(name) for name in self.counters)
-            for name, n in sorted(self.counters.items()):
-                value = f"{n:g}" if isinstance(n, float) else str(n)
-                lines.append(f"  {name:<{width}}  {value}")
         return "\n".join(lines)

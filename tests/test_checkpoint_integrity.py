@@ -250,6 +250,32 @@ class TestFlowRecovery:
             e["guard"] == "checkpoint_corrupt" and e["action"] == "cold_start"
             for e in recoveries
         )
-        assert any(
-            g.kind == "checkpoint_corrupt" for g in placer.recovery_log.events
+        # one record of the fact: one event, counted once, and in no
+        # round's recovery notes
+        assert len(recoveries) == 1
+        assert result.n_guard_events == 1
+        assert not any(r.recovery for r in result.rounds)
+
+    def test_backup_fallback_is_one_recovery(self, tmp_path):
+        path = str(tmp_path / "flow.npz")
+        RoutabilityDrivenPlacer(toy_design(150, seed=5), _rd_config()).run(
+            checkpoint_path=path
         )
+        data = open(path, "rb").read()
+        open(path, "wb").write(data[:64])
+
+        metrics = MetricsRegistry(sink=MemorySink())
+        metrics.start_run(command="test")
+        placer = RoutabilityDrivenPlacer(
+            toy_design(150, seed=5), _rd_config(), metrics=metrics
+        )
+        result = placer.run(checkpoint_path=path, resume=True)
+        metrics.close()
+        assert "rd.resume" in metrics.series
+        recoveries = metrics.series.get("rd.recovery", [])
+        assert [(e["guard"], e["action"]) for e in recoveries] == [
+            ("checkpoint_corrupt", "fallback")
+        ]
+        assert recoveries[0]["round"] == -1
+        assert result.n_guard_events == 1
+        assert not any(r.recovery for r in result.rounds)

@@ -126,6 +126,29 @@ class TestRunGrid:
         assert {e["kind"] for e in pooled.events} == \
             {"run.start", "dse.sweep", "dse.shard", "run.end"}
 
+    def test_jobs1_and_jobs2_dumps_differ_only_in_wall_clock(
+            self, inprocess_result, tmp_path):
+        """Same rows, same order; only elapsed_s and PT/RT values differ."""
+        _, out = inprocess_result
+        run_grid(parse_spec(RAW), jobs=2, db_path=tmp_path / "db.sqlite")
+        with RunDB(out / "db.sqlite") as db:
+            seq = db.dump()
+        with RunDB(tmp_path / "db.sqlite") as db:
+            pooled = db.dump()
+        assert seq.keys() == pooled.keys()
+        assert len(seq["units"]) == 2 and seq["metrics"]
+        for table, rows in seq.items():
+            assert len(rows) == len(pooled[table]), table
+            for a, b in zip(rows, pooled[table]):
+                assert a.keys() == b.keys()
+                diff = {k for k in a if a[k] != b[k]}
+                if table == "metrics" and a["name"] in TIME_METRICS:
+                    assert diff <= {"value"}
+                elif table == "units":
+                    assert diff <= {"elapsed_s"}
+                else:
+                    assert not diff, (table, a, b)
+
     def test_failed_unit_is_captured_not_raised(self):
         spec = dataclasses.replace(parse_spec({**RAW, "grid": {}}),
                                    designs=("no_such_design",))

@@ -1,10 +1,10 @@
 """Metrics subsystem: registry, sinks, schema, report, CLI integration.
 
-Covers the telemetry contract end to end: aggregate bookkeeping,
-JSONL streaming, schema validation (including multi-segment resumed
-streams), report rendering, the near-zero disabled-overhead guarantee
-(micro-benchmark) and a full CLI ``place --routability --metrics-out``
-run whose stream is schema-checked.
+Covers the telemetry contract end to end: JSONL streaming, schema
+validation (including multi-segment resumed streams), report rendering,
+the near-zero disabled-overhead guarantee (micro-benchmark) and a full
+CLI ``place --routability --metrics-out`` run whose stream is
+schema-checked.
 """
 
 from __future__ import annotations
@@ -20,15 +20,13 @@ from repro.place.config import GPConfig
 from repro.place.global_placer import GlobalPlacer
 from repro.place.initial import initial_placement
 from repro.synth import toy_design
-from repro.utils.clock import FakeClock
+from repro.utils import metrics as metrics_mod
 from repro.utils.metrics import (
     EVENT_FIELDS,
     NULL,
     SCHEMA_VERSION,
-    HistStats,
     JsonlSink,
     MemorySink,
-    MetricsConfig,
     MetricsError,
     MetricsRegistry,
     MetricsReport,
@@ -91,37 +89,7 @@ class TestSinks:
         sink.close()
 
 
-class TestHistStats:
-    def test_empty(self):
-        d = HistStats().as_dict()
-        assert d == {"count": 0, "sum": 0.0, "min": None, "max": None, "mean": None}
-
-    def test_observations(self):
-        h = HistStats()
-        for v in (2.0, -1.0, 5.0):
-            h.observe(v)
-        d = h.as_dict()
-        assert d["count"] == 3
-        assert d["sum"] == pytest.approx(6.0)
-        assert d["min"] == -1.0 and d["max"] == 5.0
-        assert d["mean"] == pytest.approx(2.0)
-
-
 class TestRegistry:
-    def test_aggregates(self):
-        m = MetricsRegistry()
-        m.inc("calls")
-        m.inc("calls", 2)
-        m.gauge("lambda", 0.5)
-        m.gauge("lambda", 0.75)
-        m.observe("overflow", 10.0)
-        m.observe("overflow", 2.0)
-        snap = m.snapshot()
-        assert snap["counters"] == {"calls": 3}
-        assert snap["gauges"] == {"lambda": 0.75}
-        assert snap["histograms"]["overflow"]["count"] == 2
-        assert snap["histograms"]["overflow"]["max"] == 10.0
-
     def test_emit_envelope_and_seq(self):
         sink = MemorySink()
         m = MetricsRegistry(sink=sink)
@@ -159,37 +127,28 @@ class TestRegistry:
         m = MetricsRegistry(sink=MemorySink())
         assert "t" not in m.emit("a.b")
 
-    def test_timestamp_from_clock_when_enabled(self):
-        clock = FakeClock(start=10.0)
-        m = MetricsRegistry(
-            sink=MemorySink(),
-            config=MetricsConfig(record_time=True),
-            clock=clock,
-        )
-        m.start_run()
-        clock.advance(1.5)
-        ev = m.emit("a.b")
-        assert ev["t"] == pytest.approx(11.5)
-
-    def test_series_cap_bounds_memory_not_stream(self):
+    def test_series_cap_bounds_memory_not_stream(self, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "MAX_SERIES", 3)
         sink = MemorySink()
-        m = MetricsRegistry(sink=sink, config=MetricsConfig(max_series=3))
+        m = MetricsRegistry(sink=sink)
         m.start_run()
         for k in range(10):
             m.emit("a.b", k=k)
         assert len(m.series["a.b"]) == 3
         assert len(sink.lines) == 11  # run.start + 10, all streamed
 
-    def test_close_emits_run_end_with_snapshot(self):
+    def test_close_emits_bare_run_end(self):
         sink = MemorySink()
         m = MetricsRegistry(sink=sink)
         m.start_run()
-        m.inc("n", 4)
+        m.emit("a.b", x=1)
         m.close()
         end = events_of(sink)[-1]
-        assert end["kind"] == "run.end"
-        assert end["counters"] == {"n": 4}
+        assert end == {"v": SCHEMA_VERSION, "seq": 2, "kind": "run.end"}
         validate_stream(events_of(sink))
+        # streams written when run.end carried aggregates still validate
+        validate_event({**end, "counters": {"n": 4}, "gauges": {},
+                        "histograms": {}})
 
     def test_close_idempotent_and_emit_after_close_raises(self):
         m = MetricsRegistry(sink=MemorySink())
@@ -204,9 +163,6 @@ class TestRegistry:
         assert isinstance(NULL, NullMetrics)
         # every operation is a no-op that returns None
         assert NULL.emit("gp.iter", anything=1) is None
-        assert NULL.inc("x") is None
-        assert NULL.gauge("x", 1.0) is None
-        assert NULL.observe("x", 1.0) is None
         assert NULL.start_run() is None
         NULL.flush()
         NULL.close()
@@ -308,8 +264,7 @@ class TestReport:
         for k in range(4):
             m.emit("gp.iter", iter=k + 1, hpwl=100.0 - k, overflow=0.5,
                    density_weight=0.1, step=1.0, grad_norm=2.0)
-        m.inc("gp.guard_trips", 0)
-        m.observe("rd.total_overflow", 12.0)
+        m.emit("rd.round", round=0, total_overflow=12.0)
         m.close()
         return events_of(sink)
 
@@ -323,23 +278,17 @@ class TestReport:
         # envelope keys and strings never appear as series
         assert "seq" not in data["series"]["gp.iter"]
         assert "command" not in data["series"].get("run.start", {})
-        assert data["snapshot"]["histograms"]["rd.total_overflow"]["count"] == 1
+        assert data["kinds"]["rd.round"] == 1
+        assert data["series"]["rd.round"]["total_overflow"]["max"] == 12.0
 
     def test_render_mentions_kinds_and_aggregates(self):
         text = MetricsReport(events=self._stream()).render("title here")
         assert text.splitlines()[0] == "title here"
         assert "gp.iter" in text
         assert "hpwl" in text
-        assert "rd.total_overflow" in text
-
-    def test_from_registry_grafts_live_snapshot(self):
-        m = MetricsRegistry(sink=MemorySink())
-        m.start_run()
-        m.emit("a.b", x=1)
-        m.inc("events", 1)
-        data = MetricsReport.from_registry(m).as_dict()  # no run.end yet
-        assert data["snapshot"]["counters"] == {"events": 1}
-        assert data["kinds"]["a.b"] == 1
+        assert "rd.round.total_overflow" in text
+        assert not any(ln.lstrip().startswith(("counter", "gauge", "hist"))
+                       for ln in text.splitlines())
 
     def test_to_json_writes_payload(self, tmp_path):
         path = tmp_path / "report.json"
@@ -436,7 +385,10 @@ class TestFlowIntegration:
         assert all(e["h_cap"] > 0 and e["v_cap"] > 0 for e in passes)
         end = events[-1]
         assert end["kind"] == "run.end"
-        assert end["counters"]["rd.rounds"] == len(rounds)
+        kinds = MetricsReport(events=events).as_dict()["kinds"]
+        assert kinds["rd.round"] == len(rounds)
+        assert kinds["route.pass"] == len(passes)
+        assert all(e["n_rerouted"] >= 0 for e in passes)
 
     def test_cli_route_metrics_out(self, tmp_path):
         design = tmp_path / "toy.bl"

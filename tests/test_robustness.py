@@ -34,6 +34,7 @@ from repro.utils.guards import (
     all_finite,
     scrub_nonfinite,
 )
+from repro.utils.metrics import MemorySink, MetricsRegistry
 
 
 def _rd_config(**kw):
@@ -46,6 +47,14 @@ def _rd_config(**kw):
     )
     base.update(kw)
     return RDConfig(**base)
+
+
+def _run_streamed(netlist, cfg, **run_kw):
+    """Run the flow with a memory-sink registry; (result, series)."""
+    metrics = MetricsRegistry(sink=MemorySink())
+    metrics.start_run(command="test")
+    result = RoutabilityDrivenPlacer(netlist, cfg, metrics=metrics).run(**run_kw)
+    return result, metrics.series
 
 
 def _assert_legal_positions(netlist):
@@ -178,18 +187,23 @@ class TestGradientFaults:
         def grad(p):
             return faults.fire("optim.gradient", 2.0 * p)
 
+        trips = []
         opt = NesterovOptimizer(
-            np.linspace(-1.0, 1.0, 10), grad, initial_step=0.1
+            np.linspace(-1.0, 1.0, 10), grad, initial_step=0.1,
+            on_guard=lambda *trip: trips.append(trip),
         )
         with faults.injected(FaultPlan("optim.gradient", trigger=1, count=1)):
             opt.do_step()
             opt.do_step()  # corrupted gradient -> backoff + retry
             opt.do_step()
         assert all_finite(opt.u)
-        assert len(opt.guard_log) >= 1
-        assert any(e.action == "backoff" for e in opt.guard_log.events)
+        assert len(trips) >= 1
+        assert any(action == "backoff" for _, _, action in trips)
 
     def test_flow_survives_nan_gradients(self, inject_faults):
+        """Two NaN gradients: the flow backs off and finishes legal, and
+        each backoff is one ``gp.guard`` event, counted once in the
+        round record and in ``n_guard_events``."""
         nl = toy_design(150, seed=5)
         # skip the initial GP so the fault hits the flow's own solver
         # (the initial placement runs a separate placer instance whose
@@ -197,12 +211,18 @@ class TestGradientFaults:
         injector = inject_faults(
             FaultPlan("optim.gradient", mode="nan", trigger=3, count=2)
         )
-        placer = RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=2))
-        result = placer.run(skip_initial_gp=True)
-        assert injector.count_fired("optim.gradient") >= 1
+        result, series = _run_streamed(
+            nl, _rd_config(max_rounds=2), skip_initial_gp=True
+        )
+        assert injector.count_fired("optim.gradient") == 2
         _assert_legal_positions(nl)
-        assert result.n_rounds >= 1
-        assert any(r.guard_trips > 0 for r in result.rounds) or result.guard_events
+        guards = series["gp.guard"]
+        assert [(e["guard"], e["action"]) for e in guards] == [
+            ("nonfinite", "backoff"), ("nonfinite", "backoff")
+        ]
+        assert result.series("guard_trips") == [0, 2]
+        assert result.n_guard_events == len(guards)
+        assert "rd.recovery" not in series
 
 
 @pytest.mark.faultinject
@@ -226,22 +246,22 @@ class TestCongestionFaults:
         # raising at the congestion site aborts round 1 itself ->
         # the loop must roll back and keep going
         inject_faults(FaultPlan("rd.congestion", mode="raise", trigger=1, count=1))
-        placer = RoutabilityDrivenPlacer(nl, _rd_config())
-        result = placer.run()
+        result, series = _run_streamed(nl, _rd_config())
         _assert_legal_positions(nl)
-        assert any(e["action"] == "rollback" for e in result.guard_events)
+        assert any(e["action"] == "rollback" for e in series["rd.recovery"])
+        assert result.n_guard_events >= len(series["rd.recovery"])
         # the flow continued past the failed round
         assert result.n_rounds >= 1
 
     def test_persistent_failure_returns_best_snapshot(self, inject_faults):
         nl = toy_design(150, seed=5)
         inject_faults(FaultPlan("rd.congestion", mode="raise", trigger=1, count=-1))
-        placer = RoutabilityDrivenPlacer(nl, _rd_config())
-        result = placer.run()
+        cfg = _rd_config()
+        _, series = _run_streamed(nl, cfg)
         _assert_legal_positions(nl)
-        rollbacks = [e for e in result.guard_events if e["action"] == "rollback"]
+        rollbacks = [e for e in series["rd.recovery"] if e["action"] == "rollback"]
         # gives up after max_round_failures consecutive failures
-        assert len(rollbacks) == placer.config.max_round_failures
+        assert len(rollbacks) == cfg.max_round_failures
 
 
 @pytest.mark.faultinject
@@ -283,9 +303,9 @@ class TestRouterFaults:
         injector = inject_faults(
             FaultPlan("route.batched", mode="raise", trigger=1, count=1)
         )
-        result = RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=2)).run()
+        _, series = _run_streamed(nl, _rd_config(max_rounds=2))
         assert injector.count_fired("route.batched") == 1
-        rollbacks = [e for e in result.guard_events if e["action"] == "rollback"]
+        rollbacks = [e for e in series["rd.recovery"] if e["action"] == "rollback"]
         assert len(rollbacks) == 1
         assert "InjectedFault" in rollbacks[0]["detail"]
         _assert_legal_positions(nl)

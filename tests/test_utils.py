@@ -1,36 +1,10 @@
-"""Utility module tests: timers, RNG derivation, logging."""
+"""Utility module tests: RNG derivation, logging."""
 
 import logging
-import time
 
-import pytest
-
-from repro.utils import Timer, get_logger, make_rng
+from repro.utils import get_logger, make_rng
 from repro.utils.logging import set_verbosity
 from repro.utils.rng import seed_from_name
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.01)
-        first = t.elapsed
-        assert first >= 0.005
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed > first
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0
 
 
 class TestRng:

@@ -4,7 +4,6 @@ Not paper artifacts, but the knobs a user would want quantified:
 
 * momentum coefficient ``alpha`` of the cell-inflation recursion;
 * candidate-sample cap of the two-pin net-moving (Eq. 6 fidelity);
-* net decomposition topology (MST vs single-trunk Steiner);
 * maze-routing fallback on top of Z-shape rip-up-and-reroute.
 """
 
@@ -71,28 +70,6 @@ def test_ablation_netmove_samples(benchmark, placed):
     print(f"\nactive two-pin nets by sample cap: {active}")
     # denser sampling can only find at-least-as-many congested crossings
     assert active[48] >= active[8] >= active[2]
-
-
-def test_ablation_topology(benchmark, placed):
-    """Single-trunk Steiner vs MST decomposition: routed wirelength."""
-    netlist, placer = placed
-
-    def experiment():
-        out = {}
-        for topo in ("mst", "stt"):
-            res = GlobalRouter(
-                placer.grid, RouterConfig(topology=topo, rrr_rounds=1)
-            ).route(netlist)
-            out[topo] = (res.wirelength, res.n_vias, res.total_overflow)
-        return out
-
-    out = run_once(benchmark, experiment)
-    print("\ntopology ablation (wirelength, vias, overflow):")
-    for topo, vals in out.items():
-        print(f"  {topo}: wl={vals[0]:.0f} vias={vals[1]:.0f} ovfl={vals[2]:.0f}")
-    # both topologies route everything; wirelengths within 25%
-    ratio = out["stt"][0] / out["mst"][0]
-    assert 0.75 < ratio < 1.25
 
 
 def test_ablation_maze_fallback(benchmark, placed):

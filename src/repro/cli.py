@@ -71,7 +71,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
         baseline=args.baseline,
         baseline_checkpoint=args.baseline_checkpoint,
         out=args.out,
-        checkpoint=args.checkpoint,
         rounds=args.rounds,
         iters_per_round=args.iters_per_round,
         halo=args.halo,
@@ -328,15 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: the RDConfig default)")
     p.add_argument("--out", default="placed.bl")
     p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="write the routability-flow state here after each "
-                        "round and resume from it if the file exists "
+                   help="write the best-so-far placement snapshot here "
+                        "after each round, for eco --baseline-checkpoint; "
+                        "an existing file is overwritten, never resumed "
                         "(requires --routability)")
     p.add_argument("--profile", action="store_true",
                    help="print the per-stage wall-clock breakdown")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="stream run telemetry to PATH as JSONL (one event "
-                        "per line; appended on checkpoint resume) and print "
-                        "the metrics report")
+                        "per line) and print the metrics report")
     p.add_argument("--check-invariants", choices=("off", "warn", "raise"),
                    default=None,
                    help="numeric-contract checking mode (default: the "
@@ -352,13 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "the clean region inherits legal positions")
     p.add_argument("input", help="the edited design")
     p.add_argument("--baseline-checkpoint", default=None, metavar="PATH",
-                   help="the baseline flow's npz checkpoint; its best "
-                        "snapshot seeds the warm start, and a null edit "
-                        "resumes it bit-identically")
+                   help="the snapshot a baseline place --checkpoint run "
+                        "wrote; its best positions seed the edited cells")
     p.add_argument("--out", default="eco_placed.bl")
-    p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="the ECO loop's own checkpoint: written after each "
-                        "round, resumed from if the file exists")
     p.add_argument("--rounds", type=int, default=None, metavar="N",
                    help="cap the ECO routability loop at N rounds")
     p.add_argument("--iters-per-round", type=int, default=None, metavar="N",

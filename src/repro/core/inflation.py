@@ -58,9 +58,8 @@ class MomentumInflation:
         self._prev_mean: float = 0.0
         self.round = 0
         # diagnostics of the most recent update: cells whose Eq. 12
-        # correction fired negative this round.  Part of the resumable
-        # state — a resumed flow must emit the same rd.round telemetry
-        # as the uninterrupted run.
+        # correction fired negative this round.  Part of the snapshot
+        # state, so a round rollback restores it with the rates.
         self.last_n_deflated = 0
 
     # ------------------------------------------------------------------
@@ -153,7 +152,11 @@ class MomentumInflation:
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Resumable snapshot of the rate/momentum state (arrays copied)."""
+        """Snapshot of the rate/momentum state (arrays copied).
+
+        The routability flow keeps one with its best round and restores
+        it when a later round is rolled back.
+        """
         return {
             "rates": self.rates.copy(),
             "delta_rates": self.delta_rates.copy(),
@@ -164,7 +167,7 @@ class MomentumInflation:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (bit-exact resume)."""
+        """Restore a :meth:`state_dict` snapshot bit-exactly."""
         self.rates = np.array(state["rates"], dtype=np.float64, copy=True)
         self.delta_rates = np.array(
             state["delta_rates"], dtype=np.float64, copy=True

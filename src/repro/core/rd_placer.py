@@ -29,14 +29,15 @@ The loop never returns garbage and never dies mid-flow:
 * congestion maps are sanitized (NaN/Inf scrubbed) before they feed
   inflation, DPA or the congestion gradient, and the recovery is
   reported in that round's record;
-* the whole loop state can be checkpointed to disk after each round
-  (``checkpoint_path``) and resumed bit-identically (``resume=True``),
-  so an interrupted flow continues instead of restarting.
+* with ``checkpoint_path`` set, a snapshot of the current and the
+  best-so-far positions is written to disk after the initial routing
+  and after every completed round.  The snapshot is write-only: the
+  flow never resumes from it; the ECO warm start
+  (:func:`repro.eco.warm.baseline_positions`) reads it.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -49,8 +50,6 @@ from repro.core.netmove import NetMoveConfig, TwoPinNets, two_pin_net_gradients
 from repro.core.pgrails import rail_area_map, select_pg_rails
 from repro.core.pinaccess import PinAccessConfig, pg_density_charge
 from repro.core.weights import congestion_penalty_weight, count_cells_in_congestion
-from repro.geometry.rect import Rect
-from repro.netlist.data import PGRailSpec
 from repro.netlist.netlist import Netlist
 from repro.place.config import GPConfig
 from repro.place.global_placer import GlobalPlacer
@@ -58,14 +57,7 @@ from repro.place.initial import initial_placement
 from repro.route.config import RouterConfig
 from repro.route.router import GlobalRouter, RoutingResult
 from repro.utils import faults
-from repro.utils.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointCorruptError,
-    CheckpointError,
-    backup_path,
-    read_checkpoint_with_fallback,
-    write_checkpoint,
-)
+from repro.utils.checkpoint import write_checkpoint
 from repro.utils.contracts import CONTRACTS
 from repro.utils.guards import all_finite, scrub_nonfinite
 from repro.utils.logging import get_logger
@@ -76,9 +68,16 @@ from repro.wirelength.hpwl import hpwl as hpwl_of
 logger = get_logger("core.rd_placer")
 
 
-def _checkpoint_candidates(path: str) -> bool:
-    """True when the checkpoint or its ``.bak`` predecessor exists."""
-    return os.path.exists(path) or os.path.exists(backup_path(path))
+def design_fingerprint(netlist: Netlist) -> dict:
+    """Identity a best-placement snapshot is written for and checked
+    against (:func:`repro.eco.warm.baseline_positions`): the design name
+    and its cell, net and pin counts."""
+    return {
+        "name": netlist.name,
+        "n_cells": int(netlist.n_cells),
+        "n_nets": int(netlist.n_nets),
+        "n_pins": int(netlist.n_pins),
+    }
 
 
 @dataclass
@@ -193,7 +192,6 @@ class RDResult:
     initial_gp_iters: int
     best_round: int = -1
     n_guard_events: int = 0
-    resumed_from_round: int = -1
 
     @property
     def n_rounds(self) -> int:
@@ -207,15 +205,8 @@ class RDResult:
 
 @dataclass
 class _FlowState:
-    """Everything the routability loop mutates between rounds.
+    """Everything the routability loop mutates between rounds."""
 
-    Kept in one object so a round can be checkpointed to disk and the
-    loop resumed from it bit-identically (the current routing is *not*
-    part of the state: the router is stateless, so it is recomputed
-    from the positions on resume).
-    """
-
-    next_round: int = 0
     rounds: list = field(default_factory=list)
     hpwl_ref: float = 1.0
     best_score: float = np.inf
@@ -229,8 +220,7 @@ class _FlowState:
     rail_area: np.ndarray | None = None
     initial_iters: int = 0
     routing: RoutingResult | None = None
-    best_routing: RoutingResult | None = None  # in-memory only
-    resumed_from_round: int = -1
+    best_routing: RoutingResult | None = None
 
 
 class RoutabilityDrivenPlacer:
@@ -279,7 +269,6 @@ class RoutabilityDrivenPlacer:
         self,
         skip_initial_gp: bool = False,
         checkpoint_path: str | None = None,
-        resume: bool = False,
     ) -> RDResult:
         """Execute the full flow.
 
@@ -290,43 +279,20 @@ class RoutabilityDrivenPlacer:
             wirelength-driven global placement (used by benchmarks
             that share one initial placement across placers).
         checkpoint_path:
-            When set, the loop state is written there after the
-            initial routing and after every completed round (atomic
-            ``.npz``), so an interrupted flow can be continued.
-        resume:
-            When True and ``checkpoint_path`` exists, restore the loop
-            from it instead of starting over; the continuation is
-            bit-identical to the uninterrupted run.
+            When set, a snapshot of the current and best-so-far
+            positions is written there after the initial routing and
+            after every completed round (atomic ``.npz``, the previous
+            one kept as ``.bak``).  The flow never reads it back.
         """
         cfg = self.config
         t0 = time.perf_counter()
 
-        state: _FlowState | None = None
-        if resume and checkpoint_path and _checkpoint_candidates(checkpoint_path):
-            try:
-                state = self._load_flow_checkpoint(checkpoint_path)
-            except CheckpointCorruptError as exc:
-                # torn write with no good predecessor: a cold start is
-                # the correct recovery (the retry recomputes), but the
-                # damage is reported, never silently absorbed
-                self._note_recovery(
-                    -1, "checkpoint_corrupt", str(exc), action="cold_start"
-                )
-        if state is not None:
-            if self.metrics.enabled:
-                self.metrics.emit("rd.resume", round=state.next_round)
-            logger.info(
-                "resumed flow from %s at round %d",
-                checkpoint_path,
-                state.next_round,
-            )
-        if state is None:
-            state = self._start_flow(skip_initial_gp)
-            if checkpoint_path:
-                self._save_flow_checkpoint(checkpoint_path, state)
+        state = self._start_flow(skip_initial_gp)
+        if checkpoint_path:
+            self._save_flow_checkpoint(checkpoint_path, state, next_round=0)
 
         failures = 0
-        for round_id in range(state.next_round, cfg.max_rounds):
+        for round_id in range(cfg.max_rounds):
             try:
                 outcome = self._run_round(round_id, state)
             except Exception as exc:  # noqa: BLE001 — rollback, don't die
@@ -338,17 +304,15 @@ class RoutabilityDrivenPlacer:
                         failures,
                     )
                     break
-                state.next_round = round_id + 1
                 continue
             failures = 0
-            state.next_round = round_id + 1
             if outcome == "stop":
                 break
             if checkpoint_path:
-                self._save_flow_checkpoint(checkpoint_path, state)
+                self._save_flow_checkpoint(checkpoint_path, state, round_id + 1)
 
         routing = state.routing
-        # the loop's very last routing may beat every checkpoint
+        # the loop's very last routing may beat every snapshot
         final_score = self._routing_score(
             routing, hpwl_of(self.netlist), state.hpwl_ref
         )
@@ -360,12 +324,6 @@ class RoutabilityDrivenPlacer:
         if state.best_positions is not None:
             self.netlist.x[:] = state.best_positions[0]
             self.netlist.y[:] = state.best_positions[1]
-            if state.best_routing is None:
-                # resumed flow: the snapshot's routing was not carried
-                # in the checkpoint; recompute it (stateless router ->
-                # identical maps)
-                with self.profiler.timer("rd.route"):
-                    state.best_routing = self.router.route(self.netlist)
             routing = state.best_routing
             logger.info("restored best placement from round %d", state.best_round)
 
@@ -378,7 +336,6 @@ class RoutabilityDrivenPlacer:
             initial_gp_iters=state.initial_iters,
             best_round=state.best_round,
             n_guard_events=self.gp.n_guard_trips + self.n_recoveries,
-            resumed_from_round=state.resumed_from_round,
         )
 
     # ------------------------------------------------------------------
@@ -593,8 +550,7 @@ class RoutabilityDrivenPlacer:
     ) -> None:
         """Record one flow recovery: count, log, ``rd.recovery`` event.
 
-        ``round_id`` -1 marks a checkpoint recovery at resume time; it
-        precedes every round and so joins no ``RoundRecord.recovery``.
+        The note also lands in the next :class:`RoundRecord.recovery`.
         """
         logger.warning("round %d: %s (%s)", round_id, detail, action)
         self.n_recoveries += 1
@@ -606,8 +562,7 @@ class RoutabilityDrivenPlacer:
                 detail=detail,
                 action=action,
             )
-        if round_id >= 0:
-            self._pending_recovery.append(detail)
+        self._pending_recovery.append(detail)
 
     def _rollback_round(
         self, state: _FlowState, round_id: int, exc: Exception
@@ -642,241 +597,33 @@ class RoutabilityDrivenPlacer:
             state.routing = self.router.route(nl)
 
     # ------------------------------------------------------------------
-    # checkpoint serialization
+    # best-placement snapshot
     # ------------------------------------------------------------------
-    def _design_fingerprint(self) -> dict:
+    def _save_flow_checkpoint(
+        self, path: str, state: _FlowState, next_round: int
+    ) -> None:
+        """Write the current and best-so-far positions to ``path``.
+
+        The meta block carries the design fingerprint that
+        :func:`repro.eco.warm.baseline_positions` validates; ``best_x``
+        / ``best_y`` are present when ``has_best`` is set.
+        """
         nl = self.netlist
-        return {
-            "name": nl.name,
-            "n_cells": int(nl.n_cells),
-            "n_nets": int(nl.n_nets),
-            "n_pins": int(nl.n_pins),
-        }
-
-    def _checkpoint_config(self) -> dict:
-        """The flow settings a checkpoint must match to be resumed."""
-        cfg = self.config
-        return {
-            "inflation_mode": cfg.inflation_mode,
-            "pg_mode": cfg.pg_mode,
-            "enable_dc": cfg.enable_dc,
-            "max_rounds": cfg.max_rounds,
-            "iters_per_round": cfg.iters_per_round,
-            # the only solver; kept so older checkpoints still match
-            "optimizer": "nesterov",
-            "seed": cfg.gp.seed,
-        }
-
-    def _save_flow_checkpoint(self, path: str, state: _FlowState) -> None:
-        nl = self.netlist
-        gp_state = self.gp.state_dict()
-        infl_state = self.inflation.state_dict()
-        opt_state = gp_state.pop("optimizer")
-
         meta = {
-            "version": CHECKPOINT_VERSION,
-            "design": self._design_fingerprint(),
-            "config": self._checkpoint_config(),
-            "next_round": state.next_round,
-            "rounds": [asdict(r) for r in state.rounds],
-            "hpwl_ref": state.hpwl_ref,
-            "best_score": (
-                None if not np.isfinite(state.best_score) else state.best_score
-            ),
-            "best_round": state.best_round,
-            "best_c": None if not np.isfinite(state.best_c) else state.best_c,
-            "stall": state.stall,
-            "initial_iters": state.initial_iters,
-            "last_lambda2": self.last_lambda2,
-            # Alg. 1 / Alg. 2 gradient norms from the last solver
-            # evaluation feed the *next* round's record, so a resumed
-            # flow must carry them or its telemetry diverges from an
-            # uninterrupted run
-            "last_netmove_l1": self.last_netmove_l1,
-            "last_multipin_l1": self.last_multipin_l1,
-            "selected_rails": [
-                [r.rect.xlo, r.rect.ylo, r.rect.xhi, r.rect.yhi, int(r.horizontal)]
-                for r in state.selected_rails
-            ],
-            "gp": {
-                "density_weight": gp_state["density_weight"],
-                "prev_hpwl": gp_state["prev_hpwl"],
-                "wa_gamma": gp_state["wa_gamma"],
-                "has_extra_static_charge": gp_state["extra_static_charge"]
-                is not None,
-            },
-            "optimizer": None
-            if opt_state is None
-            else {
-                k: v
-                for k, v in opt_state.items()
-                if not isinstance(v, np.ndarray) and v is not None
-            },
-            "inflation": {
-                "prev_mean": infl_state["prev_mean"],
-                "round": infl_state["round"],
-                "has_prev_cong": infl_state["prev_cong"] is not None,
-                "last_n_deflated": infl_state["last_n_deflated"],
-            },
+            "design": design_fingerprint(nl),
             "has_best": state.best_positions is not None,
         }
-
-        arrays: dict = {
-            "x": nl.x,
-            "y": nl.y,
-            "gp_filler_x": gp_state["filler_x"],
-            "gp_filler_y": gp_state["filler_y"],
-            "gp_size_scale": gp_state["size_scale"],
-            "infl_rates": infl_state["rates"],
-            "infl_delta": infl_state["delta_rates"],
-        }
-        if gp_state["extra_static_charge"] is not None:
-            arrays["gp_extra_static_charge"] = gp_state["extra_static_charge"]
-        if infl_state["prev_cong"] is not None:
-            arrays["infl_prev_cong"] = infl_state["prev_cong"]
-        if opt_state is not None:
-            for key, value in opt_state.items():
-                if isinstance(value, np.ndarray):
-                    arrays[f"opt_{key}"] = value
+        arrays = {"x": nl.x, "y": nl.y}
         if state.best_positions is not None:
             arrays["best_x"] = state.best_positions[0]
             arrays["best_y"] = state.best_positions[1]
-            arrays["best_size_scale"] = state.best_size_scale
-            best_infl = state.best_inflation
-            arrays["best_infl_rates"] = best_infl["rates"]
-            arrays["best_infl_delta"] = best_infl["delta_rates"]
-            if best_infl["prev_cong"] is not None:
-                arrays["best_infl_prev_cong"] = best_infl["prev_cong"]
-            meta["best_inflation"] = {
-                "prev_mean": best_infl["prev_mean"],
-                "round": best_infl["round"],
-                "last_n_deflated": best_infl["last_n_deflated"],
-            }
-
         with self.profiler.timer("rd.checkpoint"):
             # keep the predecessor: a torn write of this file must not
-            # cost the flow its only resume point
+            # cost the warm start its only snapshot
             write_checkpoint(path, meta, arrays, keep_previous=True)
         if self.metrics.enabled:
-            self.metrics.emit("rd.checkpoint", round=state.next_round)
-        logger.info(
-            "checkpoint written to %s (next round %d)", path, state.next_round
-        )
-
-    def _load_flow_checkpoint(self, path: str) -> _FlowState:
-        cfg = self.config
-        meta, arrays, used_path = read_checkpoint_with_fallback(path)
-        if used_path != path:
-            self._note_recovery(
-                -1,
-                "checkpoint_corrupt",
-                f"{path} unusable, fell back to {used_path}",
-                action="fallback",
-            )
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: checkpoint version {meta.get('version')!r} "
-                f"!= {CHECKPOINT_VERSION}"
-            )
-        if meta.get("design") != self._design_fingerprint():
-            raise CheckpointError(
-                f"{path}: checkpoint was written for design "
-                f"{meta.get('design')}, not {self._design_fingerprint()}"
-            )
-        want_cfg = self._checkpoint_config()
-        if meta.get("config") != want_cfg:
-            raise CheckpointError(
-                f"{path}: checkpoint config {meta.get('config')} does not "
-                f"match the current flow config {want_cfg}"
-            )
-
-        nl = self.netlist
-        nl.x[:] = arrays["x"]
-        nl.y[:] = arrays["y"]
-
-        opt_meta = meta.get("optimizer")
-        opt_state = None
-        if opt_meta is not None:
-            opt_state = dict(opt_meta)
-            for key, value in arrays.items():
-                if key.startswith("opt_"):
-                    opt_state[key[4:]] = value
-            opt_state.setdefault("prev_v", None)
-            opt_state.setdefault("prev_g", None)
-        self.gp.load_state_dict(
-            {
-                "filler_x": arrays["gp_filler_x"],
-                "filler_y": arrays["gp_filler_y"],
-                "size_scale": arrays["gp_size_scale"],
-                "extra_static_charge": arrays.get("gp_extra_static_charge"),
-                "density_weight": meta["gp"]["density_weight"],
-                "prev_hpwl": meta["gp"]["prev_hpwl"],
-                "wa_gamma": meta["gp"]["wa_gamma"],
-                "optimizer": opt_state,
-            }
-        )
-        self.inflation.load_state_dict(
-            {
-                "rates": arrays["infl_rates"],
-                "delta_rates": arrays["infl_delta"],
-                "prev_cong": arrays.get("infl_prev_cong"),
-                "prev_mean": meta["inflation"]["prev_mean"],
-                "round": meta["inflation"]["round"],
-                # absent in pre-existing snapshots; resumes as 0 there
-                "last_n_deflated": meta["inflation"].get("last_n_deflated", 0),
-            }
-        )
-        self.last_lambda2 = float(meta["last_lambda2"])
-        # absent in pre-existing snapshots; resumes as 0.0 there
-        self.last_netmove_l1 = float(meta.get("last_netmove_l1", 0.0))
-        self.last_multipin_l1 = float(meta.get("last_multipin_l1", 0.0))
-
-        state = _FlowState(
-            next_round=int(meta["next_round"]),
-            rounds=[RoundRecord(**r) for r in meta["rounds"]],
-            hpwl_ref=float(meta["hpwl_ref"]),
-            best_score=(
-                np.inf if meta["best_score"] is None else float(meta["best_score"])
-            ),
-            best_round=int(meta["best_round"]),
-            best_c=np.inf if meta["best_c"] is None else float(meta["best_c"]),
-            stall=int(meta["stall"]),
-            initial_iters=int(meta["initial_iters"]),
-            resumed_from_round=int(meta["next_round"]) - 1,
-        )
-        state.selected_rails = [
-            PGRailSpec(rect=Rect(r[0], r[1], r[2], r[3]), horizontal=bool(r[4]))
-            for r in meta["selected_rails"]
-        ]
-        state.rail_area = rail_area_map(
-            state.selected_rails
-            if cfg.pg_mode == "dynamic"
-            else self.netlist.pg_rails,
-            self.gp.grid,
-        )
-        if meta["has_best"]:
-            state.best_positions = (
-                arrays["best_x"].copy(),
-                arrays["best_y"].copy(),
-            )
-            state.best_size_scale = arrays["best_size_scale"].copy()
-            state.best_inflation = {
-                "rates": arrays["best_infl_rates"].copy(),
-                "delta_rates": arrays["best_infl_delta"].copy(),
-                "prev_cong": (
-                    arrays["best_infl_prev_cong"].copy()
-                    if "best_infl_prev_cong" in arrays
-                    else None
-                ),
-                "prev_mean": meta["best_inflation"]["prev_mean"],
-                "round": meta["best_inflation"]["round"],
-                "last_n_deflated": meta["best_inflation"].get(
-                    "last_n_deflated", 0
-                ),
-            }
-        with self.profiler.timer("rd.route"):
-            state.routing = self.router.route(nl)
-        return state
+            self.metrics.emit("rd.checkpoint", round=next_round)
+        logger.info("snapshot written to %s (next round %d)", path, next_round)
 
     # ------------------------------------------------------------------
     def _budgeted_rates(self, rates: np.ndarray) -> np.ndarray:

@@ -35,15 +35,14 @@ frozen base load (see ``GlobalRouter.route(net_ids=, base_demand=)``).
 A partial pass decomposes only its ``net_ids``, so its cost follows
 the dirty nets, not the design.
 
-A null diff with a baseline checkpoint degenerates to a plain
-checkpoint resume of the original flow — bit-identical to ``repro
-place --checkpoint`` picking the run back up.
+``baseline_checkpoint`` names the best-placement snapshot a baseline
+``repro place --checkpoint`` run wrote; only the dirty cells start from
+it.  An edit that leaves no dirty cell, a null diff included, returns
+the warm start after one routing pass, with no RD round.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
 import time
 from dataclasses import dataclass, field
 
@@ -62,7 +61,6 @@ from repro.geometry.grid import Grid2D
 from repro.netlist.netlist import Netlist
 from repro.place.config import auto_grid_dim
 from repro.route.router import DemandSnapshot, GlobalRouter, RoutingResult
-from repro.utils.checkpoint import backup_path
 from repro.utils.logging import get_logger
 from repro.utils.metrics import NULL
 from repro.utils.profile import StageProfiler
@@ -78,10 +76,6 @@ class EcoConfig:
     rd: RDConfig = field(default_factory=RDConfig)
     #: G-cell halo dilated around edited cells when marking dirty bins
     halo_bins: int = 1
-    #: rip up and reroute only dirty nets (False routes everything)
-    partial_route: bool = True
-    #: legalize + detail-place the dirty region after the RD loop
-    legalize: bool = True
     detail_passes: int = 2
 
     def __post_init__(self) -> None:
@@ -101,8 +95,6 @@ class EcoResult:
     total_overflow: float
     n_rounds: int
     routing: RoutingResult | None = None
-    #: True when the null-diff fast path resumed the baseline checkpoint
-    resumed: bool = False
     elapsed: float = 0.0
 
 
@@ -138,18 +130,6 @@ def _flow_grid(netlist: Netlist, cfg: RDConfig) -> Grid2D:
     return Grid2D(netlist.die, nx, ny)
 
 
-def _copy_checkpoint(src: str, dst: str) -> bool:
-    """Clone a flow checkpoint (or its ``.bak`` survivor) to ``dst``."""
-    if os.path.abspath(src) == os.path.abspath(dst):
-        return True
-    for candidate in (src, backup_path(src)):
-        if os.path.exists(candidate):
-            os.makedirs(os.path.dirname(os.path.abspath(dst)), exist_ok=True)
-            shutil.copyfile(candidate, dst)
-            return True
-    return False
-
-
 def _finish(
     netlist: Netlist,
     frozen: Netlist,
@@ -166,16 +146,15 @@ def _finish(
     from repro.detail import detailed_place
     from repro.legalize import legalize
 
-    if cfg.legalize:
-        with profiler.timer("eco.legalize"):
-            legalize(frozen)
-        with profiler.timer("eco.detail"):
-            detailed_place(
-                frozen,
-                passes=cfg.detail_passes,
-                grid=grid,
-                congestion=congestion,
-            )
+    with profiler.timer("eco.legalize"):
+        legalize(frozen)
+    with profiler.timer("eco.detail"):
+        detailed_place(
+            frozen,
+            passes=cfg.detail_passes,
+            grid=grid,
+            congestion=congestion,
+        )
     netlist.x[:] = frozen.x
     netlist.y[:] = frozen.y
 
@@ -185,19 +164,15 @@ def eco_place(
     old: Netlist,
     cfg: EcoConfig | None = None,
     baseline_checkpoint: str | None = None,
-    checkpoint_path: str | None = None,
     profiler: StageProfiler | None = None,
     metrics=None,
 ) -> EcoResult:
     """Re-place the edited design ``new`` against the baseline ``old``.
 
     Mutates ``new``'s positions in place.  ``baseline_checkpoint`` is
-    the baseline flow's npz checkpoint: its best snapshot seeds the
-    warm start, and with a **null** diff the flow simply resumes it
-    (bit-identically, after cloning it to ``checkpoint_path`` so the
-    baseline file is never overwritten).  ``checkpoint_path`` is the
-    ECO loop's own checkpoint — an existing one resumes a previous
-    attempt.
+    the snapshot a baseline ``RoutabilityDrivenPlacer.run(
+    checkpoint_path=)`` wrote: its best positions seed the dirty
+    cells.  It is only read, never written.
     """
     cfg = cfg or EcoConfig()
     profiler = profiler or StageProfiler()
@@ -211,40 +186,6 @@ def eco_place(
     logger.info("netlist diff: %s", diff.summary())
 
     grid = _flow_grid(new, cfg.rd)
-
-    # ------------------------------------------------------------------
-    # null edit + checkpoint: plain bit-identical resume
-    # ------------------------------------------------------------------
-    if diff.is_null and baseline_checkpoint:
-        work = checkpoint_path or baseline_checkpoint
-        _copy_checkpoint(baseline_checkpoint, work)
-        if metrics.enabled:
-            metrics.emit("eco.warm", source="resume", n_mapped=new.n_cells,
-                         n_seeded=0)
-        placer = RoutabilityDrivenPlacer(
-            new, cfg.rd, profiler=profiler, metrics=metrics
-        )
-        result = placer.run(checkpoint_path=work, resume=True)
-        frozen = new  # nothing frozen: the full design resumes as-is
-        _finish(new, frozen, cfg, placer.gp.grid,
-                result.final_routing.congestion_map, profiler)
-        out = EcoResult(
-            netlist=new,
-            diff=diff,
-            warm=WarmStart(source="resume", n_mapped=new.n_cells),
-            region=DirtyRegion(
-                dirty_cells=np.zeros(new.n_cells, dtype=bool),
-                dirty_nets=np.zeros(new.n_nets, dtype=bool),
-            ),
-            hpwl=float(hpwl(new)),
-            total_overflow=float(result.final_routing.total_overflow),
-            n_rounds=result.n_rounds,
-            routing=result.final_routing,
-            resumed=True,
-            elapsed=time.perf_counter() - t0,
-        )
-        _emit_place(metrics, out)
-        return out
 
     # ------------------------------------------------------------------
     # warm start through the diff
@@ -261,10 +202,10 @@ def eco_place(
         region = dirty_region(new, old, diff, grid, cfg.halo_bins)
 
     # Clean cells are frozen, so they must hold the baseline *file's*
-    # positions (the legalized output), not the checkpoint's best GP
-    # snapshot — that one is analytic, pre-legalization, and would pin
+    # positions (the legalized output), not the snapshot's best GP
+    # positions — those are analytic, pre-legalization, and would pin
     # the whole clean region off-row/off-site.  Dirty cells keep the
-    # checkpoint start: they get legalized again anyway.
+    # snapshot start: they get legalized again anyway.
     if warm.source == "checkpoint":
         survives = diff.cell_new_to_old >= 0
         clean = survives & ~region.dirty_cells
@@ -307,19 +248,14 @@ def eco_place(
         frozen, cfg.rd, profiler=profiler, metrics=metrics
     )
     dirty_net_ids = np.flatnonzero(region.dirty_nets)
-    if cfg.partial_route and 0 < len(dirty_net_ids) < new.n_nets:
+    if 0 < len(dirty_net_ids) < new.n_nets:
         clean_net_ids = np.flatnonzero(~region.dirty_nets)
         with profiler.timer("eco.base_route"):
             base = placer.router.route(frozen, net_ids=clean_net_ids)
         placer.router = _PartialRouter(
             placer.router, dirty_net_ids, DemandSnapshot.from_result(base)
         )
-    resume = bool(checkpoint_path) and os.path.exists(checkpoint_path)
-    result = placer.run(
-        skip_initial_gp=True,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-    )
+    result = placer.run(skip_initial_gp=True)
     _finish(new, frozen, cfg, placer.gp.grid,
             result.final_routing.congestion_map, profiler)
 
@@ -349,14 +285,12 @@ def _emit_place(metrics, out: EcoResult) -> None:
         total_overflow=out.total_overflow,
         n_dirty_cells=out.region.n_dirty_cells,
         n_dirty_nets=out.region.n_dirty_nets,
-        resumed=out.resumed,
     )
 
 
 def full_replace(
     netlist: Netlist,
     rd: RDConfig,
-    legalize_after: bool = True,
     detail_passes: int = 2,
     profiler: StageProfiler | None = None,
 ) -> dict:
@@ -372,14 +306,13 @@ def full_replace(
     profiler = profiler or StageProfiler()
     placer = RoutabilityDrivenPlacer(netlist, rd, profiler=profiler)
     result = placer.run()
-    if legalize_after:
-        legalize(netlist)
-        detailed_place(
-            netlist,
-            passes=detail_passes,
-            grid=placer.gp.grid,
-            congestion=result.final_routing.congestion_map,
-        )
+    legalize(netlist)
+    detailed_place(
+        netlist,
+        passes=detail_passes,
+        grid=placer.gp.grid,
+        congestion=result.final_routing.congestion_map,
+    )
     routing = GlobalRouter(placer.gp.grid, rd.router, profiler=profiler).route(
         netlist
     )

@@ -4,9 +4,9 @@ Three steps turn a baseline placement plus a :class:`~repro.eco.diff.
 NetlistDiff` into a localized re-place:
 
 1. :func:`baseline_positions` picks where the baseline's cells sit —
-   the best snapshot of the nearest flow checkpoint when one is given
-   (validated against the baseline design's fingerprint), the baseline
-   design file's stored positions otherwise.
+   the best positions of the baseline flow's snapshot when one is
+   given (validated against the baseline design's fingerprint), the
+   baseline design file's stored positions otherwise.
 2. :func:`apply_warm_start` maps every surviving cell's position
    through the diff and seeds each **added** cell at the connectivity
    centroid of its already-placed neighbors (die center when it has
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.rd_placer import design_fingerprint
 from repro.eco.diff import NetlistDiff
 from repro.geometry.grid import Grid2D
 from repro.netlist.netlist import Netlist
@@ -66,22 +67,18 @@ class DirtyRegion:
 def baseline_positions(
     old: Netlist, checkpoint_path: str | None = None
 ) -> tuple[np.ndarray, np.ndarray, str]:
-    """Baseline cell positions: checkpoint best snapshot or design file.
+    """Baseline cell positions: snapshot best positions or design file.
 
-    Returns ``(x, y, source)`` in the **old** design's cell order.  A
-    checkpoint is validated against the baseline design's fingerprint
-    (name and cell/net/pin counts) — resuming positions written for a
-    different design is an error, not a silent mis-seed.
+    Returns ``(x, y, source)`` in the **old** design's cell order.  The
+    snapshot (written by ``RoutabilityDrivenPlacer.run(checkpoint_path=)``)
+    is validated against the baseline design's fingerprint (name and
+    cell/net/pin counts) — reading positions written for a different
+    design is an error, not a silent mis-seed.
     """
     if not checkpoint_path:
         return old.x.copy(), old.y.copy(), "design"
     meta, arrays, _ = read_checkpoint_with_fallback(checkpoint_path)
-    fingerprint = {
-        "name": old.name,
-        "n_cells": int(old.n_cells),
-        "n_nets": int(old.n_nets),
-        "n_pins": int(old.n_pins),
-    }
+    fingerprint = design_fingerprint(old)
     if meta.get("design") != fingerprint:
         raise CheckpointError(
             f"{checkpoint_path}: checkpoint was written for design "

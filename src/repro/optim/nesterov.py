@@ -183,30 +183,6 @@ class NesterovOptimizer:
             "grad_norm": float(np.linalg.norm(g)),
         }
 
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Resumable snapshot of the full solver state (arrays copied)."""
-        return {
-            "u": self.u.copy(),
-            "v": self.v.copy(),
-            "a": self.a,
-            "step": self.step,
-            "iteration": self.iteration,
-            "prev_v": None if self._prev_v is None else self._prev_v.copy(),
-            "prev_g": None if self._prev_g is None else self._prev_g.copy(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (bit-exact resume)."""
-        self.u = np.array(state["u"], dtype=np.float64, copy=True)
-        self.v = np.array(state["v"], dtype=np.float64, copy=True)
-        self.a = float(state["a"])
-        self.step = float(state["step"])
-        self.iteration = int(state["iteration"])
-        pv, pg = state.get("prev_v"), state.get("prev_g")
-        self._prev_v = None if pv is None else np.array(pv, dtype=np.float64)
-        self._prev_g = None if pg is None else np.array(pg, dtype=np.float64)
-
     def reset_momentum(self) -> None:
         """Restart acceleration (used when the objective changes shape,
 

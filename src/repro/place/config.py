@@ -51,7 +51,6 @@ class GPConfig:
     use_fillers: bool = True
     initial_move_fraction: float = 0.1
     seed: int = 0
-    verbose: bool = False
     guard: GuardConfig = field(default_factory=GuardConfig)
 
     def __post_init__(self) -> None:

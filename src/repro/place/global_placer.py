@@ -402,14 +402,6 @@ class GlobalPlacer:
                     grad_norm=info["grad_norm"],
                     gamma=self.wa.gamma,
                 )
-            if cfg.verbose and it % 20 == 0:
-                logger.warning(
-                    "iter %4d  hpwl %.4e  ovfl %.4f  lambda %.3e",
-                    it,
-                    cur_hpwl,
-                    overflow,
-                    self.density_weight,
-                )
             if it >= min_iters and overflow <= cfg.stop_overflow:
                 break
         self._unpack(self._optimizer.u)
@@ -462,70 +454,6 @@ class GlobalPlacer:
         opt.v = opt.u.copy()
         self.density_weight = 0.0
         self._prev_hpwl = None
-        self._sentinel.reset()
-
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Resumable snapshot of the placer's mutable state.
-
-        Together with the netlist positions (owned by the caller) this
-        captures everything :meth:`run` reads across iterations, so a
-        placer reconstructed from the same config + netlist and fed
-        this state continues bit-identically.
-        """
-        return {
-            "filler_x": self.filler_x.copy(),
-            "filler_y": self.filler_y.copy(),
-            "size_scale": self.size_scale.copy(),
-            "extra_static_charge": (
-                None
-                if self.extra_static_charge is None
-                else self.extra_static_charge.copy()
-            ),
-            "density_weight": self.density_weight,
-            "prev_hpwl": self._prev_hpwl,
-            "wa_gamma": self.wa.gamma,
-            "optimizer": (
-                None if self._optimizer is None else self._optimizer.state_dict()
-            ),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot.
-
-        Rebuilds the optimizer directly from the serialized vectors
-        (no extra gradient evaluation, so no side effects that would
-        diverge from an uninterrupted run).
-        """
-        self.filler_x = np.array(state["filler_x"], dtype=np.float64, copy=True)
-        self.filler_y = np.array(state["filler_y"], dtype=np.float64, copy=True)
-        self.size_scale = np.array(state["size_scale"], dtype=np.float64, copy=True)
-        extra = state.get("extra_static_charge")
-        self.extra_static_charge = (
-            None if extra is None else np.array(extra, dtype=np.float64, copy=True)
-        )
-        self.density_weight = float(state["density_weight"])
-        prev = state.get("prev_hpwl")
-        self._prev_hpwl = None if prev is None else float(prev)
-        self.wa.gamma = float(state["wa_gamma"])
-        opt_state = state.get("optimizer")
-        if opt_state is None:
-            self._optimizer = None
-        else:
-            bin_unit = 0.5 * (self.grid.dx + self.grid.dy)
-            opt = NesterovOptimizer(
-                opt_state["u"],
-                self._gradient,
-                initial_step=float(opt_state["step"]),
-                max_move=1.0 * bin_unit,
-                guard=self.config.guard,
-                on_guard=self._note_guard,
-            )
-            opt.load_state_dict(opt_state)
-            self._optimizer = opt
-        self._last_good = None
         self._sentinel.reset()
 
     def _update_mu(self, cur_hpwl: float) -> None:

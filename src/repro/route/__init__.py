@@ -18,7 +18,6 @@ from repro.route.router import DemandSnapshot, GlobalRouter, RoutingResult
 from repro.route.congestion import CongestionData, congestion_from_demand
 from repro.route.maze import maze_route
 from repro.route.rudy import pin_rudy_map, rudy_map
-from repro.route.stt import single_trunk_segments, stt_length
 
 __all__ = [
     "RouterConfig",
@@ -35,6 +34,4 @@ __all__ = [
     "maze_route",
     "rudy_map",
     "pin_rudy_map",
-    "single_trunk_segments",
-    "stt_length",
 ]

@@ -59,11 +59,8 @@ class RouterConfig:
     cost_refresh_interval: int = 256
     maze_fallback: bool = False
     maze_window: int = 8
-    topology: str = "mst"  # multi-pin decomposition: "mst" | "stt"
 
     def __post_init__(self) -> None:
-        if self.topology not in ("mst", "stt"):
-            raise ValueError(f"unknown topology {self.topology!r}")
         if self.n_layers < 2:
             raise ValueError("need at least 2 routing layers (one H, one V)")
         if self.wire_pitch <= 0:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.netlist.netlist import Netlist
-from repro.route.stt import single_trunk_segments
 
 
 def prim_mst(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,21 +54,16 @@ def prim_mst(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def segment_endpoints(
-    netlist: Netlist, topology: str = "mst", net_ids=None
+    netlist: Netlist, net_ids=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Endpoint arrays ``(net_id, x1, y1, x2, y2)`` of every segment.
 
     Segments come in ascending net id, each net's segments in the order
-    its topology generator emits them.  ``net_ids`` restricts the
-    decomposition to the given nets (any order; ids that name no net
-    are ignored), so a partial routing pass pays only for what it
-    routes.  ``topology`` selects the multi-pin decomposition:
-    ``"mst"`` (Prim, default) or ``"stt"`` (single-trunk Steiner tree,
-    see :mod:`repro.route.stt`).  Two-pin nets are one segment under
-    either topology, and nets with fewer than two pins have none.
+    Prim adds its tree edges.  ``net_ids`` restricts the decomposition
+    to the given nets (any order; ids that name no net are ignored), so
+    a partial routing pass pays only for what it routes.  Two-pin nets
+    are one segment, and nets with fewer than two pins have none.
     """
-    if topology not in ("mst", "stt"):
-        raise ValueError(f"unknown topology {topology!r}")
     px, py = netlist.pin_positions()
     deg = netlist.net_degrees()
     starts = netlist.net_pin_starts
@@ -79,15 +73,12 @@ def segment_endpoints(
     else:
         nets = np.flatnonzero(np.isin(np.arange(netlist.n_nets), net_ids))
     nets = nets[deg[nets] >= 2]
-    # stt decomposes only its multi-pin nets one by one; the two-pin
-    # ones join the Prim buckets, where d = 2 gives the single edge
-    prim_nets = nets if topology == "mst" else nets[deg[nets] == 2]
 
     empty = np.zeros(0, dtype=np.float64)
     net_id = [np.zeros(0, dtype=np.int64)]
     x1, y1, x2, y2 = [empty], [empty], [empty], [empty]
-    for d in np.unique(deg[prim_nets]):
-        bucket = prim_nets[deg[prim_nets] == d]
+    for d in np.unique(deg[nets]):
+        bucket = nets[deg[nets] == d]
         pins = order[starts[bucket][:, None] + np.arange(d)]
         bx, by = px[pins], py[pins]
         src, dst = prim_mst(bx, by)
@@ -97,20 +88,6 @@ def segment_endpoints(
         y1.append(by[rows, src].ravel())
         x2.append(bx[rows, dst].ravel())
         y2.append(by[rows, dst].ravel())
-    if topology == "stt":
-        multi = nets[deg[nets] >= 3]
-        trees = [
-            single_trunk_segments(px[pins], py[pins])
-            for pins in (order[starts[e] : starts[e + 1]] for e in multi)
-        ]
-        net_id.append(np.repeat(multi, [len(t) for t in trees]))
-        cols = np.asarray(
-            [seg for t in trees for seg in t], dtype=np.float64
-        ).reshape(-1, 4).T
-        x1.append(cols[0])
-        y1.append(cols[1])
-        x2.append(cols[2])
-        y2.append(cols[3])
 
     seg_net = np.concatenate(net_id).astype(np.int64, copy=False)
     # buckets come out grouped by degree; the stable sort restores

@@ -229,7 +229,7 @@ class GlobalRouter:
         restricts the batch to segments of the given nets (partial ECO
         pass); only those nets are decomposed.
         """
-        _, x1, y1, x2, y2 = segment_endpoints(netlist, self.config.topology, net_ids)
+        _, x1, y1, x2, y2 = segment_endpoints(netlist, net_ids)
         i1, j1 = self.grid.index_of(x1, y1)
         i2, j2 = self.grid.index_of(x2, y2)
         span = np.abs(i2 - i1) + np.abs(j2 - j1)

@@ -11,7 +11,6 @@ checks that crossing the process boundary changes no output byte).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -22,16 +21,14 @@ def open_metrics(
     path: str | None,
     command: str,
     design: str,
-    resumed: bool = False,
     profiler=None,
 ):
     """Build the registry for a metrics path (or the disabled NULL).
 
     Returns ``(metrics, finish)`` where ``finish()`` closes the stream
     and returns a rendered :class:`~repro.utils.metrics.MetricsReport`
-    (``None`` when telemetry is disabled).  A resumed flow appends to
-    the existing stream; the new segment starts with its own
-    ``run.start`` event carrying ``resumed: true``.
+    (``None`` when telemetry is disabled).  An existing file at
+    ``path`` is overwritten.
 
     The registry is armed with an abort flush: a SIGTERM'd or crashed
     run emits a terminal ``run.aborted`` event (naming the profiler's
@@ -49,9 +46,8 @@ def open_metrics(
     if not path:
         return NULL, lambda: None
 
-    append = resumed and os.path.exists(path)
-    metrics = MetricsRegistry(sink=JsonlSink(path, append=append))
-    metrics.start_run(command=command, design=design, resumed=append)
+    metrics = MetricsRegistry(sink=JsonlSink(path))
+    metrics.start_run(command=command, design=design)
     abort = install_abort_flush(metrics, profiler=profiler)
 
     def finish():
@@ -102,7 +98,9 @@ class PlaceRequest:
     ``rounds`` / ``iters_per_round`` override the routability loop's
     :class:`~repro.core.rd_placer.RDConfig` defaults when set (they
     exist so tests can bound flow length); ``None`` keeps the config
-    defaults, which is what the bare CLI passes.
+    defaults, which is what the bare CLI passes.  ``checkpoint``
+    names the best-placement snapshot the routability flow writes
+    (see ``RoutabilityDrivenPlacer.run``); it is never read back.
     """
 
     input: str
@@ -125,7 +123,6 @@ class PlaceOutcome:
     n_issues: int = 0
     n_rounds: int = 0
     best_round: int = -1
-    resumed_from_round: int = -1
     n_guard_events: int = 0
     routability: bool = False
     report: str | None = None
@@ -136,11 +133,6 @@ class PlaceOutcome:
         pre-refactor CLI output)."""
         lines = []
         if self.routability:
-            if self.resumed_from_round >= 0:
-                lines.append(
-                    f"resumed from checkpoint after round "
-                    f"{self.resumed_from_round}"
-                )
             lines.append(
                 f"routability rounds: {self.n_rounds} "
                 f"(best round {self.best_round})"
@@ -159,12 +151,7 @@ class PlaceOutcome:
 
 
 def run_place_job(req: PlaceRequest) -> PlaceOutcome:
-    """Run one complete place flow (the body of ``repro place``).
-
-    A ``checkpoint`` that already exists on disk resumes the
-    routability loop from it (same rule as the CLI flag) instead of
-    recomputing finished rounds.
-    """
+    """Run one complete place flow (the body of ``repro place``)."""
     from repro.core import RDConfig, RoutabilityDrivenPlacer
     from repro.detail import detailed_place
     from repro.io import save_design
@@ -176,12 +163,10 @@ def run_place_job(req: PlaceRequest) -> PlaceOutcome:
     netlist = load_validated(req.input)
     gp = GPConfig(max_iters=req.iters)
     profiler = StageProfiler()
-    resuming = req.checkpoint is not None and os.path.exists(req.checkpoint)
     metrics, finish_metrics = open_metrics(
         req.metrics_out,
         "place",
         design=req.input,
-        resumed=resuming,
         profiler=profiler,
     )
     configure_contracts(req.check_invariants, metrics)
@@ -196,13 +181,9 @@ def run_place_job(req: PlaceRequest) -> PlaceOutcome:
         placer = RoutabilityDrivenPlacer(
             netlist, rd, profiler=profiler, metrics=metrics,
         )
-        result = placer.run(
-            checkpoint_path=req.checkpoint,
-            resume=req.checkpoint is not None,
-        )
+        result = placer.run(checkpoint_path=req.checkpoint)
         outcome.n_rounds = result.n_rounds
         outcome.best_round = result.best_round
-        outcome.resumed_from_round = result.resumed_from_round
         outcome.n_guard_events = result.n_guard_events
         congestion = result.final_routing.congestion_map
         grid = placer.gp.grid
@@ -233,10 +214,9 @@ class EcoRequest:
     ``input`` is the **edited** design; ``baseline`` is the design it
     was edited from, ideally a placed output (``repro place``'s
     ``--out`` file) so the clean region inherits legal positions.
-    ``baseline_checkpoint`` optionally names the baseline flow's npz
-    checkpoint — its best snapshot seeds the warm start, and a null
-    edit then resumes it bit-identically.  ``checkpoint`` is the ECO
-    loop's own resume point.
+    ``baseline_checkpoint`` optionally names the snapshot a baseline
+    ``repro place --checkpoint`` run wrote; its best positions seed
+    the dirty cells.
     ``compare`` additionally runs a cold full re-place of the edited
     design and reports the QoR delta (``eco.compare`` telemetry).
     """
@@ -245,7 +225,6 @@ class EcoRequest:
     baseline: str = ""
     baseline_checkpoint: str | None = None
     out: str = "eco_placed.bl"
-    checkpoint: str | None = None
     rounds: int | None = None
     iters_per_round: int | None = None
     halo: int = 1
@@ -263,7 +242,6 @@ class EcoOutcome:
     total_overflow: float = 0.0
     n_issues: int = 0
     n_rounds: int = 0
-    resumed: bool = False
     n_edits: int = 0
     n_dirty_cells: int = 0
     n_dirty_nets: int = 0
@@ -278,8 +256,7 @@ class EcoOutcome:
         lines = [
             f"edits: {self.n_edits} -> dirty cells: {self.n_dirty_cells} "
             f"dirty nets: {self.n_dirty_nets} (warm start: {self.warm_source})",
-            f"eco rounds: {self.n_rounds}"
-            + (" (resumed baseline checkpoint)" if self.resumed else ""),
+            f"eco rounds: {self.n_rounds}",
         ]
         legality = "CLEAN" if not self.n_issues else f"{self.n_issues} issues"
         lines.append(
@@ -320,12 +297,10 @@ def run_eco_job(req: EcoRequest) -> EcoOutcome:
     netlist = load_validated(req.input)
     baseline = load_validated(req.baseline)
     profiler = StageProfiler()
-    resuming = req.checkpoint is not None and os.path.exists(req.checkpoint)
     metrics, finish_metrics = open_metrics(
         req.metrics_out,
         "eco",
         design=req.input,
-        resumed=resuming,
         profiler=profiler,
     )
     configure_contracts(req.check_invariants, metrics)
@@ -342,7 +317,6 @@ def run_eco_job(req: EcoRequest) -> EcoOutcome:
             baseline,
             cfg,
             baseline_checkpoint=req.baseline_checkpoint,
-            checkpoint_path=req.checkpoint,
             profiler=profiler,
             metrics=metrics,
         )
@@ -353,7 +327,6 @@ def run_eco_job(req: EcoRequest) -> EcoOutcome:
         hpwl=result.hpwl,
         total_overflow=result.total_overflow,
         n_rounds=result.n_rounds,
-        resumed=result.resumed,
         n_edits=result.diff.n_edits,
         n_dirty_cells=result.region.n_dirty_cells,
         n_dirty_nets=result.region.n_dirty_nets,

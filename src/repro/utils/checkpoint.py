@@ -1,8 +1,9 @@
 """Atomic on-disk checkpoints: a JSON meta block plus numpy arrays.
 
-Generic carrier used by the flow-state checkpointing of
-:class:`~repro.core.rd_placer.RoutabilityDrivenPlacer`: the caller
-supplies a JSON-serializable ``meta`` dict and a dict of float/int
+Generic carrier of the best-placement snapshot that
+:class:`~repro.core.rd_placer.RoutabilityDrivenPlacer` writes and the
+ECO warm start (:func:`repro.eco.warm.baseline_positions`) reads: the
+caller supplies a JSON-serializable ``meta`` dict and a dict of float/int
 arrays; both round-trip losslessly (arrays bit-exact) through one
 ``.npz`` file.  Writes are atomic — the payload lands in a temp file
 that is ``os.replace``d over the target, so a crash mid-write can
@@ -18,8 +19,8 @@ Integrity: the meta member carries a SHA-256 digest of every array
 member's serialized bytes, verified on read.  A truncated archive or a
 digest mismatch raises :class:`CheckpointCorruptError` — naming the
 file, the member and the expected/actual digests — instead of numpy's
-opaque zipfile error; a resuming flow then falls back to the
-previous good checkpoint (``<path>.bak``, kept when callers pass
+opaque zipfile error; a reader then falls back to the previous good
+checkpoint (``<path>.bak``, kept when callers pass
 ``keep_previous=True``).  Checkpoints written before the digest format
 (no envelope in the meta member) still load, without verification.
 
@@ -42,7 +43,6 @@ import numpy as np
 
 from repro.utils import faults
 
-CHECKPOINT_VERSION = 1
 #: Envelope version of the meta member (2 = checksummed envelope;
 #: pre-envelope files carry the caller meta directly and load without
 #: verification).
@@ -253,8 +253,9 @@ def read_checkpoint_with_fallback(path: str) -> tuple:
 
     Returns ``(meta, arrays, used_path)``.  Only *corruption* triggers
     the fallback — a missing primary with a good backup also resolves
-    to the backup, but semantic errors (wrong version/design/config)
-    propagate so misuse is never papered over.  When every candidate
+    to the backup, but the caller's semantic checks (e.g. the design
+    fingerprint) run on what is returned, so misuse is never papered
+    over.  When every candidate
     is corrupt or absent, the primary's error is re-raised.
     """
     primary_error: CheckpointError | None = None

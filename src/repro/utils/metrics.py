@@ -24,10 +24,10 @@ Design constraints, in order:
   and structured fields, but no wall-clock timestamp; two runs with
   the same seed therefore produce bit-identical streams (the e2e
   determinism test relies on this);
-* **resume-consistent** — a resumed flow appends to the same JSONL
-  file; each run segment starts with a ``run.start`` event (with
-  ``resumed: true`` on continuation) and sequence numbers restart per
-  segment, so :func:`validate_stream` accepts concatenated segments.
+* **segmented** — each run segment starts with a ``run.start`` event
+  and sequence numbers restart per segment, so :func:`validate_stream`
+  accepts concatenated segments (a sweep's merged stream holds one per
+  design).
 
 Event schema (version :data:`SCHEMA_VERSION`)
 ---------------------------------------------
@@ -99,8 +99,9 @@ EVENT_FIELDS: dict = {
     # one per guard/sanitize recovery in the routability flow
     "rd.recovery": ("round", "guard", "detail", "action"),
     # flow lifecycle markers
+    # ``rd.resume`` (a resumed flow) only older streams carry; it
+    # validates as an unknown kind
     "rd.start": ("design", "n_cells", "n_nets"),
-    "rd.resume": ("round",),
     "rd.checkpoint": ("round",),
     # one per numeric-contract violation (warn/raise modes; see
     # repro.utils.contracts)
@@ -126,7 +127,6 @@ EVENT_FIELDS: dict = {
         "total_overflow",
         "n_dirty_cells",
         "n_dirty_nets",
-        "resumed",
     ),
     "eco.compare": (
         "eco_hpwl",
@@ -182,11 +182,10 @@ class JsonlSink:
 
     Lines are buffered and written in batches of ``buffer_lines`` (and
     on :meth:`flush`/:meth:`close`), so per-event cost in the hot loop
-    is a list append, not a syscall.  ``append=True`` continues an
-    existing stream (resumed runs); otherwise the file is truncated.
+    is a list append, not a syscall.  An existing file is truncated.
     """
 
-    def __init__(self, path: str, append: bool = False, buffer_lines: int = 256):
+    def __init__(self, path: str, buffer_lines: int = 256):
         if buffer_lines < 1:
             raise ValueError("buffer_lines must be >= 1")
         parent = os.path.dirname(path)
@@ -195,7 +194,7 @@ class JsonlSink:
         self.path = path
         self.buffer_lines = buffer_lines
         self._buffer: list = []
-        self._fh = open(path, "a" if append else "w")
+        self._fh = open(path, "w")
 
     def write(self, line: str) -> None:
         """Buffer one serialized event line (flushes at the batch size)."""
@@ -258,7 +257,8 @@ class MetricsRegistry:
     """Enabled telemetry: events to the sink and to per-kind series.
 
     ``emit`` appends one schema-versioned event to the sink and to the
-    in-memory per-kind series (capped at :data:`MAX_SERIES` per kind).
+    in-memory per-kind series (capped at :data:`MAX_SERIES` per kind);
+    ``events`` holds the same retained events in emission order.
     :meth:`close` writes a terminal ``run.end`` event and closes the
     sink.
     """
@@ -268,6 +268,7 @@ class MetricsRegistry:
     def __init__(self, sink=None) -> None:
         self.sink = sink if sink is not None else MemorySink()
         self.series: dict = {}
+        self.events: list = []
         self._seq = 0
         self._closed = False
 
@@ -295,6 +296,7 @@ class MetricsRegistry:
         bucket = self.series.setdefault(event["kind"], [])
         if len(bucket) < MAX_SERIES:
             bucket.append(event)
+            self.events.append(event)
         self.sink.write(json.dumps(event, separators=(",", ":")))
 
     def flush(self) -> None:
@@ -509,10 +511,12 @@ class MetricsReport:
 
     @classmethod
     def from_registry(cls, registry: MetricsRegistry) -> "MetricsReport":
-        """Build a report from a (possibly still-open) registry."""
-        events = [e for kind in registry.series.values() for e in kind]
-        events.sort(key=lambda e: (e.get("segment", 0), e["seq"]))
-        return cls(events=events)
+        """Build a report from a (possibly still-open) registry.
+
+        The events come in emission order, so each run segment's
+        events follow its own ``run.start``.
+        """
+        return cls(events=list(registry.events))
 
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:

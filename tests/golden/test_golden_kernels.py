@@ -184,7 +184,6 @@ class TestRouteGolden:
     #: (key prefix, RouterConfig overrides) of every pinned pass
     CONFIGS = (
         ("default", {}),
-        ("stt", {"topology": "stt"}),
         ("maze", {"maze_fallback": True, "rrr_rounds": 1}),
     )
 

@@ -46,7 +46,6 @@ from repro.route.grid import RoutingGrid
 from repro.route.maze import maze_route
 from repro.route.patterns import PatternRouter, RoutedPath, RoutedPathBatch
 from repro.route.router import GlobalRouter, RoutingResult
-from repro.route.stt import single_trunk_segments
 from repro.wirelength import wa
 from repro.wirelength.wa import WAWirelength
 
@@ -281,7 +280,7 @@ def mst_edges(px, py):
     return edges
 
 
-def decompose_net(netlist, net_id, px, py, topology="mst"):
+def decompose_net(netlist, net_id, px, py):
     """Two-pin segments ``(x1, y1, x2, y2)`` of one net."""
     pins = netlist.net_pins(net_id)
     if len(pins) < 2:
@@ -290,31 +289,24 @@ def decompose_net(netlist, net_id, px, py, topology="mst"):
     sy = py[pins]
     if len(pins) == 2:
         return [(float(sx[0]), float(sy[0]), float(sx[1]), float(sy[1]))]
-    if topology == "stt":
-        return single_trunk_segments(sx, sy)
-    if topology != "mst":
-        raise ValueError(f"unknown topology {topology!r}")
     return [
         (float(sx[a]), float(sy[a]), float(sx[b]), float(sy[b]))
         for a, b in mst_edges(sx, sy)
     ]
 
 
-def decompose_netlist(netlist, topology="mst"):
+def decompose_netlist(netlist):
     """Segments of every net, indexed by net id."""
     px, py = netlist.pin_positions()
-    return [
-        decompose_net(netlist, e, px, py, topology)
-        for e in range(netlist.n_nets)
-    ]
+    return [decompose_net(netlist, e, px, py) for e in range(netlist.n_nets)]
 
 
-def segment_endpoints(netlist, topology="mst", net_ids=None):
+def segment_endpoints(netlist, net_ids=None):
     """``(net_id, x1, y1, x2, y2)`` of every net, decomposed one by one.
 
     ``net_ids`` filters the finished arrays with ``np.isin``.
     """
-    segs = decompose_netlist(netlist, topology)
+    segs = decompose_netlist(netlist)
     nets = np.repeat(np.arange(netlist.n_nets), [len(t) for t in segs])
     cols = np.array(
         [seg for t in segs for seg in t], dtype=np.float64
@@ -330,7 +322,7 @@ def collect_segment_batch(self, netlist, net_ids=None):
     out the segments of ``net_ids`` afterwards; they are then sorted by
     bbox span.
     """
-    _, x1, y1, x2, y2 = segment_endpoints(netlist, self.config.topology, net_ids)
+    _, x1, y1, x2, y2 = segment_endpoints(netlist, net_ids)
     i1, j1 = self.grid.index_of(x1, y1)
     i2, j2 = self.grid.index_of(x2, y2)
     order = np.argsort(np.abs(i2 - i1) + np.abs(j2 - j1), kind="stable")
@@ -492,7 +484,7 @@ def route_scalar(grid, config, netlist):
     """
     commit = GlobalRouter._commit_path
     rgrid = RoutingGrid(grid, config, netlist)
-    _, x1, y1, x2, y2 = segment_endpoints(netlist, config.topology)
+    _, x1, y1, x2, y2 = segment_endpoints(netlist)
     i1, j1 = grid.index_of(x1, y1)
     i2, j2 = grid.index_of(x2, y2)
     segments = [

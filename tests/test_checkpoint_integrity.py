@@ -2,10 +2,8 @@
 
 Covers the checksummed checkpoint format (per-member SHA-256 recorded
 at write time, verified on read), the ``checkpoint.write`` torn-write
-chaos hook, the ``.bak`` previous-good fallback consulted by
-supervised retries, and the flow-level recovery behaviour of
-:class:`~repro.core.rd_placer.RoutabilityDrivenPlacer` when its
-checkpoint comes back damaged.
+chaos hook and the ``.bak`` previous-good fallback that the ECO warm
+start's snapshot read goes through.
 """
 
 from __future__ import annotations
@@ -17,9 +15,6 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.core import RDConfig, RoutabilityDrivenPlacer
-from repro.place import GPConfig
-from repro.synth import toy_design
 from repro.utils import faults
 from repro.utils.checkpoint import (
     CheckpointCorruptError,
@@ -30,23 +25,9 @@ from repro.utils.checkpoint import (
     write_checkpoint,
 )
 from repro.utils.faults import FaultPlan
-from repro.utils.metrics import MemorySink, MetricsRegistry
 
 META = {"design": "t", "round": 2}
 ARRAYS = {"x": np.linspace(0.0, 1.0, 7), "mask": np.arange(5)}
-
-
-def _rd_config(**kw):
-    """Small-but-real flow config (mirrors ``test_robustness``)."""
-    defaults = dict(
-        gp=GPConfig(max_iters=40, seed=1),
-        max_rounds=3,
-        iters_per_round=8,
-        patience=10,
-        stop_mean_congestion=0.0,
-    )
-    defaults.update(kw)
-    return RDConfig(**defaults)
 
 
 def _tamper_member(path: str, member: str, mutate) -> None:
@@ -187,95 +168,3 @@ class TestFallback:
     def test_no_candidates_raises_plain_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="no such file"):
             read_checkpoint_with_fallback(str(tmp_path / "absent.npz"))
-
-
-class TestFlowRecovery:
-    """The routability flow survives damaged checkpoints."""
-
-    @staticmethod
-    def _multi_round_cfg():
-        # toy300 + these settings complete all 3 rounds (no early
-        # stop), so the .bak predecessor holds a mid-flow round
-        return _rd_config(
-            gp=GPConfig(max_iters=60, seed=1), max_rounds=3, iters_per_round=15
-        )
-
-    def _run_and_keep_backup(self, path, cfg):
-        """Run a full flow; round N's save backs up round N-1's."""
-        nl = toy_design(300, seed=3)
-        RoutabilityDrivenPlacer(nl, cfg).run(checkpoint_path=path)
-        return nl
-
-    def test_corrupt_primary_resumes_from_backup(self, tmp_path):
-        path = str(tmp_path / "flow.npz")
-        self._run_and_keep_backup(path, self._multi_round_cfg())
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[: len(data) // 2])
-
-        sink = MemorySink()
-        metrics = MetricsRegistry(sink=sink)
-        metrics.start_run(command="test")
-        nl = toy_design(300, seed=3)
-        placer = RoutabilityDrivenPlacer(
-            nl, self._multi_round_cfg(), metrics=metrics
-        )
-        result = placer.run(checkpoint_path=path, resume=True)
-        metrics.close()
-        assert result.resumed_from_round >= 0
-        recoveries = metrics.series.get("rd.recovery", [])
-        assert any(
-            e["guard"] == "checkpoint_corrupt" and e["action"] == "fallback"
-            for e in recoveries
-        )
-
-    def test_all_checkpoints_corrupt_cold_starts(self, tmp_path):
-        path = str(tmp_path / "flow.npz")
-        nl0 = toy_design(150, seed=5)
-        RoutabilityDrivenPlacer(nl0, _rd_config()).run(checkpoint_path=path)
-        for candidate in (path, backup_path(path)):
-            data = open(candidate, "rb").read()
-            open(candidate, "wb").write(data[:64])
-
-        sink = MemorySink()
-        metrics = MetricsRegistry(sink=sink)
-        metrics.start_run(command="test")
-        nl = toy_design(150, seed=5)
-        placer = RoutabilityDrivenPlacer(nl, _rd_config(), metrics=metrics)
-        result = placer.run(checkpoint_path=path, resume=True)
-        metrics.close()
-        # flow completed from scratch rather than propagating corruption
-        assert result.resumed_from_round == -1
-        recoveries = metrics.series.get("rd.recovery", [])
-        assert any(
-            e["guard"] == "checkpoint_corrupt" and e["action"] == "cold_start"
-            for e in recoveries
-        )
-        # one record of the fact: one event, counted once, and in no
-        # round's recovery notes
-        assert len(recoveries) == 1
-        assert result.n_guard_events == 1
-        assert not any(r.recovery for r in result.rounds)
-
-    def test_backup_fallback_is_one_recovery(self, tmp_path):
-        path = str(tmp_path / "flow.npz")
-        RoutabilityDrivenPlacer(toy_design(150, seed=5), _rd_config()).run(
-            checkpoint_path=path
-        )
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[:64])
-
-        metrics = MetricsRegistry(sink=MemorySink())
-        metrics.start_run(command="test")
-        placer = RoutabilityDrivenPlacer(
-            toy_design(150, seed=5), _rd_config(), metrics=metrics
-        )
-        result = placer.run(checkpoint_path=path, resume=True)
-        metrics.close()
-        assert "rd.resume" in metrics.series
-        recoveries = metrics.series.get("rd.recovery", [])
-        assert [(e["guard"], e["action"]) for e in recoveries] == [
-            ("checkpoint_corrupt", "fallback")
-        ]
-        assert recoveries[0]["round"] == -1
-        assert result.n_guard_events == 1
-        assert not any(r.recovery for r in result.rounds)

@@ -39,7 +39,7 @@ def _run_flow(tmp_path, tag: str):
     )
     placer = RoutabilityDrivenPlacer(netlist, config, metrics=metrics)
     result = placer.run(
-        skip_initial_gp=True, checkpoint_path=str(ckpt_path), resume=False
+        skip_initial_gp=True, checkpoint_path=str(ckpt_path)
     )
     metrics.close()
     return {

@@ -1,9 +1,9 @@
 """Incremental / ECO placement tests.
 
 Fast unit coverage of the netlist differ, the warm-start planner and
-the dirty-region analysis runs in tier-1; the end-to-end flow tests
-(null-edit bit-identity, QoR vs a cold full re-place) carry the
-``eco`` marker and run in their own CI job.
+the dirty-region analysis runs in tier-1; the end-to-end flow test
+(QoR vs a cold full re-place) carries the ``eco`` marker and runs in
+its own CI job.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.eco import (
     EcoConfig,
     FixedCellOutsideDieError,
     apply_warm_start,
+    baseline_positions,
     diff_netlists,
     dirty_region,
     eco_place,
@@ -337,13 +338,31 @@ class TestDirtyRegion:
 
 
 class TestEcoFlowUnit:
-    def test_null_edit_without_checkpoint_keeps_positions(self):
+    @pytest.mark.parametrize("with_snapshot", [False, True],
+                             ids=["design-file", "snapshot"])
+    def test_null_edit_keeps_baseline_positions(self, tmp_path, with_snapshot):
+        """A null edit returns the baseline file's positions, 0 rounds.
+
+        With a snapshot, its best positions are GP output, not the
+        file's; the clean region still comes back as the file has it.
+        """
         rd = RDConfig(gp=GPConfig(max_iters=30), max_rounds=1, iters_per_round=5)
         old = toy_design(80, seed=9)
+        snapshot = None
+        if with_snapshot:
+            snapshot = str(tmp_path / "base.npz")
+            RoutabilityDrivenPlacer(old, rd).run(checkpoint_path=snapshot)
+            legalize(old)
         text = dumps_design(old)
         new = loads_design(text)
         old = loads_design(text)
-        result = eco_place(new, old, EcoConfig(rd=rd))
+        result = eco_place(
+            new, old, EcoConfig(rd=rd), baseline_checkpoint=snapshot
+        )
+        assert result.warm.source == ("checkpoint" if with_snapshot else "design")
+        if with_snapshot:
+            snap_x, _, _ = baseline_positions(old, snapshot)
+            assert not np.array_equal(snap_x, old.x)
         assert result.n_rounds == 0
         assert result.region.n_dirty_cells == 0
         assert np.array_equal(new.x, old.x)
@@ -387,34 +406,6 @@ class TestEcoEndToEnd:
             congestion=result.final_routing.congestion_map,
         )
         return netlist, rd, checkpoint
-
-    def test_null_edit_resume_is_bit_identical(self, tmp_path):
-        """A null diff + checkpoint degenerates to a plain resume."""
-        netlist, rd, checkpoint = self._baseline(tmp_path)
-        text = dumps_design(netlist)
-
-        # reference: resume the checkpoint directly, as the CLI would
-        ref = loads_design(text)
-        import shutil
-
-        ref_ck = str(tmp_path / "ref.npz")
-        shutil.copyfile(checkpoint, ref_ck)
-        RoutabilityDrivenPlacer(ref, rd).run(
-            checkpoint_path=ref_ck, resume=True
-        )
-
-        eco = loads_design(text)
-        result = eco_place(
-            eco,
-            loads_design(text),
-            EcoConfig(rd=rd, legalize=False),
-            baseline_checkpoint=checkpoint,
-            checkpoint_path=str(tmp_path / "eco.npz"),
-        )
-        assert result.resumed
-        assert result.diff.is_null
-        assert np.array_equal(eco.x, ref.x)
-        assert np.array_equal(eco.y, ref.y)
 
     def test_single_resize_beats_cold_full_replace(self, tmp_path):
         """The acceptance run: a <=5%-cells edit must match full QoR.

@@ -13,8 +13,8 @@ layout and its scratch reuse are covered too.
 nothing selects among layouts any more, so the former selection
 options (CLI flag, environment variable, solver keywords, telemetry
 event) are rejected or inert.  The keyword options of the retired
-placement daemon, supervised job runtime and Adam solver ride along in
-``test_removed_keywords_rejected``.
+placement daemon, supervised job runtime, Adam solver and flow resume
+ride along in ``test_removed_keywords_rejected``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import pytest
 from repro.baselines.flows import run_ours
 from repro.bench.harness import kernel_info, run_design
 from repro.cli import build_parser
+from repro.core import RoutabilityDrivenPlacer
 from repro.core.congestion_field import CongestionField
 from repro.core.multipin import multi_pin_cell_gradients
 from repro.core.netmove import (
@@ -37,6 +38,7 @@ from repro.density.poisson import PoissonSolver, SpectralWorkspace
 from repro.density.rasterize import CellRasterizer
 from repro.dse.grid import apply_knobs
 from repro.dse.runner import run_grid, run_unit
+from repro.eco import EcoConfig, eco_place
 from repro.geometry import Grid2D, Rect
 from repro.place.config import GPConfig
 from repro.place.initial import initial_placement
@@ -44,7 +46,7 @@ from repro.route import GlobalRouter, RouterConfig
 from repro.run import EcoRequest, PlaceRequest, RouteRequest, open_metrics
 from repro.synth import toy_design
 from repro.utils.faults import FaultPlan
-from repro.utils.metrics import EVENT_FIELDS, validate_event
+from repro.utils.metrics import EVENT_FIELDS, JsonlSink, validate_event
 from repro.wirelength.wa import wa_wirelength_and_grad
 from tests.oracle import oracle_kernels
 
@@ -199,6 +201,9 @@ class TestNoKernelSelection:
             pytest.param(["bench"], None, id="bench"),
             # the routing-engine selector went the same way
             pytest.param(["route", "d.bl"], ["--engine", "scalar"], id="route-engine"),
+            # and eco's own resume point with the flow resume
+            pytest.param(["eco", "base.bl", "d.bl"], ["--checkpoint", "e.npz"],
+                         id="eco-checkpoint"),
         ],
     )
     def test_cli_rejects_kernel_backend_flag(self, argv, removed, capsys):
@@ -302,6 +307,34 @@ class TestNoKernelSelection:
             pytest.param(
                 lambda g: FaultPlan("s", attempts=1), id="FaultPlan-attempts"
             ),
+            # nor the flow resume: the snapshot is write-only
+            pytest.param(
+                lambda g: RoutabilityDrivenPlacer.run(None, resume=True),
+                id="RoutabilityDrivenPlacer.run-resume",
+            ),
+            pytest.param(
+                lambda g: eco_place(None, None, checkpoint_path="e.npz"),
+                id="eco_place-checkpoint_path",
+            ),
+            pytest.param(
+                lambda g: JsonlSink("m.jsonl", append=True),
+                id="JsonlSink-append",
+            ),
+            pytest.param(
+                lambda g: EcoRequest(input="d.bl", checkpoint="e.npz"),
+                id="EcoRequest-checkpoint",
+            ),
+            pytest.param(
+                lambda g: EcoConfig(partial_route=False),
+                id="EcoConfig-partial_route",
+            ),
+            pytest.param(
+                lambda g: EcoConfig(legalize=False), id="EcoConfig-legalize"
+            ),
+            pytest.param(
+                lambda g: RouterConfig(topology="stt"), id="RouterConfig-topology"
+            ),
+            pytest.param(lambda g: GPConfig(verbose=True), id="GPConfig-verbose"),
             # nor the Adam solver
             pytest.param(
                 lambda g: GPConfig(optimizer="adam"), id="GPConfig-optimizer"
@@ -323,3 +356,8 @@ class TestNoKernelSelection:
         """Old streams carrying the event still validate."""
         assert "kernel.backend" not in EVENT_FIELDS
         validate_event({"v": 2, "seq": 1, "kind": "kernel.backend"})
+
+    def test_resume_event_is_an_unknown_kind(self):
+        """Streams of a resumed flow still validate."""
+        assert "rd.resume" not in EVENT_FIELDS
+        validate_event({"v": 2, "seq": 1, "kind": "rd.resume", "round": 1})

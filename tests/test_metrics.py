@@ -1,7 +1,7 @@
 """Metrics subsystem: registry, sinks, schema, report, CLI integration.
 
 Covers the telemetry contract end to end: JSONL streaming, schema
-validation (including multi-segment resumed streams), report rendering,
+validation (including multi-segment streams), report rendering,
 the near-zero disabled-overhead guarantee (micro-benchmark) and a full
 CLI ``place --routability --metrics-out`` run whose stream is
 schema-checked.
@@ -62,14 +62,11 @@ class TestSinks:
         sink.close()
         assert path.read_text() == "one\ntwo\nthree\nfour\n"
 
-    def test_jsonl_sink_append_vs_truncate(self, tmp_path):
+    def test_jsonl_sink_truncates_existing_file(self, tmp_path):
         path = tmp_path / "m.jsonl"
         with JsonlSink(str(path)) as sink:
             sink.write("first")
-        with JsonlSink(str(path), append=True) as sink:
-            sink.write("second")
-        assert path.read_text() == "first\nsecond\n"
-        with JsonlSink(str(path)) as sink:  # append=False truncates
+        with JsonlSink(str(path)) as sink:
             sink.write("fresh")
         assert path.read_text() == "fresh\n"
 
@@ -116,11 +113,11 @@ class TestRegistry:
         m = MetricsRegistry(sink=sink)
         m.start_run()
         m.emit("a.b", x=1)
-        m.start_run(resumed=True)
+        m.start_run(design="d2")
         m.emit("a.b", x=2)
         ev = events_of(sink)
         assert [e["seq"] for e in ev] == [0, 1, 0, 1]
-        assert ev[2]["resumed"] is True
+        assert ev[2]["design"] == "d2"
         validate_stream(ev)
 
     def test_no_timestamp_by_default(self):
@@ -281,6 +278,22 @@ class TestReport:
         assert data["kinds"]["rd.round"] == 1
         assert data["series"]["rd.round"]["total_overflow"]["max"] == 12.0
 
+    def test_from_registry_keeps_emission_order(self):
+        """Two segments come back segment by segment, not merged by seq."""
+        m = MetricsRegistry(sink=MemorySink())
+        m.start_run()
+        m.emit("a.b", x=1)
+        m.start_run()
+        m.emit("a.b", x=2)
+        events = MetricsReport.from_registry(m).events
+        assert [(e["kind"], e.get("x")) for e in events] == [
+            ("run.start", None), ("a.b", 1), ("run.start", None), ("a.b", 2),
+        ]
+        validate_stream(events)
+        assert MetricsReport.from_registry(m).as_dict()["series"]["a.b"]["x"][
+            "last"
+        ] == 2
+
     def test_render_mentions_kinds_and_aggregates(self):
         text = MetricsReport(events=self._stream()).render("title here")
         assert text.splitlines()[0] == "title here"
@@ -373,7 +386,7 @@ class TestFlowIntegration:
                 "route.pass", "run.end"} <= kinds
         start = events[0]
         assert start["kind"] == "run.start"
-        assert start["command"] == "place" and start["resumed"] is False
+        assert start["command"] == "place" and "resumed" not in start
         rounds = [e for e in events if e["kind"] == "rd.round"]
         assert [e["round"] for e in rounds] == list(range(len(rounds)))
         for e in rounds:  # every schema field present and finite
@@ -424,27 +437,29 @@ class TestFlowIntegration:
         assert "gamma" not in EVENT_FIELDS["gp.iter"]
         validate_event({k: v for k, v in rows[0].items() if k != "gamma"})
 
-    def test_cli_metrics_resume_appends_segment(self, tmp_path):
-        """A resumed flow appends a consistent second segment."""
+    def test_cli_rerun_rewrites_snapshot_and_stream(self, tmp_path, capsys):
+        """``--checkpoint`` is write-only: a second run with the same
+        file starts over, writes a byte-identical snapshot and a fresh
+        one-segment stream."""
         design = tmp_path / "toy.bl"
-        ckpt = tmp_path / "flow.ckpt.npz"
+        ckpt = tmp_path / "flow.npz"
         mpath = tmp_path / "metrics.jsonl"
         save_design(toy_design(90, seed=2), str(design))
         args = ["place", str(design), "--routability", "--iters", "30",
                 "--out", str(tmp_path / "p.bl"),
                 "--checkpoint", str(ckpt), "--metrics-out", str(mpath)]
         assert cli_main(args) == 0
-        assert ckpt.exists()
-        first_len = len(read_jsonl(str(mpath)))
-        assert cli_main(args) == 0  # resumes from the checkpoint
+        first_ckpt = ckpt.read_bytes()
+        first_stream = mpath.read_bytes()
+        capsys.readouterr()
+        assert cli_main(args) == 0
+        assert "resumed" not in capsys.readouterr().out
+        assert ckpt.read_bytes() == first_ckpt
+        assert mpath.read_bytes() == first_stream
         events = read_jsonl(str(mpath))
-        validate_stream(events)  # concatenated segments validate
-        assert len(events) > first_len
-        segments = [e for e in events if e["kind"] == "run.start"]
-        assert len(segments) == 2
-        assert segments[0]["resumed"] is False
-        assert segments[1]["resumed"] is True
-        assert any(e["kind"] == "rd.resume" for e in events)
+        validate_stream(events)
+        assert [e["kind"] for e in events].count("run.start") == 1
+        assert not any(e["kind"] == "rd.resume" for e in events)
 
 
 class TestBenchTelemetry:

@@ -1,4 +1,4 @@
-"""Fault injection, divergence guards, rollback and checkpoint/resume.
+"""Fault injection, divergence guards, rollback and the flow snapshot.
 
 The `faultinject`-marked tests install deterministic
 :class:`~repro.utils.faults.FaultPlan` entries at named sites inside
@@ -6,12 +6,14 @@ the flow and assert that every recovery path fires: the solver backs
 off NaN gradients, the routability loop scrubs poisoned congestion
 maps, a failing routing chunk is retried one segment at a time
 bit-identically, a failed routing pass surfaces as a round rollback,
-and a crashed round rolls back to the best snapshot.  The checkpoint tests
-pin down the acceptance criterion: a flow interrupted after round k
-and resumed from disk produces bit-identical final positions.
+and a crashed round rolls back to the best snapshot.  The snapshot
+tests pin down what ``run(checkpoint_path=)`` writes: the positions
+the ECO warm start reads, nothing the flow itself reads back.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -312,92 +314,58 @@ class TestRouterFaults:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint / resume of the whole flow
+# the write-only best-placement snapshot
 # ---------------------------------------------------------------------------
 
 
 class TestFlowCheckpoint:
-    def _interrupt_after(self, placer, n_route_calls):
-        """Kill the flow with KeyboardInterrupt at the n-th routing pass."""
-        orig = placer.router.route
-        calls = {"n": 0}
-
-        def route(netlist):
-            calls["n"] += 1
-            if calls["n"] == n_route_calls:
-                raise KeyboardInterrupt
-            return orig(netlist)
-
-        placer.router.route = route
-
-    @staticmethod
-    def _multi_round_cfg():
-        # toy300 + these settings complete all 3 rounds (no early stop),
-        # so an interruption mid-flow leaves real work to resume
-        return _rd_config(
-            gp=GPConfig(max_iters=60, seed=1), max_rounds=3, iters_per_round=15
-        )
-
-    def test_resume_is_bit_identical(self, tmp_path):
-        from dataclasses import asdict
-
-        path = str(tmp_path / "flow.npz")
-
-        ref = toy_design(300, seed=3)
-        ref_result = RoutabilityDrivenPlacer(ref, self._multi_round_cfg()).run()
-
-        # routing passes: 1 = initial, 2 = end of round 0, 3 = end of
-        # round 1 -> dying at pass 3 leaves only round 0's checkpoint
-        nl = toy_design(300, seed=3)
-        placer = RoutabilityDrivenPlacer(nl, self._multi_round_cfg())
-        self._interrupt_after(placer, 3)
-        with pytest.raises(KeyboardInterrupt):
-            placer.run(checkpoint_path=path)
-
-        nl2 = toy_design(300, seed=3)
-        placer2 = RoutabilityDrivenPlacer(nl2, self._multi_round_cfg())
-        result = placer2.run(checkpoint_path=path, resume=True)
-        assert result.resumed_from_round == 0
-        assert np.array_equal(ref.x, nl2.x)
-        assert np.array_equal(ref.y, nl2.y)
-        # per-round telemetry must also match the uninterrupted run:
-        # n_deflated in particular only survives resume because the
-        # inflation controller checkpoints last_n_deflated
-        assert len(result.rounds) == len(ref_result.rounds)
-        for got, want in zip(result.rounds, ref_result.rounds):
-            assert asdict(got) == asdict(want)
-
-    def test_resume_rejects_other_design(self, tmp_path):
-        path = str(tmp_path / "flow.npz")
-        nl = toy_design(150, seed=5)
-        RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=1)).run(
-            checkpoint_path=path
-        )
-        other = toy_design(120, seed=7)
-        placer = RoutabilityDrivenPlacer(other, _rd_config(max_rounds=1))
-        with pytest.raises(CheckpointError, match="design"):
-            placer.run(checkpoint_path=path, resume=True)
-
-    def test_resume_rejects_other_config(self, tmp_path):
-        path = str(tmp_path / "flow.npz")
-        nl = toy_design(150, seed=5)
-        RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=1)).run(
-            checkpoint_path=path
-        )
-        nl2 = toy_design(150, seed=5)
-        placer = RoutabilityDrivenPlacer(
-            nl2, _rd_config(max_rounds=1, iters_per_round=9)
-        )
-        with pytest.raises(CheckpointError, match="config"):
-            placer.run(checkpoint_path=path, resume=True)
-
     def test_fresh_run_when_no_checkpoint_exists(self, tmp_path):
         path = str(tmp_path / "missing.npz")
         nl = toy_design(150, seed=5)
-        placer = RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=1))
-        result = placer.run(checkpoint_path=path, resume=True)
-        assert result.resumed_from_round == -1
+        result = RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=1)).run(
+            checkpoint_path=path
+        )
         assert result.n_rounds >= 1
-        import os
-
         assert os.path.exists(path)
+
+    def test_snapshot_holds_only_warm_start_fields(self, tmp_path):
+        path = str(tmp_path / "flow.npz")
+        nl = toy_design(150, seed=5)
+        RoutabilityDrivenPlacer(nl, _rd_config()).run(checkpoint_path=path)
+        meta, arrays = read_checkpoint(path)
+        assert meta == {
+            "design": {
+                "name": nl.name,
+                "n_cells": nl.n_cells,
+                "n_nets": nl.n_nets,
+                "n_pins": nl.n_pins,
+            },
+            "has_best": True,
+        }
+        assert set(arrays) == {"x", "y", "best_x", "best_y"}
+
+    def test_snapshot_does_not_change_the_flow(self, tmp_path):
+        ref = toy_design(150, seed=5)
+        RoutabilityDrivenPlacer(ref, _rd_config()).run()
+        nl = toy_design(150, seed=5)
+        RoutabilityDrivenPlacer(nl, _rd_config()).run(
+            checkpoint_path=str(tmp_path / "flow.npz")
+        )
+        assert np.array_equal(ref.x, nl.x)
+        assert np.array_equal(ref.y, nl.y)
+
+    def test_existing_file_is_overwritten_not_resumed(self, tmp_path):
+        """A snapshot of another design at the path is replaced (kept
+        as ``.bak``), never read."""
+        path = str(tmp_path / "flow.npz")
+        RoutabilityDrivenPlacer(
+            toy_design(120, seed=7), _rd_config(max_rounds=1)
+        ).run(checkpoint_path=path)
+        nl = toy_design(150, seed=5)
+        result = RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=1)).run(
+            checkpoint_path=path
+        )
+        assert result.n_rounds == 1
+        meta, _ = read_checkpoint(path)
+        assert meta["design"]["n_cells"] == nl.n_cells
+        assert os.path.exists(path + ".bak")

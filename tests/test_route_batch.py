@@ -194,10 +194,6 @@ class TestOracleEquivalence:
         )
         _assert_equivalent(scalar, batched)
 
-    def test_stt_topology(self):
-        scalar, batched = _route_both(toy_design(250, seed=2), topology="stt")
-        _assert_equivalent(scalar, batched)
-
     def test_maze_fallback(self):
         scalar, batched = _route_both(
             toy_design(300, seed=4), maze_fallback=True, rrr_rounds=1
@@ -214,11 +210,10 @@ class TestPartialPassOracle:
     """A partial pass decomposes only ``net_ids``; the oracle decomposes
     every net and filters afterwards.  Both must route the same batch."""
 
-    @pytest.mark.parametrize("topology", ["mst", "stt"])
-    def test_partial_pass_matches_filter_after_decompose(self, topology):
+    def test_partial_pass_matches_filter_after_decompose(self):
         netlist = toy_design(300, seed=6)
         grid = Grid2D(netlist.die, 24, 24)
-        router = GlobalRouter(grid, RouterConfig(topology=topology))
+        router = GlobalRouter(grid, RouterConfig())
         base = DemandSnapshot.from_result(router.route(netlist))
         rng = np.random.default_rng(0)
         ids = rng.permutation(netlist.n_nets)[: netlist.n_nets // 10]

@@ -145,10 +145,6 @@ class TestDecompose:
         counts = np.bincount(nets, minlength=toy120.n_nets)
         assert np.array_equal(counts, np.maximum(toy120.net_degrees() - 1, 0))
 
-    def test_unknown_topology(self, tiny_netlist):
-        with pytest.raises(ValueError, match="bogus"):
-            segment_endpoints(tiny_netlist, "bogus")
-
 
 DEGREES = st.lists(
     st.sampled_from([0, 1, 2, 2, 2, 3, 3, 4, 5, 7, 12]), min_size=1, max_size=40
@@ -158,20 +154,15 @@ DEGREES = st.lists(
 class TestMatchesPerNetOracle:
     """Bucketed decomposition equals decompose-all-then-filter at atol=0."""
 
-    @pytest.mark.parametrize("topology", ["mst", "stt"])
     @given(degrees=DEGREES, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_all_nets(self, topology, degrees, seed):
+    def test_all_nets(self, degrees, seed):
         nl = _random_netlist(seed, degrees)
-        _assert_same(
-            segment_endpoints(nl, topology),
-            oracle.segment_endpoints(nl, topology),
-        )
+        _assert_same(segment_endpoints(nl), oracle.segment_endpoints(nl))
 
-    @pytest.mark.parametrize("topology", ["mst", "stt"])
     @given(degrees=DEGREES, seed=st.integers(0, 2**32 - 1), data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_net_subsets(self, topology, degrees, seed, data):
+    def test_net_subsets(self, degrees, seed, data):
         nl = _random_netlist(seed, degrees)
         # unsorted, with repeats and ids that name no net
         ids = data.draw(
@@ -179,16 +170,12 @@ class TestMatchesPerNetOracle:
         )
         ids = np.asarray(ids, dtype=np.int64)
         _assert_same(
-            segment_endpoints(nl, topology, ids),
-            oracle.segment_endpoints(nl, topology, ids),
+            segment_endpoints(nl, ids), oracle.segment_endpoints(nl, ids)
         )
 
-    @pytest.mark.parametrize("topology", ["mst", "stt"])
-    def test_degree_40_bucket(self, topology):
+    def test_degree_40_bucket(self):
         nl = _random_netlist(11, [40, 40, 3, 40, 2, 1, 0, 40], span=4)
-        _assert_same(
-            segment_endpoints(nl, topology), oracle.segment_endpoints(nl, topology)
-        )
+        _assert_same(segment_endpoints(nl), oracle.segment_endpoints(nl))
 
     @pytest.mark.parametrize(
         "ids",
@@ -197,13 +184,13 @@ class TestMatchesPerNetOracle:
     )
     def test_explicit_subsets(self, ids):
         nl = _random_netlist(5, [3, 2, 0, 5, 1, 2, 12, 4])
-        got = segment_endpoints(nl, "mst", ids)
-        _assert_same(got, oracle.segment_endpoints(nl, "mst", ids))
+        got = segment_endpoints(nl, ids)
+        _assert_same(got, oracle.segment_endpoints(nl, ids))
         if len(ids) == 0:
             assert len(got[0]) == 0
 
     def test_all_ids_equal_no_filter(self, toy120):
         _assert_same(
-            segment_endpoints(toy120, "mst", np.arange(toy120.n_nets)[::-1]),
+            segment_endpoints(toy120, np.arange(toy120.n_nets)[::-1]),
             segment_endpoints(toy120),
         )

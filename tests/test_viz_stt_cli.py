@@ -1,68 +1,12 @@
-"""Tests for visualization, Steiner trees, PinRUDY and the CLI."""
+"""Tests for visualization, PinRUDY and the CLI."""
 
 import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
 from repro.geometry import Grid2D, Rect
-from repro.route import pin_rudy_map, segment_endpoints, single_trunk_segments, stt_length
-from tests.oracle import mst_edges
+from repro.route import pin_rudy_map
 from repro.viz import ascii_heatmap, placement_svg, save_heatmap_ppm, save_placement_svg
-
-
-class TestSteinerTree:
-    def test_two_pins(self):
-        segs = single_trunk_segments(np.array([0.0, 4.0]), np.array([0.0, 2.0]))
-        assert len(segs) == 1
-
-    def test_collinear_pins(self):
-        segs = single_trunk_segments(np.array([0.0, 2.0, 5.0]), np.zeros(3))
-        total = sum(abs(x2 - x1) + abs(y2 - y1) for x1, y1, x2, y2 in segs)
-        assert total == pytest.approx(5.0)
-
-    def test_star_topology_beats_mst(self):
-        # classic case: pins on a cross; trunk+branches < MST
-        px = np.array([0.0, 10.0, 5.0, 5.0, 5.0])
-        py = np.array([5.0, 5.0, 0.0, 10.0, 5.0])
-        stt = stt_length(px, py)
-        mst = sum(
-            abs(px[a] - px[b]) + abs(py[a] - py[b])
-            for a, b in mst_edges(px, py)
-        )
-        assert stt <= mst + 1e-9
-
-    def test_connectivity_of_segments(self):
-        rng = np.random.default_rng(3)
-        px = rng.uniform(0, 10, 7)
-        py = rng.uniform(0, 10, 7)
-        segs = single_trunk_segments(px, py)
-        # every pin must appear as an endpoint of some segment (or lie
-        # exactly on the trunk)
-        endpoints = set()
-        for x1, y1, x2, y2 in segs:
-            endpoints.add((round(x1, 9), round(y1, 9)))
-            endpoints.add((round(x2, 9), round(y2, 9)))
-        med_y = round(float(np.median(py)), 9)
-        med_x = round(float(np.median(px)), 9)
-        for x, y in zip(px, py):
-            on_trunk = round(float(y), 9) == med_y or round(float(x), 9) == med_x
-            assert (round(float(x), 9), round(float(y), 9)) in endpoints or on_trunk
-
-    def test_stt_never_shorter_than_bbox_half_perimeter(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            px = rng.uniform(0, 10, 6)
-            py = rng.uniform(0, 10, 6)
-            lower = (px.max() - px.min()) + (py.max() - py.min())
-            assert stt_length(px, py) >= lower - 1e-9
-
-    def test_decompose_with_stt_topology(self, tiny_netlist):
-        nets, *_ = segment_endpoints(tiny_netlist, "stt", net_ids=[1])
-        assert len(nets) >= 2
-
-    def test_unknown_topology(self, tiny_netlist):
-        with pytest.raises(ValueError):
-            segment_endpoints(tiny_netlist, "bogus", net_ids=[1])
 
 
 class TestPinRudy:

@@ -1,7 +1,12 @@
 """Complete placement flows: global place -> legalize -> detailed place.
 
 Each flow mutates a *copy* of the input netlist and reports its
-placement wall time (the PT column of Table I).
+placement wall time (the PT column of Table I).  These recipes are the
+only place flow: the Table I/II sweeps, ``repro place`` and the
+``eco --compare`` reference (:func:`repro.eco.full_replace`) all run
+them.  A caller that wants the stages of a flow in its own
+:class:`~repro.utils.profile.StageProfiler` passes it as ``profiler``;
+otherwise each flow times itself in a fresh one.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ from repro.place.config import GPConfig
 from repro.place.global_placer import converge_placement
 from repro.place.initial import initial_placement
 from repro.utils.profile import StageProfiler
+
+#: Detailed-placement passes after legalization, in every flow.
+DETAIL_PASSES = 2
 
 
 @dataclass
@@ -50,12 +58,13 @@ def make_gp_seed(
     netlist: Netlist,
     gp_config: GPConfig | None = None,
     metrics=None,
+    profiler: StageProfiler | None = None,
 ) -> GPSeed:
     """Run the wirelength-driven GP once, for all flows to start from."""
     nl = netlist.copy()
     t0 = time.perf_counter()
     initial_placement(nl, (gp_config or GPConfig()).seed)
-    converge_placement(nl, gp_config, metrics=metrics)
+    converge_placement(nl, gp_config, profiler=profiler, metrics=metrics)
     return GPSeed(netlist=nl, time=time.perf_counter() - t0)
 
 
@@ -63,17 +72,19 @@ def run_xplace(
     netlist: Netlist,
     gp_config: GPConfig | None = None,
     seed_gp: GPSeed | None = None,
+    profiler: StageProfiler | None = None,
 ) -> FlowResult:
     """Wirelength-driven flow (no routability optimization)."""
     if seed_gp is None:
-        seed_gp = make_gp_seed(netlist, gp_config)
+        seed_gp = make_gp_seed(netlist, gp_config, profiler=profiler)
     nl = seed_gp.netlist.copy()
     t0 = time.perf_counter()
-    profiler = StageProfiler()
+    if profiler is None:
+        profiler = StageProfiler()
     with profiler.timer("flow.legalize"):
         lstats = legalize(nl)
     with profiler.timer("flow.detail"):
-        dstats = detailed_place(nl, passes=2)
+        dstats = detailed_place(nl, passes=DETAIL_PASSES)
     return FlowResult(
         name="Xplace",
         netlist=nl,
@@ -91,12 +102,13 @@ def run_flow(
     seed_gp: GPSeed | None = None,
     metrics=None,
     checkpoint_path: str | None = None,
+    profiler: StageProfiler | None = None,
 ) -> FlowResult:
     """Routability-driven flow with an arbitrary :class:`RDConfig`.
 
     ``checkpoint_path`` passes straight through to
-    :meth:`RoutabilityDrivenPlacer.run`, which writes the loop state
-    there after every round (ECO warm starts read it back).
+    :meth:`RoutabilityDrivenPlacer.run`, which writes the best-placement
+    snapshot there after every round (ECO warm starts read it back).
     """
     seed_time = 0.0
     if seed_gp is not None:
@@ -105,7 +117,8 @@ def run_flow(
     else:
         nl = netlist.copy()
     t0 = time.perf_counter()
-    profiler = StageProfiler()
+    if profiler is None:
+        profiler = StageProfiler()
     placer = RoutabilityDrivenPlacer(
         nl, rd_config, profiler=profiler, metrics=metrics
     )
@@ -120,7 +133,7 @@ def run_flow(
     with profiler.timer("flow.detail"):
         dstats = detailed_place(
             nl,
-            passes=2,
+            passes=DETAIL_PASSES,
             grid=placer.gp.grid,
             congestion=rd_result.final_routing.congestion_map,
         )

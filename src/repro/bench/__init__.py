@@ -13,11 +13,9 @@ from repro.bench.harness import (
     RECIPES,
     TABLE2_DESIGNS,
     DesignOutcome,
-    bench_payload,
     run_design,
     table_rows,
     table_spec,
-    write_bench_json,
 )
 
 __all__ = [
@@ -26,9 +24,7 @@ __all__ = [
     "PLACERS",
     "RECIPES",
     "TABLE2_DESIGNS",
-    "bench_payload",
     "run_design",
     "table_rows",
     "table_spec",
-    "write_bench_json",
 ]

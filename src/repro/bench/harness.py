@@ -9,17 +9,10 @@ three Table I flows (:data:`PLACERS`) and the four Table II ablation
 rows (:data:`ABLATION_ROWS`).  Both tables are grid specs over those
 recipes (:func:`table_spec`), executed by the one sweep runner,
 :func:`repro.dse.runner.run_grid`.
-
-Besides the metric rows, every flow carries its per-stage wall-clock
-profile (:mod:`repro.utils.profile`); :func:`bench_payload` /
-:func:`write_bench_json` serialise metrics *and* stage breakdowns so
-``BENCH_*.json`` files track where the time goes, not just how much.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 from repro.baselines.flows import (
@@ -178,52 +171,11 @@ def table_rows(outcomes: list) -> list:
     return rows
 
 
-def bench_payload(
-    outcomes: list, extra: dict | None = None, metrics=None
-) -> dict:
-    """JSON-ready bench record: metric rows plus per-flow stage profiles.
-
-    When ``metrics`` is a live registry, its
-    :class:`~repro.utils.metrics.MetricsReport` summary is embedded
-    under ``"telemetry"``.
-    """
-    rows = [
-        {"design": r.design, "placer": r.placer, "metrics": r.metrics}
-        for r in table_rows(outcomes)
-    ]
-    profiles = {
-        outcome.design: {
-            placer: flow.profile for placer, flow in outcome.flows.items()
-        }
-        for outcome in outcomes
-    }
-    payload = {"rows": rows, "profiles": profiles, "kernels": kernel_info()}
-    if metrics is not None and getattr(metrics, "enabled", False):
-        from repro.utils.metrics import MetricsReport
-
-        payload["telemetry"] = MetricsReport.from_registry(metrics).as_dict()
-    if extra:
-        payload.update(extra)
-    return payload
-
-
 def kernel_info() -> dict:
-    """Kernel-layout record for bench payloads.
+    """Kernel-layout record of the ``flowbench`` environment header.
 
     Every hot kernel has one fixed numpy layout (no backend choice, no
-    runtime tuning), so the record is a constant.  Bench payloads and
-    the ``flowbench`` environment header still carry it, which keeps
-    their fields the same across commits.
+    runtime tuning), so the record is a constant.  The header still
+    carries it, which keeps its fields the same across commits.
     """
     return {"backend": "numpy", "autotune": False}
-
-
-def write_bench_json(
-    path: str, outcomes: list, extra: dict | None = None, metrics=None
-) -> dict:
-    """Write :func:`bench_payload` to ``path`` (parent dirs created)."""
-    payload = bench_payload(outcomes, extra, metrics)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-    return payload

@@ -12,9 +12,19 @@ gradcheck  validate analytic gradients against central differences
 dse     design-space exploration: run grid sweeps, ingest and query
         the sqlite run database, render HTML reports
 
-``place`` and ``route`` accept ``--check-invariants {off,warn,raise}``
-to arm the numeric-contract layer (see :mod:`repro.utils.contracts`);
-the flag overrides the ``REPRO_CHECK_INVARIANTS`` environment default.
+``place`` runs the bench recipes of :mod:`repro.baselines.flows`: the
+``Ours`` flow (``run_flow``) with ``--routability``, the ``Xplace``
+flow (``make_gp_seed`` then ``run_xplace``) without it.  ``eco``
+runs :func:`repro.eco.eco_place`, and ``--compare`` adds
+:func:`repro.eco.full_replace` (the same ``Ours`` recipe plus one
+routing pass).  Each command passes its own stage profiler into the
+flow, for ``--profile`` and for the stage list of a ``run.aborted``
+event.
+
+``place``, ``eco`` and ``route`` accept ``--check-invariants
+{off,warn,raise}`` to arm the numeric-contract layer (see
+:mod:`repro.utils.contracts`); the flag overrides the
+``REPRO_CHECK_INVARIANTS`` environment default.
 """
 
 from __future__ import annotations
@@ -40,68 +50,222 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_place(args: argparse.Namespace) -> int:
-    from repro.run import PlaceRequest, run_place_job
+def _load_validated(path: str):
+    """Load a design file and structurally validate it.
 
-    outcome = run_place_job(PlaceRequest(
-        input=args.input,
-        out=args.out,
-        routability=args.routability,
-        iters=args.iters,
-        rounds=args.rounds,
-        iters_per_round=args.iters_per_round,
-        checkpoint=args.checkpoint,
-        metrics_out=args.metrics_out,
-        check_invariants=args.check_invariants,
-    ))
-    for line in outcome.summary_lines():
-        print(line)
-    if outcome.report:
-        print(outcome.report)
+    Parse errors already name the file and line (see
+    :mod:`repro.io.bookshelf`); validation failures get the same
+    treatment so a truncated or hand-edited file fails with a message
+    pointing at the input, not a traceback from deep inside the flow.
+    """
+    from repro.io import load_design
+    from repro.netlist.validate import validate_netlist
+
+    netlist = load_design(path)
+    try:
+        validate_netlist(netlist)
+    except ValueError as exc:
+        raise SystemExit(f"error: {path}: invalid design: {exc}") from exc
+    return netlist
+
+
+def _open_metrics(args: argparse.Namespace, profiler):
+    """Telemetry and contracts of one ``place``/``eco``/``route`` run.
+
+    Returns ``(metrics, finish)``: the registry streaming to
+    ``--metrics-out`` (the disabled ``NULL`` without it, an existing
+    file is overwritten) and a ``finish()`` that closes the stream and
+    returns the rendered metrics report (``None`` when disabled).
+
+    The registry is armed with an abort flush: a SIGTERM'd or crashed
+    run emits a terminal ``run.aborted`` event naming ``profiler``'s
+    open stages and flushes the sink, so the on-disk JSONL stays valid
+    — truncated, not torn.  The contract checker is armed with
+    ``--check-invariants`` (``None`` keeps the environment default) and
+    reports warn-mode violations into the same stream.
+    """
+    from repro.utils import contracts
+    from repro.utils.metrics import (
+        NULL,
+        JsonlSink,
+        MetricsRegistry,
+        MetricsReport,
+        install_abort_flush,
+    )
+
+    path = args.metrics_out
+    if not path:
+        metrics, finish = NULL, lambda: None
+    else:
+        metrics = MetricsRegistry(sink=JsonlSink(path))
+        metrics.start_run(command=args.command, design=args.input)
+        abort = install_abort_flush(metrics, profiler=profiler)
+
+        def finish():
+            metrics.close()
+            abort.uninstall()
+            return MetricsReport.from_jsonl(path).render(
+                f"metrics report ({path})"
+            )
+
+    contracts.configure(mode=args.check_invariants, metrics=metrics)
+    return metrics, finish
+
+
+def _rd_overrides(args: argparse.Namespace) -> dict:
+    """``--rounds`` / ``--iters-per-round`` as :class:`RDConfig` keywords
+    (unset flags keep the config defaults)."""
+    overrides = {}
+    if args.rounds is not None:
+        overrides["max_rounds"] = args.rounds
+    if args.iters_per_round is not None:
+        overrides["iters_per_round"] = args.iters_per_round
+    return overrides
+
+
+def _print_tail(args: argparse.Namespace, report, profiler) -> None:
+    """The metrics report and, with ``--profile``, the stage profile."""
+    if report:
+        print(report)
     if args.profile:
-        print(outcome.profiler.report("stage profile (wall-clock)"))
+        print(profiler.report("stage profile (wall-clock)"))
+
+
+def _cmd_place(args: argparse.Namespace) -> int:
+    """Wirelength-only (``Xplace``) or routability (``Ours``) recipe."""
+    from repro.baselines import make_gp_seed, run_flow, run_xplace
+    from repro.core import RDConfig
+    from repro.io import save_design
+    from repro.legalize import check_legal
+    from repro.place import GPConfig
+    from repro.utils.profile import StageProfiler
+    from repro.wirelength import hpwl
+
+    netlist = _load_validated(args.input)
+    gp = GPConfig(max_iters=args.iters)
+    profiler = StageProfiler()
+    metrics, finish_metrics = _open_metrics(args, profiler)
+    if args.routability:
+        flow = run_flow(
+            "Ours", netlist, RDConfig(gp=gp, **_rd_overrides(args)),
+            metrics=metrics, checkpoint_path=args.checkpoint,
+            profiler=profiler,
+        )
+    else:
+        seed = make_gp_seed(netlist, gp, metrics=metrics, profiler=profiler)
+        flow = run_xplace(netlist, seed_gp=seed, profiler=profiler)
+    n_issues = len(check_legal(flow.netlist))
+    placed_hpwl = float(hpwl(flow.netlist))
+    save_design(flow.netlist, args.out)
+    report = finish_metrics()
+    if args.routability:
+        rd = flow.rd_result
+        print(f"routability rounds: {rd.n_rounds} (best round {rd.best_round})")
+        if rd.n_guard_events:
+            print(f"guard events: {rd.n_guard_events} (see logs for details)")
+    legality = "CLEAN" if not n_issues else f"{n_issues} issues"
+    print(f"hpwl={placed_hpwl:.0f} legality={legality}")
+    print(f"wrote {args.out}")
+    _print_tail(args, report, profiler)
     return 0
 
 
 def _cmd_eco(args: argparse.Namespace) -> int:
-    from repro.run import EcoRequest, run_eco_job
+    """ECO re-place; ``--compare`` adds the cold ``full_replace`` reference.
 
-    outcome = run_eco_job(EcoRequest(
-        input=args.input,
-        baseline=args.baseline,
-        baseline_checkpoint=args.baseline_checkpoint,
-        out=args.out,
-        rounds=args.rounds,
-        iters_per_round=args.iters_per_round,
-        halo=args.halo,
-        compare=args.compare,
-        metrics_out=args.metrics_out,
-        check_invariants=args.check_invariants,
-    ))
-    for line in outcome.summary_lines():
-        print(line)
-    if outcome.report:
-        print(outcome.report)
-    if args.profile:
-        print(outcome.profiler.report("stage profile (wall-clock)"))
+    An edit that pushes a fixed cell out of the die exits with an
+    ``error:`` message naming the cell, before any placement work.
+    """
+    from repro.core import RDConfig
+    from repro.eco import (
+        EcoConfig,
+        FixedCellOutsideDieError,
+        eco_place,
+        full_replace,
+    )
+    from repro.io import save_design
+    from repro.legalize import check_legal
+    from repro.place import GPConfig
+    from repro.utils.profile import StageProfiler
+
+    netlist = _load_validated(args.input)
+    baseline = _load_validated(args.baseline)
+    profiler = StageProfiler()
+    metrics, finish_metrics = _open_metrics(args, profiler)
+    rd = RDConfig(gp=GPConfig(), **_rd_overrides(args))
+    try:
+        result = eco_place(
+            netlist,
+            baseline,
+            EcoConfig(rd=rd, halo_bins=args.halo),
+            baseline_checkpoint=args.baseline_checkpoint,
+            profiler=profiler,
+            metrics=metrics,
+        )
+    except FixedCellOutsideDieError as exc:
+        raise SystemExit(f"error: {args.input}: {exc}") from exc
+    n_issues = len(check_legal(netlist))
+    compare = None
+    if args.compare:
+        cold = _load_validated(args.input)
+        with profiler.timer("eco.compare"):
+            ref = full_replace(cold, rd, profiler=profiler)
+        compare = {
+            "eco_hpwl": result.hpwl,
+            "full_hpwl": ref["hpwl"],
+            "hpwl_ratio": (
+                result.hpwl / ref["hpwl"] if ref["hpwl"] else float("inf")
+            ),
+            "eco_overflow": result.total_overflow,
+            "full_overflow": ref["total_overflow"],
+            "eco_rounds": result.n_rounds,
+            "full_rounds": ref["rounds"],
+        }
+        if metrics.enabled:
+            metrics.emit("eco.compare", **compare)
+    save_design(netlist, args.out)
+    report = finish_metrics()
+    region = result.region
+    print(f"edits: {result.diff.n_edits} -> dirty cells: "
+          f"{region.n_dirty_cells} dirty nets: {region.n_dirty_nets} "
+          f"(warm start: {result.warm.source})")
+    print(f"eco rounds: {result.n_rounds}")
+    legality = "CLEAN" if not n_issues else f"{n_issues} issues"
+    print(f"hpwl={result.hpwl:.0f} overflow={result.total_overflow:.0f} "
+          f"legality={legality}")
+    if compare:
+        print(f"vs full re-place: hpwl_ratio={compare['hpwl_ratio']:.4f} "
+              f"overflow {compare['full_overflow']:.0f} -> "
+              f"{compare['eco_overflow']:.0f} "
+              f"rounds {compare['full_rounds']} -> {compare['eco_rounds']}")
+    print(f"wrote {args.out}")
+    _print_tail(args, report, profiler)
     return 0
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
-    from repro.run import RouteRequest, run_route_job
+    """One routing pass on the auto (or ``--grid``) G-cell grid."""
+    from repro.geometry import Grid2D
+    from repro.place.config import auto_grid_dim
+    from repro.route import GlobalRouter, RouterConfig
+    from repro.utils.profile import StageProfiler
 
-    outcome = run_route_job(RouteRequest(
-        input=args.input,
-        grid=args.grid,
-        metrics_out=args.metrics_out,
-        check_invariants=args.check_invariants,
-    ))
-    for line in outcome.summary_lines():
-        print(line)
-    if outcome.report:
-        print(outcome.report)
-    if args.profile:
-        print(outcome.profiler.report("stage profile (wall-clock)"))
+    netlist = _load_validated(args.input)
+    dim = args.grid or auto_grid_dim(netlist.n_cells)
+    profiler = StageProfiler()
+    metrics, finish_metrics = _open_metrics(args, profiler)
+    result = GlobalRouter(
+        Grid2D(netlist.die, dim, dim), RouterConfig(),
+        profiler=profiler, metrics=metrics,
+    ).route(netlist)
+    report = finish_metrics()
+    util = result.utilization_map
+    print(f"segments={result.n_segments} wirelength={result.wirelength:.0f} "
+          f"vias={result.n_vias:.0f}")
+    print(f"utilization mean={util.mean():.3f} max={util.max():.2f} "
+          f"overflow={result.total_overflow:.0f} "
+          f"congested={(result.congestion_map > 0).mean() * 100:.1f}%")
+    _print_tail(args, report, profiler)
     return 0
 
 
@@ -115,9 +279,8 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     from repro.evalrt import evaluate_routing
-    from repro.run import load_validated
 
-    netlist = load_validated(args.input)
+    netlist = _load_validated(args.input)
     ev = evaluate_routing(netlist)
     print(f"DRWL={ev.drwl:.0f} #DRVias={ev.n_vias:.0f} #DRVs={ev.n_drvs:.0f} "
           f"(overflow {ev.overflow_drvs:.0f}, pin-access "
@@ -129,10 +292,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     from repro.geometry import Grid2D
     from repro.place.config import auto_grid_dim
     from repro.route import GlobalRouter, RouterConfig
-    from repro.run import load_validated
     from repro.viz import save_heatmap_ppm, save_placement_svg
 
-    netlist = load_validated(args.input)
+    netlist = _load_validated(args.input)
     dim = auto_grid_dim(netlist.n_cells)
     grid = Grid2D(netlist.die, dim, dim)
     result = GlobalRouter(grid, RouterConfig()).route(netlist)

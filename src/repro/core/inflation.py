@@ -172,12 +172,11 @@ class MomentumInflation:
         self.delta_rates = np.array(
             state["delta_rates"], dtype=np.float64, copy=True
         )
-        prev = state.get("prev_cong")
+        prev = state["prev_cong"]
         self._prev_cong = None if prev is None else np.array(prev, dtype=np.float64)
         self._prev_mean = float(state["prev_mean"])
         self.round = int(state["round"])
-        # snapshots written before this field existed default to 0
-        self.last_n_deflated = int(state.get("last_n_deflated", 0))
+        self.last_n_deflated = int(state["last_n_deflated"])
 
 
 def congestion_at_cell_centers(

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.baselines.flows import DETAIL_PASSES, run_flow
 from repro.core.rd_placer import RDConfig, RoutabilityDrivenPlacer
 from repro.eco.diff import NetlistDiff, diff_netlists
 from repro.eco.warm import (
@@ -76,7 +77,6 @@ class EcoConfig:
     rd: RDConfig = field(default_factory=RDConfig)
     #: G-cell halo dilated around edited cells when marking dirty bins
     halo_bins: int = 1
-    detail_passes: int = 2
 
     def __post_init__(self) -> None:
         if self.halo_bins < 0:
@@ -133,7 +133,6 @@ def _flow_grid(netlist: Netlist, cfg: RDConfig) -> Grid2D:
 def _finish(
     netlist: Netlist,
     frozen: Netlist,
-    cfg: EcoConfig,
     grid: Grid2D,
     congestion: np.ndarray | None,
     profiler: StageProfiler,
@@ -151,7 +150,7 @@ def _finish(
     with profiler.timer("eco.detail"):
         detailed_place(
             frozen,
-            passes=cfg.detail_passes,
+            passes=DETAIL_PASSES,
             grid=grid,
             congestion=congestion,
         )
@@ -256,7 +255,7 @@ def eco_place(
             placer.router, dirty_net_ids, DemandSnapshot.from_result(base)
         )
     result = placer.run(skip_initial_gp=True)
-    _finish(new, frozen, cfg, placer.gp.grid,
+    _finish(new, frozen, placer.gp.grid,
             result.final_routing.congestion_map, profiler)
 
     # report against a *full* routing pass at the final positions so
@@ -291,33 +290,22 @@ def _emit_place(metrics, out: EcoResult) -> None:
 def full_replace(
     netlist: Netlist,
     rd: RDConfig,
-    detail_passes: int = 2,
     profiler: StageProfiler | None = None,
 ) -> dict:
     """Cold full re-place of ``netlist`` (the QoR-delta reference).
 
-    Runs the complete Fig. 2 flow from a fresh initial placement plus
-    the same legalize/detail finish the ECO path uses, and returns the
-    comparable QoR numbers.  Positions are mutated in place.
+    Runs the ``Ours`` recipe (:func:`repro.baselines.flows.run_flow`:
+    the complete Fig. 2 flow from a fresh initial placement, then
+    legalize and detail) on a copy of ``netlist``, scores the result
+    with one full routing pass on the flow grid, and returns the
+    comparable QoR numbers.  ``netlist`` itself is not changed.
     """
-    from repro.detail import detailed_place
-    from repro.legalize import legalize
-
-    profiler = profiler or StageProfiler()
-    placer = RoutabilityDrivenPlacer(netlist, rd, profiler=profiler)
-    result = placer.run()
-    legalize(netlist)
-    detailed_place(
-        netlist,
-        passes=detail_passes,
-        grid=placer.gp.grid,
-        congestion=result.final_routing.congestion_map,
-    )
-    routing = GlobalRouter(placer.gp.grid, rd.router, profiler=profiler).route(
-        netlist
-    )
+    flow = run_flow("Ours", netlist, rd, profiler=profiler)
+    routing = GlobalRouter(
+        _flow_grid(netlist, rd), rd.router, profiler=profiler
+    ).route(flow.netlist)
     return {
-        "hpwl": float(hpwl(netlist)),
+        "hpwl": float(hpwl(flow.netlist)),
         "total_overflow": float(routing.total_overflow),
-        "rounds": int(result.n_rounds),
+        "rounds": int(flow.rd_result.n_rounds),
     }

@@ -1,11 +1,6 @@
-"""Planar geometry primitives: rectangles, segments, uniform grids."""
+"""Planar geometry primitives: rectangles and uniform grids."""
 
 from repro.geometry.rect import Rect
 from repro.geometry.grid import Grid2D
-from repro.geometry.segment import (
-    sample_segment,
-    segment_length,
-    unit_normal,
-)
 
-__all__ = ["Rect", "Grid2D", "sample_segment", "segment_length", "unit_normal"]
+__all__ = ["Rect", "Grid2D"]

@@ -87,10 +87,6 @@ class Rect:
         """A copy shifted by ``(dx, dy)``."""
         return Rect(self.xlo + dx, self.ylo + dy, self.xhi + dx, self.yhi + dy)
 
-    def clipped_to(self, other: "Rect") -> "Rect | None":
-        """Alias of :meth:`intersection`, reads better for clipping."""
-        return self.intersection(other)
-
     @staticmethod
     def from_center(cx: float, cy: float, width: float, height: float) -> "Rect":
         """Build a rect from its center point and dimensions."""

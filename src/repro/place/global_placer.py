@@ -145,11 +145,6 @@ class GlobalPlacer:
     # ------------------------------------------------------------------
     # parameter vector packing: [x_cells, x_fill, y_cells, y_fill]
     # ------------------------------------------------------------------
-    @property
-    def n_entries(self) -> int:
-        """Movable cells plus fillers — the optimization vector length."""
-        return self.n_mv + self.n_fill
-
     def _pack(self) -> np.ndarray:
         nl = self.netlist
         return np.concatenate(

@@ -39,10 +39,6 @@ class CongestionData:
         """G-cells with congestion strictly above ``threshold``."""
         return self.congestion > threshold
 
-    def value_at_cells(self, grid, x, y) -> np.ndarray:
-        """Congestion of the G-cell under each cell center (Alg. 2/Eq. 11)."""
-        return grid.value_at(self.congestion, x, y)
-
 
 def congestion_from_demand(rgrid: RoutingGrid) -> CongestionData:
     """Build :class:`CongestionData` from a routed grid."""

@@ -109,12 +109,6 @@ class RoutingGrid:
     # ------------------------------------------------------------------
     # demand bookkeeping
     # ------------------------------------------------------------------
-    def reset_demand(self) -> None:
-        """Zero all demand maps (start of a routing pass)."""
-        self.h_demand.fill(0.0)
-        self.v_demand.fill(0.0)
-        self.via_demand.fill(0.0)
-
     def add_h_run(self, j: int, i0: int, i1: int, sign: float = 1.0) -> None:
         """Add wire demand for a horizontal run through row ``j``.
 

@@ -1,16 +1,18 @@
-"""CLI conformance: crossing the process boundary must not change a byte.
+"""CLI conformance: each command runs the library recipe, byte for byte.
 
-``repro place/route/eco`` are thin wrappers over
-:mod:`repro.run`.  Each test runs the command as a real subprocess
-(its own interpreter, the way a user's shell invokes it) and the
-matching ``run_*_job`` in-process on the same input, then compares
-every output file byte for byte: placed positions, the metrics
-stream, and the checkpoint with its ``.bak`` predecessor.
+``repro place`` runs the bench recipes of :mod:`repro.baselines.flows`
+(``run_flow("Ours", ...)`` with ``--routability``, ``make_gp_seed`` +
+``run_xplace`` without), ``eco --compare`` adds
+:func:`repro.eco.full_replace`, and ``route`` is one
+:class:`~repro.route.GlobalRouter` pass.  Each test runs the command as
+a real subprocess (its own interpreter, the way a user's shell invokes
+it) and the recipe in-process on the same input, then compares the
+output files byte for byte and the printed numbers exactly.
 
 The second half pins the surface the placement daemon and the
 supervised job runtime left behind: their commands, options and
 modules are gone, and streams recorded while they existed still read.
-Their keyword options are rejected in
+The job runtime's keyword options are rejected in
 ``test_kernel_backends.py::test_removed_keywords_rejected``.
 """
 
@@ -18,31 +20,36 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.io import save_design
-from repro.io.bookshelf import loads_design
-from repro.run import (
-    EcoRequest,
-    PlaceRequest,
-    RouteRequest,
-    run_eco_job,
-    run_place_job,
-    run_route_job,
-)
+from repro.baselines import make_gp_seed, run_flow, run_xplace
+from repro.core import RDConfig
+from repro.eco import EcoConfig, eco_place, full_replace
+from repro.geometry import Grid2D
+from repro.io import load_design, save_design
+from repro.place import GPConfig
+from repro.place.config import auto_grid_dim
+from repro.route import GlobalRouter, RouterConfig
 from repro.synth import SynthConfig, generate_design
 from repro.utils.checkpoint import backup_path
-from repro.utils.metrics import read_jsonl, validate_stream
+from repro.utils.metrics import (
+    JsonlSink,
+    MetricsRegistry,
+    read_jsonl,
+    validate_stream,
+)
+from repro.wirelength import hpwl
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-#: A short routability flow: two rounds, so the checkpoint is written
-#: twice and a ``.bak`` predecessor exists to compare.
-FLOW = dict(iters=40, rounds=2, iters_per_round=10)
+#: A short routability flow: two rounds, so the snapshot is written
+#: more than once and a ``.bak`` predecessor exists to compare.
+ITERS, ROUNDS, ITERS_PER_ROUND = 40, 2, 10
 
 
 def make_design(path: Path, n_cells: int = 300, seed: int = 1) -> str:
@@ -55,8 +62,8 @@ def make_design(path: Path, n_cells: int = 300, seed: int = 1) -> str:
     return os.path.abspath(path)
 
 
-def run_cli(args, cwd: Path) -> None:
-    """Run ``python -m repro <args>`` as a real subprocess."""
+def run_cli(args, cwd: Path) -> str:
+    """Run ``python -m repro <args>`` as a real subprocess; its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -68,6 +75,7 @@ def run_cli(args, cwd: Path) -> None:
     assert proc.returncode == 0, (
         f"CLI failed ({proc.returncode}):\n{proc.stdout}\n{proc.stderr}"
     )
+    return proc.stdout
 
 
 def read(path) -> bytes:
@@ -82,49 +90,71 @@ def dirs(tmp_path: Path) -> tuple:
     return cli, api
 
 
+def open_stream(path: Path, command: str, design: str) -> MetricsRegistry:
+    """The registry the CLI opens for ``--metrics-out``."""
+    metrics = MetricsRegistry(sink=JsonlSink(str(path)))
+    metrics.start_run(command=command, design=design)
+    return metrics
+
+
 class TestCliConformance:
-    def test_place_bytes_match_in_process(self, tmp_path):
+    def test_routability_place_is_the_ours_recipe(self, tmp_path):
         design = make_design(tmp_path / "design.bl")
         cli, api = dirs(tmp_path)
-        run_cli(
-            ["place", design, "--routability", "--iters", FLOW["iters"],
-             "--rounds", FLOW["rounds"],
-             "--iters-per-round", FLOW["iters_per_round"],
+        out = run_cli(
+            ["place", design, "--routability", "--iters", ITERS,
+             "--rounds", ROUNDS, "--iters-per-round", ITERS_PER_ROUND,
              "--out", cli / "placed.bl", "--checkpoint", cli / "flow.npz",
              "--metrics-out", cli / "metrics.jsonl"],
             cwd=cli,
         )
-        outcome = run_place_job(PlaceRequest(
-            input=design, out=str(api / "placed.bl"), routability=True,
-            checkpoint=str(api / "flow.npz"),
-            metrics_out=str(api / "metrics.jsonl"), **FLOW,
-        ))
-        assert outcome.n_rounds == FLOW["rounds"]
+        metrics = open_stream(api / "metrics.jsonl", "place", design)
+        flow = run_flow(
+            "Ours", load_design(design),
+            RDConfig(gp=GPConfig(max_iters=ITERS), max_rounds=ROUNDS,
+                     iters_per_round=ITERS_PER_ROUND),
+            metrics=metrics, checkpoint_path=str(api / "flow.npz"),
+        )
+        save_design(flow.netlist, str(api / "placed.bl"))
+        metrics.close()
+        rd = flow.rd_result
+        assert rd.n_rounds == ROUNDS
+        assert f"routability rounds: {rd.n_rounds} (best round " \
+               f"{rd.best_round})" in out
         for name in ("placed.bl", "metrics.jsonl", "flow.npz"):
             assert read(api / name) == read(cli / name), name
         assert read(backup_path(str(api / "flow.npz"))) == read(
             backup_path(str(cli / "flow.npz"))
         )
-        validate_stream(read_jsonl(str(api / "metrics.jsonl")))
+        validate_stream(read_jsonl(str(cli / "metrics.jsonl")))
 
-    def test_route_stream_matches_in_process(self, tmp_path):
-        design = make_design(tmp_path / "design.bl", n_cells=110, seed=5)
+    def test_wirelength_place_is_the_xplace_recipe(self, tmp_path):
+        design = make_design(tmp_path / "design.bl", n_cells=150, seed=2)
         cli, api = dirs(tmp_path)
-        run_cli(["route", design, "--metrics-out", cli / "metrics.jsonl"],
-                cwd=cli)
-        outcome = run_route_job(RouteRequest(
-            input=design, metrics_out=str(api / "metrics.jsonl"),
-        ))
-        assert outcome.n_segments > 0
-        assert read(api / "metrics.jsonl") == read(cli / "metrics.jsonl")
+        out = run_cli(
+            ["place", design, "--iters", 60, "--out", cli / "placed.bl",
+             "--metrics-out", cli / "metrics.jsonl"],
+            cwd=cli,
+        )
+        netlist = load_design(design)
+        metrics = open_stream(api / "metrics.jsonl", "place", design)
+        seed = make_gp_seed(netlist, GPConfig(max_iters=60), metrics=metrics)
+        flow = run_xplace(netlist, seed_gp=seed)
+        save_design(flow.netlist, str(api / "placed.bl"))
+        metrics.close()
+        assert f"hpwl={hpwl(flow.netlist):.0f} legality=CLEAN" in out
+        assert "routability rounds" not in out
+        for name in ("placed.bl", "metrics.jsonl"):
+            assert read(api / name) == read(cli / name), name
 
-    def test_eco_bytes_match_in_process(self, tmp_path):
+    def test_eco_compare_is_full_replace(self, tmp_path):
         design = make_design(tmp_path / "design.bl", n_cells=150, seed=2)
         base = tmp_path / "base.bl"
-        run_place_job(PlaceRequest(input=design, out=str(base), iters=60))
-        baseline = loads_design(base.read_text())
+        placed = run_xplace(load_design(design), GPConfig(max_iters=60))
+        save_design(placed.netlist, str(base))
         cell = next(
-            name for name, fixed in zip(baseline.cell_names, baseline.cell_fixed)
+            name for name, fixed in zip(placed.netlist.cell_names,
+                                        placed.netlist.cell_fixed)
             if not fixed
         )
         lines = []
@@ -138,19 +168,51 @@ class TestCliConformance:
         edited.write_text("\n".join(lines) + "\n")
 
         cli, api = dirs(tmp_path)
-        run_cli(
+        out = run_cli(
             ["eco", base, edited, "--rounds", 1, "--iters-per-round", 10,
-             "--out", cli / "eco.bl", "--metrics-out", cli / "metrics.jsonl"],
+             "--compare", "--out", cli / "eco.bl",
+             "--metrics-out", cli / "metrics.jsonl"],
             cwd=cli,
         )
-        outcome = run_eco_job(EcoRequest(
-            input=str(edited), baseline=str(base), out=str(api / "eco.bl"),
-            rounds=1, iters_per_round=10,
-            metrics_out=str(api / "metrics.jsonl"),
-        ))
-        assert outcome.n_edits == 1
-        for name in ("eco.bl", "metrics.jsonl"):
-            assert read(api / name) == read(cli / name), name
+        rd = RDConfig(gp=GPConfig(), max_rounds=1, iters_per_round=10)
+        eco_nl = load_design(str(edited))
+        eco = eco_place(eco_nl, load_design(str(base)), EcoConfig(rd=rd))
+        save_design(eco_nl, str(api / "eco.bl"))
+        assert read(api / "eco.bl") == read(cli / "eco.bl")
+        assert eco.diff.n_edits == 1
+
+        ref = full_replace(load_design(str(edited)), rd)
+        match = re.search(
+            r"vs full re-place: hpwl_ratio=(\S+) overflow (\S+) -> (\S+) "
+            r"rounds (\d+) -> (\d+)", out,
+        )
+        assert match, out
+        assert match.groups() == (
+            f"{eco.hpwl / ref['hpwl']:.4f}",
+            f"{ref['total_overflow']:.0f}", f"{eco.total_overflow:.0f}",
+            str(ref["rounds"]), str(eco.n_rounds),
+        )
+        events = read_jsonl(str(cli / "metrics.jsonl"))
+        validate_stream(events)
+        (compare,) = [e for e in events if e["kind"] == "eco.compare"]
+        assert compare["full_hpwl"] == ref["hpwl"]
+        assert compare["full_overflow"] == ref["total_overflow"]
+        assert compare["full_rounds"] == ref["rounds"]
+        assert compare["eco_hpwl"] == eco.hpwl
+
+    def test_route_segments_match_one_router_pass(self, tmp_path):
+        design = make_design(tmp_path / "design.bl", n_cells=110, seed=5)
+        out = run_cli(["route", design], cwd=tmp_path)
+        netlist = load_design(design)
+        dim = auto_grid_dim(netlist.n_cells)
+        result = GlobalRouter(
+            Grid2D(netlist.die, dim, dim), RouterConfig()
+        ).route(netlist)
+        assert result.n_segments > 0
+        assert out.splitlines()[0] == (
+            f"segments={result.n_segments} "
+            f"wirelength={result.wirelength:.0f} vias={result.n_vias:.0f}"
+        )
 
 
 class TestRemovedDaemonSurface:
@@ -226,7 +288,8 @@ class TestRemovedJobRuntime:
         assert argv[-2] in capsys.readouterr().err
 
     @pytest.mark.parametrize("module", [
-        "repro.jobs", "repro.utils.heartbeat", "repro.optim.adam"])
+        "repro.jobs", "repro.utils.heartbeat", "repro.optim.adam",
+        "repro.run"])
     def test_job_runtime_is_gone(self, module):
         with pytest.raises(ImportError):
             __import__(module)

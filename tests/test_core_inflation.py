@@ -137,17 +137,6 @@ class TestStateRoundTrip:
         assert other.last_n_deflated == infl.last_n_deflated
         assert np.array_equal(other.rates, infl.rates)
 
-    def test_load_old_snapshot_defaults_to_zero(self):
-        """Snapshots written before the field existed resume as 0."""
-        infl = MomentumInflation(2)
-        infl.update(np.array([1.0, 1.0]))
-        state = infl.state_dict()
-        del state["last_n_deflated"]
-        other = MomentumInflation(2)
-        other.last_n_deflated = 99
-        other.load_state_dict(state)
-        assert other.last_n_deflated == 0
-
     def test_reset_clears_last_n_deflated(self):
         infl = MomentumInflation(3)
         infl.update(np.array([2.0, 2.0, 0.1]))

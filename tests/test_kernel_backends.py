@@ -13,8 +13,8 @@ layout and its scratch reuse are covered too.
 nothing selects among layouts any more, so the former selection
 options (CLI flag, environment variable, solver keywords, telemetry
 event) are rejected or inert.  The keyword options of the retired
-placement daemon, supervised job runtime, Adam solver and flow resume
-ride along in ``test_removed_keywords_rejected``.
+supervised job runtime, Adam solver, flow resume and ECO detail-pass
+count ride along in ``test_removed_keywords_rejected``.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ from repro.density.poisson import PoissonSolver, SpectralWorkspace
 from repro.density.rasterize import CellRasterizer
 from repro.dse.grid import apply_knobs
 from repro.dse.runner import run_grid, run_unit
-from repro.eco import EcoConfig, eco_place
+from repro.eco import EcoConfig, eco_place, full_replace
 from repro.geometry import Grid2D, Rect
 from repro.place.config import GPConfig
 from repro.place.initial import initial_placement
 from repro.route import GlobalRouter, RouterConfig
-from repro.run import EcoRequest, PlaceRequest, RouteRequest, open_metrics
 from repro.synth import toy_design
 from repro.utils.faults import FaultPlan
 from repro.utils.metrics import EVENT_FIELDS, JsonlSink, validate_event
@@ -249,44 +248,6 @@ class TestNoKernelSelection:
                 ),
                 id="SpectralWorkspace.solve-workers",
             ),
-            # the flow requests never grew a kernel or engine selector back
-            pytest.param(
-                lambda g: PlaceRequest(input="d.bl", kernel_backend="fastnp"),
-                id="PlaceRequest-kernel_backend",
-            ),
-            pytest.param(
-                lambda g: EcoRequest(input="d.bl", kernel_backend="fastnp"),
-                id="EcoRequest-kernel_backend",
-            ),
-            pytest.param(
-                lambda g: RouteRequest(input="d.bl", kernel_backend="fastnp"),
-                id="RouteRequest-kernel_backend",
-            ),
-            pytest.param(
-                lambda g: RouteRequest(input="d.bl", engine="scalar"),
-                id="RouteRequest-engine",
-            ),
-            # nor the options only the retired placement daemon used
-            pytest.param(
-                lambda g: PlaceRequest(input="d.bl", overrides={}),
-                id="PlaceRequest-overrides",
-            ),
-            pytest.param(
-                lambda g: PlaceRequest(input="d.bl", metrics_buffer_lines=1),
-                id="PlaceRequest-metrics_buffer_lines",
-            ),
-            pytest.param(
-                lambda g: EcoRequest(input="d.bl", metrics_buffer_lines=1),
-                id="EcoRequest-metrics_buffer_lines",
-            ),
-            pytest.param(
-                lambda g: RouteRequest(input="d.bl", metrics_buffer_lines=1),
-                id="RouteRequest-metrics_buffer_lines",
-            ),
-            pytest.param(
-                lambda g: open_metrics(None, "place", "d.bl", buffer_lines=1),
-                id="open_metrics-buffer_lines",
-            ),
             # nor the supervised job runtime's retry/resume options
             pytest.param(
                 lambda g: run_grid(None, job_timeout=1), id="run_grid-job_timeout"
@@ -321,15 +282,20 @@ class TestNoKernelSelection:
                 id="JsonlSink-append",
             ),
             pytest.param(
-                lambda g: EcoRequest(input="d.bl", checkpoint="e.npz"),
-                id="EcoRequest-checkpoint",
-            ),
-            pytest.param(
                 lambda g: EcoConfig(partial_route=False),
                 id="EcoConfig-partial_route",
             ),
             pytest.param(
                 lambda g: EcoConfig(legalize=False), id="EcoConfig-legalize"
+            ),
+            # nor the ECO detail-pass count: every flow runs DETAIL_PASSES
+            pytest.param(
+                lambda g: EcoConfig(detail_passes=2),
+                id="EcoConfig-detail_passes",
+            ),
+            pytest.param(
+                lambda g: full_replace(None, None, detail_passes=2),
+                id="full_replace-detail_passes",
             ),
             pytest.param(
                 lambda g: RouterConfig(topology="stt"), id="RouterConfig-topology"

@@ -462,19 +462,6 @@ class TestFlowIntegration:
         assert not any(e["kind"] == "rd.resume" for e in events)
 
 
-class TestBenchTelemetry:
-    def test_bench_payload_embeds_report(self):
-        from repro.bench.harness import bench_payload
-
-        m = MetricsRegistry(sink=MemorySink())
-        m.start_run()
-        m.emit("a.b", x=1)
-        payload = bench_payload([], metrics=m)
-        assert payload["telemetry"]["kinds"]["a.b"] == 1
-        assert "telemetry" not in bench_payload([], metrics=None)
-        assert "telemetry" not in bench_payload([], metrics=NULL)
-
-
 class TestAbortFlush:
     """SIGTERM/atexit flushing keeps a killed run's stream valid."""
 

@@ -2,7 +2,7 @@
 
 Not a paper artifact, but the quantities that determine whether the
 framework scales: spectral Poisson solve, WA gradient, density
-rasterization, net decomposition on the largest design, one full
+rasterization, HPWL and net decomposition on the largest design, one full
 routing pass and one ECO-shaped partial pass (3% of nets over a frozen
 base load), one two-pin net-moving gradient evaluation, and one placer
 iteration on a whole design and on an ECO-shaped one (about 2% of
@@ -25,7 +25,7 @@ from repro.geometry import Grid2D
 from repro.place import GlobalPlacer, GPConfig, initial_placement
 from repro.route import DemandSnapshot, GlobalRouter, PatternRouter, segment_endpoints
 from repro.synth import suite_design
-from repro.wirelength import wa_wirelength_and_grad
+from repro.wirelength import hpwl, wa_wirelength_and_grad
 
 
 @pytest.fixture(scope="module")
@@ -87,10 +87,19 @@ def test_routing_pass_partial(benchmark, placed_design):
     )
 
 
-def test_segment_endpoints_superblue12(benchmark):
+@pytest.fixture(scope="module")
+def superblue12():
     netlist = suite_design("superblue12", scale=0.85)
     initial_placement(netlist, 0)
-    benchmark(segment_endpoints, netlist)
+    return netlist
+
+
+def test_hpwl_superblue12(benchmark, superblue12):
+    benchmark(hpwl, superblue12)
+
+
+def test_segment_endpoints_superblue12(benchmark, superblue12):
+    benchmark(segment_endpoints, superblue12)
 
 
 @pytest.fixture(scope="module")

@@ -5,11 +5,11 @@ with the ``Ours`` recipe (:func:`repro.baselines.run_ours`), resize one
 cell (a <=5%-of-cells edit), then serve the edit twice — once with
 :func:`repro.eco.eco_place` (warm start + frozen clean region + partial
 reroute) and once as a cold re-place — and record both sides' QoR plus
-wall-clock.  The cold side is what :func:`repro.eco.full_replace`
-computes (the ``Ours`` recipe on a copy, scored by one routing pass on
-the flow grid), run here step by step because ``full_replace`` does
-not return the placement whose legality the record also reports.  ``python scripts/fill_experiments.py`` renders the
-numbers into the measured block of EXPERIMENTS.md.
+wall-clock.  The cold side is :func:`repro.eco.full_replace` (the
+``Ours`` recipe on a copy, scored by one routing pass on the flow grid,
+with the re-placed netlist's legality count).  ``python
+scripts/fill_experiments.py`` renders the numbers into the measured
+block of EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ sys.path.insert(
 
 from repro.baselines import run_ours  # noqa: E402
 from repro.core.rd_placer import RDConfig  # noqa: E402
-from repro.eco import EcoConfig, eco_place  # noqa: E402
+from repro.eco import EcoConfig, eco_place, full_replace  # noqa: E402
 from repro.io.bookshelf import dumps_design, loads_design  # noqa: E402
 from repro.legalize import check_legal  # noqa: E402
 from repro.place.config import GPConfig  # noqa: E402
-from repro.route import GlobalRouter  # noqa: E402
 from repro.synth import toy_design  # noqa: E402
-from repro.wirelength import hpwl  # noqa: E402
 
 
 def _resize_cell(text: str, cell: str, factor: float) -> str:
@@ -73,13 +71,8 @@ def main() -> int:
     eco_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    full = run_ours(loads_design(edited), rd)
-    full_nl = full.netlist
-    full_routing = GlobalRouter(
-        full.rd_result.final_routing.grid.grid, rd.router
-    ).route(full_nl)
+    full = full_replace(loads_design(edited), rd)
     full_s = time.perf_counter() - t0
-    full_hpwl = float(hpwl(full_nl))
 
     payload = {
         "design": baseline.name,
@@ -98,13 +91,13 @@ def main() -> int:
             "legal_issues": len(check_legal(eco_nl)),
         },
         "full": {
-            "hpwl": full_hpwl,
-            "total_overflow": float(full_routing.total_overflow),
-            "rounds": full.rd_result.n_rounds,
+            "hpwl": full["hpwl"],
+            "total_overflow": full["total_overflow"],
+            "rounds": full["rounds"],
             "elapsed_s": round(full_s, 3),
-            "legal_issues": len(check_legal(full_nl)),
+            "legal_issues": full["legal_issues"],
         },
-        "hpwl_ratio": eco.hpwl / full_hpwl,
+        "hpwl_ratio": eco.hpwl / full["hpwl"],
     }
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w") as fh:

@@ -635,6 +635,9 @@ def main(argv: list | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "place" and args.checkpoint is not None and not args.routability:
+        # the wirelength-only recipe has no rounds, so no snapshot to write
+        parser.error("place: --checkpoint requires --routability")
     return args.func(args)
 
 

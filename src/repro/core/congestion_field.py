@@ -41,9 +41,9 @@ class CongestionField:
             )
         self.grid = grid
         self.utilization = utilization
-        self.potential, field_x, field_y = SpectralWorkspace.for_grid(
-            grid
-        ).solve(utilization)
+        ws = SpectralWorkspace.for_grid(grid)
+        coef, field_x, field_y = ws.solve(utilization)
+        self.potential = ws.potential(coef)
         # both field components as channels of one map, so a gradient
         # query interpolates them with shared bilinear weights
         self._field_xy = np.stack((field_x, field_y), axis=-1)

@@ -19,8 +19,13 @@ and against finite differences.
 
 :class:`SpectralWorkspace` (one cached instance per grid geometry)
 memoizes the eigenvalue denominators and reuses preallocated scratch
-buffers for every elementwise step; the transforms' outputs are the
-only per-solve allocations, and two of them *are* the returned arrays.
+buffers for every elementwise step; the transforms' outputs and the
+cosine coefficients of ``psi`` are the only per-solve allocations, and
+they *are* the returned arrays.  A solve returns those coefficients
+and the field; the potential is a separate inverse transform of the
+coefficients (:meth:`SpectralWorkspace.potential`), so a caller that
+needs only the field (the placer's density force) skips two of the
+eight 1-D transform passes.
 Every fusion keeps the floating-point operation sequence of the
 straight-line solve (``out=`` variants of the same ufuncs, slice
 copies instead of ``np.roll``, in-place division into scipy-owned
@@ -59,7 +64,7 @@ class SpectralWorkspace:
     Holds everything a Poisson solve needs that does not depend on the
     charge map: the Laplacian eigenvalue denominators ``w_u^2 + w_v^2``
     (the expensive part of solver construction), the frequency row and
-    column vectors, and six preallocated scratch arrays for the
+    column vectors, and five preallocated scratch arrays for the
     elementwise stages between transforms.  One workspace per grid
     geometry is cached process-wide (:meth:`for_grid`), so the density
     engine and the per-round congestion field share buffers instead of
@@ -93,7 +98,6 @@ class SpectralWorkspace:
         self._inv_denom = 1.0 / denom
         # scratch for the elementwise stages; reused across solves
         self._bal = np.empty((nx, ny))
-        self._coef = np.empty((nx, ny))
         self._cx = np.empty((nx, ny))
         self._cy = np.empty((nx, ny))
         self._shift_x = np.empty((nx, ny))
@@ -146,30 +150,36 @@ class SpectralWorkspace:
 
     # ------------------------------------------------------------- solve
     def solve(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Solve Eq. (1) for ``rho``; returns fresh ``(psi, ex, ey)``.
+        """Solve Eq. (1) for ``rho``; returns fresh ``(coef, ex, ey)``.
 
-        Every elementwise intermediate lands in workspace scratch, and
-        the transforms whose outputs feed straight back into scratch
-        run in-place (``overwrite_x=True``; scipy then returns the
-        input buffer itself).  Only the returned arrays allocate:
-        ``psi``/``ex``/``ey`` are fresh and owned by the caller —
-        deliberately **not** aliased to scratch, so a later solve on
-        the same workspace never mutates them.
+        ``coef`` holds the cosine coefficients of ``psi`` (pass it to
+        :meth:`potential` for ``psi`` itself) and ``ex``/``ey`` the
+        field ``E = -grad(psi)``.  Every elementwise intermediate lands
+        in workspace scratch, and the transforms whose outputs feed
+        straight back into scratch run in-place (``overwrite_x=True``;
+        scipy then returns the input buffer itself).  Only the returned
+        arrays allocate; they are owned by the caller — deliberately
+        **not** aliased to scratch, so a later solve on the same
+        workspace never mutates them.
         """
         if rho.shape != self.shape:
             raise ValueError(f"rho shape {rho.shape} != grid {self.shape}")
         self.n_solves += 1
         a = self._forward(rho, rho.mean())
-        coef = np.multiply(a, self._inv_denom, out=self._coef)
+        coef = np.multiply(a, self._inv_denom)
         coef[0, 0] = 0.0
 
         # E = -grad(psi): differentiating cos(w_u x)cos(w_v y) gives
         # -w_u sin cos (x) and -w_v cos sin (y); the minus signs cancel.
         np.multiply(coef, self._wu, out=self._cx)
-        psi = _idctn(coef, type=2)
         ex = self._field_x()
         ey = self._field_y(coef)
-        return psi, ex, ey
+        return coef, ex, ey
+
+    @staticmethod
+    def potential(coef: np.ndarray) -> np.ndarray:
+        """The potential ``psi`` (zero mean) from :meth:`solve`'s ``coef``."""
+        return _idctn(coef, type=2)
 
 
 #: Process-wide workspace cache, keyed on grid geometry.
@@ -215,7 +225,8 @@ class PoissonSolver:
             Potential and the field components ``E = -grad(psi)``,
             all of the grid's shape.  ``psi`` has zero mean.
         """
-        return self._ws.solve(rho)
+        coef, ex, ey = self._ws.solve(rho)
+        return self._ws.potential(coef), ex, ey
 
 
 def solve_poisson_fd(grid: Grid2D, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

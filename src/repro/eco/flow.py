@@ -59,6 +59,7 @@ from repro.eco.warm import (
     dirty_region,
 )
 from repro.geometry.grid import Grid2D
+from repro.legalize.api import check_legal
 from repro.netlist.netlist import Netlist
 from repro.place.config import auto_grid_dim
 from repro.route.router import DemandSnapshot, GlobalRouter, RoutingResult
@@ -298,7 +299,8 @@ def full_replace(
     the complete Fig. 2 flow from a fresh initial placement, then
     legalize and detail) on a copy of ``netlist``, scores the result
     with one full routing pass on the flow grid, and returns the
-    comparable QoR numbers.  ``netlist`` itself is not changed.
+    comparable QoR numbers plus ``legal_issues``, the :func:`check_legal`
+    count of the re-placed netlist.  ``netlist`` itself is not changed.
     """
     flow = run_flow("Ours", netlist, rd, profiler=profiler)
     routing = GlobalRouter(
@@ -308,4 +310,5 @@ def full_replace(
         "hpwl": float(hpwl(flow.netlist)),
         "total_overflow": float(routing.total_overflow),
         "rounds": int(flow.rd_result.n_rounds),
+        "legal_issues": len(check_legal(flow.netlist)),
     }

@@ -119,12 +119,15 @@ class GlobalPlacer:
         self.system = ElectrostaticSystem(
             self.grid, cfg.target_density, static_charge=self.fixed_charge
         )
+        self._lower, self._upper = self._entry_bounds()
         base_unit = 0.5 * (self.grid.dx + self.grid.dy)
         self.wa = WAWirelength(base_unit=base_unit, gamma0=cfg.gamma0)
 
-        # extension hooks (see module docstring)
+        # extension hooks (see module docstring); size_scale and
+        # extra_static_charge are rebound, not edited in place
         self.size_scale = np.ones(netlist.n_cells, dtype=np.float64)
         self.extra_static_charge: np.ndarray | None = None
+        self._density_cache: tuple | None = None
         self.extra_grad_fn: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None
 
         self.density_weight = 0.0  # lambda_1, initialised on first gradient
@@ -143,7 +146,7 @@ class GlobalPlacer:
         self._last_good: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    # parameter vector packing: [x_cells, x_fill, y_cells, y_fill]
+    # parameter vector: [x_cells, x_fill, y_cells, y_fill]
     # ------------------------------------------------------------------
     def _pack(self) -> np.ndarray:
         nl = self.netlist
@@ -156,31 +159,48 @@ class GlobalPlacer:
             ]
         )
 
-    def _unpack(self, pos: np.ndarray) -> None:
+    def _entry_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-entry ``(lower, upper)`` center bounds keeping rectangles on the die.
+
+        The cells' bounds are :meth:`Netlist.clamp_to_die`'s, the
+        fillers' their own half sizes in from the die edges.
+        """
+        nl = self.netlist
+        die = nl.die
+        half_w = nl.cell_width[self.mv_ids] * 0.5
+        half_h = nl.cell_height[self.mv_ids] * 0.5
+        lo_x = die.xlo + half_w
+        lo_y = die.ylo + half_h
+        lower = np.concatenate([
+            lo_x, die.xlo + self.filler_w / 2, lo_y, die.ylo + self.filler_h / 2,
+        ])
+        upper = np.concatenate([
+            np.maximum(die.xhi - half_w, lo_x),
+            die.xhi - self.filler_w / 2,
+            np.maximum(die.yhi - half_h, lo_y),
+            die.yhi - self.filler_h / 2,
+        ])
+        return lower, upper
+
+    def _load(self, pos: np.ndarray) -> None:
+        """Set the cells (in the netlist) and the fillers to ``pos``."""
         n, m = self.n_mv, self.n_fill
         nl = self.netlist
         nl.x[self.mv_ids] = pos[:n]
         self.filler_x = pos[n : n + m]
         nl.y[self.mv_ids] = pos[n + m : 2 * n + m]
         self.filler_y = pos[2 * n + m :]
-        self._clamp_entries()
 
-    def _clamp_entries(self) -> None:
-        self.netlist.clamp_to_die()
-        if self.n_fill:
-            die = self.netlist.die
-            np.clip(
-                self.filler_x,
-                die.xlo + self.filler_w / 2,
-                die.xhi - self.filler_w / 2,
-                out=self.filler_x,
-            )
-            np.clip(
-                self.filler_y,
-                die.ylo + self.filler_h / 2,
-                die.yhi - self.filler_h / 2,
-                out=self.filler_y,
-            )
+    def _project(self) -> None:
+        """Clip both optimizer points to the entry bounds, in place; load ``u``.
+
+        Without projecting the reference point ``v``, the momentum
+        extrapolation diverges when cells press against the boundary.
+        """
+        opt = self._optimizer
+        np.clip(opt.v, self._lower, self._upper, out=opt.v)
+        np.clip(opt.u, self._lower, self._upper, out=opt.u)
+        self._load(opt.u)
 
     # ------------------------------------------------------------------
     # objective pieces
@@ -209,33 +229,43 @@ class GlobalPlacer:
         remaining = max(base_filler_area - max(surplus, 0.0), 0.0)
         return float(np.sqrt(remaining / base_filler_area))
 
-    def _entry_geometry(self):
-        """Positions and (inflated) sizes of all density participants."""
-        nl = self.netlist
-        ids = self.mv_ids
-        w = nl.cell_width[ids] * self.size_scale[ids]
-        h = nl.cell_height[ids] * self.size_scale[ids]
-        shrink = self._filler_compensation(float((w * h).sum()))
-        x = np.concatenate([nl.x[ids], self.filler_x])
-        y = np.concatenate([nl.y[ids], self.filler_y])
-        w = np.concatenate([w, self.filler_w * shrink])
-        h = np.concatenate([h, self.filler_h * shrink])
-        return x, y, w, h
+    def _density_inputs(self) -> tuple:
+        """``(width, height, static charge)`` of the density system.
+
+        Width and height cover the cells (inflated by ``size_scale``)
+        then the fillers (shrunk by :meth:`_filler_compensation`).
+        They are built once per binding of ``size_scale`` and
+        ``extra_static_charge`` and rebuilt when either is rebound, as
+        every RD round does; arrays edited in place are not seen.
+        """
+        scale, extra = self.size_scale, self.extra_static_charge
+        cache = self._density_cache
+        if cache is None or cache[0] is not scale or cache[1] is not extra:
+            nl = self.netlist
+            ids = self.mv_ids
+            w = nl.cell_width[ids] * scale[ids]
+            h = nl.cell_height[ids] * scale[ids]
+            shrink = self._filler_compensation(float((w * h).sum()))
+            w = np.concatenate([w, self.filler_w * shrink])
+            h = np.concatenate([h, self.filler_h * shrink])
+            static = self.fixed_charge if extra is None else self.fixed_charge + extra
+            cache = self._density_cache = (scale, extra, w, h, static)
+        return cache[2:]
 
     def solve_density(self) -> FieldSolution:
         """One electrostatic solve at the current positions."""
-        self.system.static_charge = (
-            self.fixed_charge
-            if self.extra_static_charge is None
-            else self.fixed_charge + self.extra_static_charge
-        )
+        w, h, static = self._density_inputs()
+        self.system.static_charge = static
         with self.profiler.timer("gp.poisson"):
-            sol = self.system.solve(*self._entry_geometry())
+            nl = self.netlist
+            x = np.concatenate([nl.x[self.mv_ids], self.filler_x])
+            y = np.concatenate([nl.y[self.mv_ids], self.filler_y])
+            sol = self.system.solve(x, y, w, h)
         self.last_solution = sol
         return sol
 
     def _gradient(self, pos: np.ndarray) -> np.ndarray:
-        self._unpack(pos)
+        self._load(np.clip(pos, self._lower, self._upper))
         nl = self.netlist
         n, m = self.n_mv, self.n_fill
 
@@ -348,16 +378,7 @@ class GlobalPlacer:
                 if consecutive_trips > cfg.guard.max_backoffs:
                     break
                 continue
-            # project both optimizer points back into the die (clamp
-            # happens inside _unpack); without projecting the reference
-            # point v, the momentum extrapolation diverges when cells
-            # press against the boundary.  u is projected last so the
-            # netlist state reflects the major point.
-            self._unpack(self._optimizer.v)
-            self._optimizer.v = self._pack()
-            self._unpack(self._optimizer.u)
-            self._optimizer.u = self._pack()
-
+            self._project()
             sol = self.last_solution
             overflow = sol.overflow if sol is not None else 1.0
             cur_hpwl = hpwl(self.netlist)
@@ -379,7 +400,6 @@ class GlobalPlacer:
             self.history.append(
                 hpwl=cur_hpwl,
                 overflow=overflow,
-                energy=sol.energy if sol else 0.0,
                 step=info["step"],
                 grad_norm=info["grad_norm"],
                 density_weight=self.density_weight,
@@ -399,7 +419,7 @@ class GlobalPlacer:
                 )
             if it >= min_iters and overflow <= cfg.stop_overflow:
                 break
-        self._unpack(self._optimizer.u)
+        self._load(np.clip(self._optimizer.u, self._lower, self._upper))
         return self.history
 
     def run_bursts(self, n_bursts: int, burst_iters: int = 50) -> None:
@@ -444,8 +464,8 @@ class GlobalPlacer:
         else:
             scrub_nonfinite(opt.u)
         opt._backoff()  # clears momentum, v <- u, shrinks step
-        self._unpack(opt.u)
-        opt.u = self._pack()
+        np.clip(opt.u, self._lower, self._upper, out=opt.u)
+        self._load(opt.u)
         opt.v = opt.u.copy()
         self.density_weight = 0.0
         self._prev_hpwl = None
@@ -514,6 +534,11 @@ def converge_placement(
             placer.run()
         placer.run_bursts(bursts_per_batch, burst_iters)
         total += len(placer.history)
+        # the optimizer's gradient callback refers back to the placer;
+        # dropping it frees this batch's placer, density caches included,
+        # as soon as the next batch replaces it rather than at a later
+        # garbage collection
+        placer._optimizer = None
         cur = hpwl(netlist)
         if prev is not None and prev > 0 and abs(prev - cur) / prev < hpwl_tol:
             break

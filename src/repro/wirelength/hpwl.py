@@ -1,7 +1,13 @@
 """Half-perimeter wirelength (HPWL).
 
 The non-smooth ground-truth objective that the WA model approximates;
-used for reporting and for testing the WA upper bound property.
+used for reporting, for the placer's per-iteration divergence watch
+and for testing the WA upper bound property.  The per-net spans come
+from the WA model's all-nets layout (:meth:`_WALayout.hpwl`): its
+padded-bucket maxima of the rows ``x, y, -x, -y`` give ``max - min``
+exactly, so no second per-pin copy of the design is built.
+``tests/oracle.py`` keeps the ``reduceat`` form, and the tests pin
+this one to it at ``atol=0``.
 """
 
 from __future__ import annotations
@@ -9,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.netlist.netlist import Netlist
+from repro.wirelength.wa import _wa_structure
 
 
 def hpwl_per_net(netlist: Netlist, net_weights: np.ndarray | None = None) -> np.ndarray:
@@ -18,26 +25,7 @@ def hpwl_per_net(netlist: Netlist, net_weights: np.ndarray | None = None) -> np.
     """
     if netlist.n_nets == 0:
         return np.zeros(0, dtype=np.float64)
-    px, py = netlist.pin_positions()
-    order = netlist.net_pin_order
-    starts = netlist.net_pin_starts[:-1]
-    degrees = netlist.net_degrees()
-
-    ox = px[order]
-    oy = py[order]
-    # reduceat over the starts of the NON-empty nets only: their starts
-    # partition ``order`` exactly, because empty nets contribute no
-    # pins.  (Clamping an empty net's out-of-range start backwards —
-    # the previous implementation — split the preceding net's segment
-    # and silently dropped its pins from the max/min.)
-    wl = np.zeros(netlist.n_nets, dtype=np.float64)
-    nonempty = degrees > 0
-    if nonempty.any():
-        idx = starts[nonempty]
-        xspan = np.maximum.reduceat(ox, idx) - np.minimum.reduceat(ox, idx)
-        yspan = np.maximum.reduceat(oy, idx) - np.minimum.reduceat(oy, idx)
-        wl[nonempty] = xspan + yspan
-    wl[degrees < 2] = 0.0
+    wl = _wa_structure(netlist).hpwl(netlist.x, netlist.y)
     if net_weights is not None:
         wl = wl * net_weights
     return wl

@@ -33,10 +33,13 @@ one ``(4, nets, width)`` block, padded by repeating a net's last pin,
 and reduces it in one call.  Padding at most doubles a bucket's pins
 (small blocks may pad more, see :func:`_buckets`), and max is exact,
 so the result equals ``reduceat`` bit for bit.  The layout and the
-per-pin scratch buffers are pure functions of the immutable topology
-and are cached on the netlist.  ``tests/oracle.py`` keeps the
-straight-line ``reduceat`` form, and the tests pin this module to it
-at ``atol=0``.
+per-pin scratch buffers are pure functions of the immutable topology;
+the all-nets layout of the last topology used is cached process-wide
+(netlist copies share their topology arrays, so they share it too).
+``tests/oracle.py`` keeps the straight-line ``reduceat`` form, and the
+tests pin this module to it at ``atol=0``.  :meth:`_WALayout.hpwl`
+reads the same bucket maxima for the exact HPWL: ``max - min`` of a
+row is ``mx[x] + mx[-x]``.
 
 The placer's objective, :class:`WAWirelength`, evaluates a layout
 built over the nets with at least one movable pin only.  A net whose
@@ -45,7 +48,8 @@ and nothing to any gradient that survives the fixed-cell mask, and
 every movable cell's pins belong to kept nets, so the per-cell
 gradients are the all-nets ones bit for bit.  On a mostly frozen
 design (an ECO re-place) the evaluation scales with the movable part.
-:func:`wa_wirelength_and_grad` keeps the all-nets value.
+:func:`wa_wirelength_and_grad` keeps the all-nets value.  When every
+net has a movable pin the two layouts are one object.
 """
 
 from __future__ import annotations
@@ -73,8 +77,9 @@ class _WALayout:
     flat ``(4, m)`` index of row ``r`` of the ``d``-th pin of net
     ``lo + k``, its last pin repeated past its width.  Segments follow
     ``reduceat`` semantics on the clamped starts (an empty trailing net
-    reads one pin of its predecessor), so the reduction equals
-    ``reduceat`` bit for bit.
+    reads one pin of its predecessor, which loses its last pin), so the
+    reduction equals ``reduceat`` bit for bit.  ``tail_rank`` is the
+    rank of that shortened net, or None.
     """
 
     def __init__(self, netlist: Netlist, net_mask: np.ndarray | None = None) -> None:
@@ -126,6 +131,12 @@ class _WALayout:
         self.seg4 = np.concatenate([seg_rank + r * n for r in range(4)])
         self.valid_rank = (degrees >= 2)[by_width]
         self.valid_seg = self.valid_rank[seg_rank]
+        nonempty = np.flatnonzero(degrees)
+        self.tail_rank = (
+            int(self.rank[nonempty[-1]])
+            if len(nonempty) and degrees[-1] == 0
+            else None
+        )
         # net-sorted cells and offsets, and the way back to pin order
         self.cell_sorted = self.pin_cell[order]
         self.offset_sorted = np.stack(
@@ -140,12 +151,19 @@ class _WALayout:
         # per-row scratch: coordinates, shifted exps and the gradient
         self.c, self.a, self.t = (np.empty((4, m)) for _ in range(3))
 
-    @classmethod
-    def movable(cls, netlist: Netlist) -> "_WALayout":
-        """Layout over the nets with at least one pin on a movable cell."""
-        net_mask = np.zeros(netlist.n_nets, dtype=bool)
-        net_mask[netlist.pin_net[netlist.movable[netlist.pin_cell]]] = True
-        return cls(netlist, net_mask)
+    def coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Net-sorted pin coordinates at cell centers ``x``/``y``.
+
+        Fills and returns the ``(4, m)`` scratch ``c`` with the rows
+        ``x, y, -x, -y``; pin coordinates are
+        :meth:`Netlist.pin_positions`' sums.
+        """
+        c = self.c
+        np.take(x, self.cell_sorted, out=c[0])
+        np.take(y, self.cell_sorted, out=c[1])
+        np.add(c[:2], self.offset_sorted, out=c[:2])
+        np.negative(c[:2], out=c[2:])
+        return c
 
     def segment_max(self, c: np.ndarray) -> np.ndarray:
         """Per-net, per-row max of the net-sorted ``(4, m)`` ``c``, by rank."""
@@ -154,6 +172,25 @@ class _WALayout:
         for lo, hi, pad in self.buckets:
             np.maximum.reduce(np.take(flat, pad), axis=0, out=mx[:, lo:hi])
         return mx
+
+    def hpwl(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Exact per-net HPWL at cell centers ``x``/``y``, in net order.
+
+        Each net's span is its full pin set (the trailing-empty-net
+        shortening of :meth:`segment_max` is undone with one more max),
+        and ``max - min = mx[x] + mx[-x]`` exactly.  Nets with fewer
+        than two pins yield zero.
+        """
+        if self.m == 0:
+            return np.zeros(self.n_nets)
+        c = self.coords(x, y)
+        mx = self.segment_max(c)
+        if self.tail_rank is not None:
+            k = self.tail_rank
+            np.maximum(mx[:, k], c[:, -1], out=mx[:, k])
+        span = mx[:2] + mx[2:]
+        wl = np.where(self.valid_rank, span[0] + span[1], 0.0)
+        return np.take(wl, self.rank)
 
 
 #: a bucket may pad this many entries per row beyond twice its pins:
@@ -181,31 +218,55 @@ def _buckets(ranked_width: np.ndarray) -> list:
     return out
 
 
-def _wa_structure(netlist: Netlist) -> _WALayout:
-    """The netlist's all-nets :class:`_WALayout`, built once and cached on it.
+#: ``[topology arrays, layout]`` of the last all-nets layout built
+_ALL_NETS: list = []
 
-    Topology is immutable and :meth:`Netlist.copy` creates a fresh
-    object, which rebuilds the cache.
+
+def _topology(netlist: Netlist) -> tuple:
+    """The arrays an all-nets :class:`_WALayout` is a function of."""
+    return (
+        netlist.pin_cell,
+        netlist.pin_net,
+        netlist.pin_offset_x,
+        netlist.pin_offset_y,
+        netlist.net_pin_order,
+        netlist.net_pin_starts,
+        netlist.cell_width,
+    )
+
+
+def _wa_structure(netlist: Netlist) -> _WALayout:
+    """The all-nets :class:`_WALayout` of ``netlist``'s topology.
+
+    One layout is cached process-wide, keyed on the identity of the
+    topology arrays: :meth:`Netlist.copy` shares them, so a flow's
+    copies of one design reuse it, while a design loaded anew (an ECO
+    edit) replaces it instead of piling up one per netlist.  Topology
+    is immutable; arrays edited in place are not seen.
     """
-    cache = getattr(netlist, "_wa_structure_cache", None)
-    if cache is None:
-        cache = netlist._wa_structure_cache = _WALayout(netlist)
-    return cache
+    key = _topology(netlist)
+    if not _ALL_NETS or any(a is not b for a, b in zip(_ALL_NETS[0], key)):
+        _ALL_NETS[:] = [key, _WALayout(netlist)]
+    return _ALL_NETS[1]
 
 
 def _movable_structure(netlist: Netlist) -> _WALayout:
-    """The netlist's :meth:`_WALayout.movable`, cached on it.
+    """The layout over the nets with a pin on a movable cell, cached on it.
 
-    Every placer on one netlist shares the layout.  It is rebuilt when
-    the ``cell_fixed`` array is replaced (an ECO freeze assigns a new
-    mask to a :meth:`Netlist.copy`); a mask edited in place is not seen.
+    It is :func:`_wa_structure`'s layout itself when every net has a
+    movable pin.  Every placer on one netlist shares the layout.  It is
+    rebuilt when the ``cell_fixed`` array is replaced (an ECO freeze
+    assigns a new mask to a :meth:`Netlist.copy`); a mask edited in
+    place is not seen.
     """
     cache = getattr(netlist, "_wa_movable_cache", None)
     if cache is None or cache[0] is not netlist.cell_fixed:
-        cache = netlist._wa_movable_cache = (
-            netlist.cell_fixed,
-            _WALayout.movable(netlist),
+        net_mask = np.zeros(netlist.n_nets, dtype=bool)
+        net_mask[netlist.pin_net[netlist.movable[netlist.pin_cell]]] = True
+        layout = (
+            _wa_structure(netlist) if net_mask.all() else _WALayout(netlist, net_mask)
         )
+        cache = netlist._wa_movable_cache = (netlist.cell_fixed, layout)
     return cache[1]
 
 
@@ -229,11 +290,7 @@ def _wa_axes(
     if m == 0:
         return np.zeros((2, n)), np.zeros((2, 0))
     seg4 = layout.seg4
-    c = layout.c
-    np.take(x, layout.cell_sorted, out=c[0])
-    np.take(y, layout.cell_sorted, out=c[1])
-    np.add(c[:2], layout.offset_sorted, out=c[:2])
-    np.negative(c[:2], out=c[2:])
+    c = layout.coords(x, y)
     mx = layout.segment_max(c)
 
     # a = exp((c - mx[seg]) / gamma): rows 2-3 are the b_i of x and y

@@ -16,6 +16,15 @@ cells with a movable pin.  :func:`all_nets_passes` swaps them in where
 the placer and the RD congestion closure look them up, so a whole GP
 run can be compared position for position.
 
+The GP iteration itself has *per-call* oracles: the rasterizer rebuilt
+at every solve (:class:`CellRasterizer`), the potential and three
+separate gathers every solve (:func:`electrostatic_solve`), the density
+inputs recomputed every call, the ``reduceat`` HPWL
+(:func:`hpwl_per_net`) and the unpack-clamp-pack projection
+(:func:`load`, :func:`project`).  :func:`per_call_iteration` swaps them
+in, so a GP run with those per-run caches can be compared with one
+without them.
+
 The routing oracle is a whole engine rather than a call-site swap:
 :func:`route_path` pattern-routes one segment into a
 :class:`~repro.route.patterns.RoutedPath`, and :func:`route_scalar`
@@ -34,13 +43,17 @@ decompose-all-then-filter form, into ``GlobalRouter``.
 from __future__ import annotations
 
 import contextlib
+import importlib
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
 
 from repro.core import netmove, rd_placer
 from repro.density import rasterize
+from repro.density.electrostatic import ElectrostaticSystem
 from repro.geometry import Grid2D
+from repro.place.global_placer import GlobalPlacer
 from repro.route.congestion import congestion_from_demand
 from repro.route.grid import RoutingGrid
 from repro.route.maze import maze_route
@@ -48,6 +61,9 @@ from repro.route.patterns import PatternRouter, RoutedPath, RoutedPathBatch
 from repro.route.router import GlobalRouter, RoutingResult
 from repro.wirelength import wa
 from repro.wirelength.wa import WAWirelength
+
+# the package re-exports the function ``hpwl`` under the module's name
+hpwl_module = importlib.import_module("repro.wirelength.hpwl")
 
 
 # ---------------------------------------------------------------- WA
@@ -102,6 +118,30 @@ def wa_axes(x, y, layout, gamma):
     return np.stack((wl_x, wl_y)), np.stack((grad_x, grad_y))
 
 
+def hpwl_per_net(netlist, net_weights=None):
+    """Per-net HPWL from four ``reduceat`` calls over the non-empty nets."""
+    if netlist.n_nets == 0:
+        return np.zeros(0, dtype=np.float64)
+    px, py = netlist.pin_positions()
+    order = netlist.net_pin_order
+    starts = netlist.net_pin_starts[:-1]
+    degrees = netlist.net_degrees()
+    ox = px[order]
+    oy = py[order]
+    # the non-empty nets' starts partition ``order`` exactly
+    wl = np.zeros(netlist.n_nets, dtype=np.float64)
+    nonempty = degrees > 0
+    if nonempty.any():
+        idx = starts[nonempty]
+        xspan = np.maximum.reduceat(ox, idx) - np.minimum.reduceat(ox, idx)
+        yspan = np.maximum.reduceat(oy, idx) - np.minimum.reduceat(oy, idx)
+        wl[nonempty] = xspan + yspan
+    wl[degrees < 2] = 0.0
+    if net_weights is not None:
+        wl = wl * net_weights
+    return wl
+
+
 # --------------------------------------------------------- rasterize
 def _overlap_1d(lo, hi, base, pitch, k0, offset):
     """Overlap length of [lo, hi] with bin (k0 + offset) along one axis."""
@@ -110,7 +150,7 @@ def _overlap_1d(lo, hi, base, pitch, k0, offset):
 
 
 def raster_overlaps(
-    ids, xlo, xhi, ylo, yhi, i0, j0, kx, ky, scale,
+    xlo, xhi, ylo, yhi, i0, j0, kx, ky, scale,
     base_x, base_y, dx, dy, nx, ny,
 ):
     """Chunked ``(di, dj)`` overlap loop of the small-cell raster set."""
@@ -124,8 +164,144 @@ def raster_overlaps(
             row = np.clip(j0 + dj, 0, ny - 1)
             idx_chunks.append(col * ny + row)
             w_chunks.append(lx * ly * scale)
-    cell_of_entry = np.tile(ids, kx * ky)
-    return np.concatenate(idx_chunks), np.concatenate(w_chunks), cell_of_entry
+    return np.concatenate(idx_chunks), np.concatenate(w_chunks)
+
+
+class CellRasterizer:
+    """The per-call rasterizer: every size and overlap rebuilt per position set.
+
+    Smoothing, charge scale, small/large split, the broadcast entries'
+    owning cells and the large cells' overlaps are all recomputed at
+    every construction and large-cell query; the small-cell overlaps
+    come from :func:`raster_overlaps`.
+    """
+
+    def __init__(self, grid, x, y, width, height, smooth=True):
+        self.grid = grid
+        self.n = len(x)
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        width = np.asarray(width, dtype=np.float64)
+        height = np.asarray(height, dtype=np.float64)
+        if smooth:
+            w_eff = np.maximum(width, rasterize._SQRT2 * grid.dx)
+            h_eff = np.maximum(height, rasterize._SQRT2 * grid.dy)
+        else:
+            w_eff = width
+            h_eff = height
+        area = width * height
+        eff_area = w_eff * h_eff
+        self._scale = np.where(eff_area > 0, area / np.maximum(eff_area, 1e-300), 0.0)
+        r = grid.region
+        xlo = np.clip(x - 0.5 * w_eff, r.xlo, r.xhi)
+        xhi = np.clip(x + 0.5 * w_eff, r.xlo, r.xhi)
+        ylo = np.clip(y - 0.5 * h_eff, r.ylo, r.yhi)
+        yhi = np.clip(y + 0.5 * h_eff, r.ylo, r.yhi)
+        self._xlo, self._xhi, self._ylo, self._yhi = xlo, xhi, ylo, yhi
+        eps = 1e-12
+        self._i0 = np.clip(((xlo - r.xlo) / grid.dx).astype(np.int64), 0, grid.nx - 1)
+        self._i1 = np.clip(
+            np.ceil((xhi - r.xlo) / grid.dx - eps).astype(np.int64) - 1, 0, grid.nx - 1
+        )
+        self._j0 = np.clip(((ylo - r.ylo) / grid.dy).astype(np.int64), 0, grid.ny - 1)
+        self._j1 = np.clip(
+            np.ceil((yhi - r.ylo) / grid.dy - eps).astype(np.int64) - 1, 0, grid.ny - 1
+        )
+        self._i1 = np.maximum(self._i1, self._i0)
+        self._j1 = np.maximum(self._j1, self._j0)
+        span_x = self._i1 - self._i0 + 1
+        span_y = self._j1 - self._j0 + 1
+        small = (span_x <= rasterize._MAX_VECTOR_SPAN) & (
+            span_y <= rasterize._MAX_VECTOR_SPAN
+        )
+        self._small_ids = np.flatnonzero(small)
+        self._large_ids = np.flatnonzero(~small)
+        ids = self._small_ids
+        if len(ids) == 0:
+            self._bin_idx = np.empty(0, dtype=np.int64)
+            self._weights = np.empty(0, dtype=np.float64)
+            return
+        kx = int((self._i1[ids] - self._i0[ids]).max()) + 1
+        ky = int((self._j1[ids] - self._j0[ids]).max()) + 1
+        self._bin_idx, self._weights = raster_overlaps(
+            xlo[ids], xhi[ids], ylo[ids], yhi[ids], self._i0[ids], self._j0[ids],
+            kx, ky, self._scale[ids], r.xlo, r.ylo, grid.dx, grid.dy,
+            grid.nx, grid.ny,
+        )
+        self._cell_of_entry = np.tile(ids, kx * ky)
+
+    def _cell_bin_overlaps(self, cid):
+        g = self.grid
+        i = np.arange(self._i0[cid], self._i1[cid] + 1)
+        j = np.arange(self._j0[cid], self._j1[cid] + 1)
+        lx = _overlap_1d(self._xlo[cid], self._xhi[cid], g.region.xlo, g.dx, i, 0)
+        ly = _overlap_1d(self._ylo[cid], self._yhi[cid], g.region.ylo, g.dy, j, 0)
+        return i, j, np.outer(lx, ly) * self._scale[cid]
+
+    def charge_map(self):
+        g = self.grid
+        flat = np.bincount(self._bin_idx, weights=self._weights, minlength=g.nx * g.ny)
+        out = flat.astype(np.float64, copy=False).reshape(g.nx, g.ny)
+        for cid in self._large_ids:
+            i, j, w = self._cell_bin_overlaps(cid)
+            out[np.ix_(i, j)] += w
+        return out
+
+    def gather(self, field):
+        if field.shape != self.grid.shape:
+            raise ValueError(f"field shape {field.shape} != grid {self.grid.shape}")
+        if len(self._bin_idx):
+            out = np.bincount(
+                self._cell_of_entry,
+                weights=self._weights * field.reshape(-1)[self._bin_idx],
+                minlength=self.n,
+            )
+        else:
+            out = np.zeros(self.n, dtype=np.float64)
+        for cid in self._large_ids:
+            i, j, w = self._cell_bin_overlaps(cid)
+            out[cid] = float((w * field[np.ix_(i, j)]).sum())
+        return out
+
+    def total_charge(self):
+        total = float(self._weights.sum())
+        for cid in self._large_ids:
+            total += float(self._cell_bin_overlaps(cid)[2].sum())
+        return total
+
+
+@dataclass
+class FieldSolution:
+    """Every output of one solve, the potential and energy included."""
+
+    density: np.ndarray
+    potential: np.ndarray
+    field_x: np.ndarray
+    field_y: np.ndarray
+    energy: float
+    grad_x: np.ndarray
+    grad_y: np.ndarray
+    overflow: float
+
+
+def electrostatic_solve(self, x, y, width, height):
+    """``ElectrostaticSystem.solve`` with a fresh rasterizer and three gathers.
+
+    The potential, its gather (the energy) and each field component's
+    gather are computed every call, on :class:`CellRasterizer` above
+    and the straight-line :func:`solve_poisson`.
+    """
+    raster = CellRasterizer(self.grid, x, y, width, height, smooth=True)
+    charge = raster.charge_map()
+    if self.static_charge is not None:
+        charge = charge + self.static_charge
+    density = charge / self.grid.bin_area
+    psi, ex, ey = solve_poisson(self.grid, density)
+    energy = 0.5 * float(raster.gather(psi).sum())
+    grad_x = -raster.gather(ex)
+    grad_y = -raster.gather(ey)
+    overflow = self.overflow(density, movable_area=float(raster.total_charge()))
+    return FieldSolution(density, psi, ex, ey, energy, grad_x, grad_y, overflow)
 
 
 # ----------------------------------------------------------- netmove
@@ -618,6 +794,51 @@ def band_overlaps(netlist, tolerance=1e-6):
     return found
 
 
+# -------------------------------------------------- placer iteration
+def density_inputs(self):
+    """``GlobalPlacer._density_inputs`` recomputed at every call."""
+    nl = self.netlist
+    ids = self.mv_ids
+    w = nl.cell_width[ids] * self.size_scale[ids]
+    h = nl.cell_height[ids] * self.size_scale[ids]
+    shrink = self._filler_compensation(float((w * h).sum()))
+    w = np.concatenate([w, self.filler_w * shrink])
+    h = np.concatenate([h, self.filler_h * shrink])
+    extra = self.extra_static_charge
+    static = self.fixed_charge if extra is None else self.fixed_charge + extra
+    return w, h, static
+
+
+def load(self, pos):
+    """Unpack ``pos`` into the netlist and the fillers, then clamp both.
+
+    The fillers become views of ``pos``, clipped in place; the cells are
+    clamped by :meth:`Netlist.clamp_to_die`.
+    """
+    n, m = self.n_mv, self.n_fill
+    nl = self.netlist
+    nl.x[self.mv_ids] = pos[:n]
+    self.filler_x = pos[n : n + m]
+    nl.y[self.mv_ids] = pos[n + m : 2 * n + m]
+    self.filler_y = pos[2 * n + m :]
+    nl.clamp_to_die()
+    if self.n_fill:
+        die = nl.die
+        np.clip(self.filler_x, die.xlo + self.filler_w / 2,
+                die.xhi - self.filler_w / 2, out=self.filler_x)
+        np.clip(self.filler_y, die.ylo + self.filler_h / 2,
+                die.yhi - self.filler_h / 2, out=self.filler_y)
+
+
+def project(self):
+    """Project ``v`` then ``u`` by unpack-clamp-pack round trips."""
+    opt = self._optimizer
+    load(self, opt.v)
+    opt.v = self._pack()
+    load(self, opt.u)
+    opt.u = self._pack()
+
+
 # ------------------------------------------------------------- swap
 #: (owner, attribute, oracle) for every hot kernel's call site.
 CALL_SITES = (
@@ -636,6 +857,16 @@ ALL_NETS_SITES = (
     (WAWirelength, "__call__", wa_call),
     (rd_placer, "two_pin_net_gradients", two_pin_net_gradients),
     (rd_placer, "multi_pin_cell_gradients", multi_pin_cell_gradients),
+)
+
+
+#: (owner, attribute, oracle) of the GP iteration's per-call forms
+PER_CALL_SITES = (
+    (ElectrostaticSystem, "solve", electrostatic_solve),
+    (hpwl_module, "hpwl_per_net", hpwl_per_net),
+    (GlobalPlacer, "_density_inputs", density_inputs),
+    (GlobalPlacer, "_load", load),
+    (GlobalPlacer, "_project", project),
 )
 
 
@@ -660,6 +891,15 @@ def oracle_kernels():
 def all_nets_passes():
     """Run WA, Alg. 1 and Alg. 2 over every net and cell inside the block."""
     return _swapped(ALL_NETS_SITES)
+
+
+def per_call_iteration():
+    """Run the GP iteration on its per-call forms inside the block.
+
+    Density inputs, rasterizer, potential, three gathers, ``reduceat``
+    HPWL and the pack/unpack projection are all rebuilt every call.
+    """
+    return _swapped(PER_CALL_SITES)
 
 
 def per_net_decomposition():

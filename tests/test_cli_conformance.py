@@ -147,6 +147,21 @@ class TestCliConformance:
         for name in ("placed.bl", "metrics.jsonl"):
             assert read(api / name) == read(cli / name), name
 
+    def test_checkpoint_without_routability_is_rejected(self, tmp_path):
+        """The wirelength-only recipe writes no snapshot: exit 2, no file."""
+        design = make_design(tmp_path / "design.bl", n_cells=60, seed=2)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "place", design, "--iters", "5",
+             "--checkpoint", "ck.npz", "--out", "placed.bl"],
+            cwd=str(tmp_path), env=env, capture_output=True, text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 2
+        assert "--checkpoint requires --routability" in proc.stderr
+        assert not (tmp_path / "ck.npz").exists()
+        assert not (tmp_path / "placed.bl").exists()
+
     def test_eco_compare_is_full_replace(self, tmp_path):
         design = make_design(tmp_path / "design.bl", n_cells=150, seed=2)
         base = tmp_path / "base.bl"

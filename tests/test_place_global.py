@@ -83,7 +83,9 @@ class TestPlacerRun:
         initial_placement(toy120, 0)
         gp = GlobalPlacer(toy120, GPConfig(max_iters=20))
         hist = gp.run()
-        assert {"hpwl", "overflow", "energy", "step", "grad_norm"} <= set(hist.records[0])
+        assert {"hpwl", "overflow", "step", "grad_norm"} <= set(hist.records[0])
+        # the potential is computed on demand only; the GP never reads it
+        assert "energy" not in hist.records[0]
         assert len(hist) == 20 or hist.final["overflow"] <= 0.07
 
     def test_fixed_cells_never_move(self, toy120):

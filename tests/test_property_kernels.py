@@ -17,7 +17,12 @@ sensitive to:
   search and zero-length two-pin routes;
 * **random congestion maps** — arbitrary per-bin values (and therefore
   arbitrary arg-max ties) for the net-moving gradients and the
-  batched router's bend choice.
+  batched router's bend choice;
+* **empty nets, a trailing empty net and duplicate pins** — the HPWL
+  spans read from the WA buckets, whose clamped segments shorten the
+  net before a trailing empty one;
+* **a rasterizer moved between position sets** — including a wide cell
+  whose boundary clipping moves it between the small and large paths.
 
 Every call site must match the oracle bit for bit.
 """
@@ -25,7 +30,7 @@ Every call site must match the oracle bit for bit.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.congestion_field import CongestionField
@@ -39,7 +44,9 @@ from repro.density.rasterize import CellRasterizer
 from repro.geometry import Grid2D, Rect
 from repro.netlist import CellSpec, Netlist, NetSpec, PinSpec
 from repro.route import GlobalRouter, RouterConfig
+from repro.wirelength import hpwl, hpwl_per_net
 from repro.wirelength.wa import wa_wirelength_and_grad
+from tests import oracle
 from tests.oracle import oracle_kernels
 from tests.test_kernel_backends import _assert_match
 
@@ -85,6 +92,35 @@ gammas = st.floats(0.05, 8.0, allow_nan=False)
 map_seeds = st.integers(0, 2**32 - 1)
 
 
+#: nets as lists of ``(cell, pin offset)``; degrees 0-5, so empty,
+#: single-pin and duplicate-pin nets all occur
+pin_lists = st.lists(
+    st.lists(
+        st.tuples(st.integers(0, 7), st.sampled_from([0.0, 0.125, -0.25])),
+        max_size=5,
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _net_scene(positions, nets, trailing_empty):
+    """Eight cells and the given nets, optionally plus an empty last net."""
+    die = Rect(0.0, 0.0, 12.0, 12.0)
+    cells = [
+        CellSpec(f"c{k}", 0.75, 0.5,
+                 x=13.0 * positions[2 * k] - 0.5, y=13.0 * positions[2 * k + 1] - 0.5)
+        for k in range(8)
+    ]
+    specs = [
+        NetSpec(f"n{i}", [PinSpec(f"c{c}", off, -off) for c, off in pins])
+        for i, pins in enumerate(nets)
+    ]
+    if trailing_empty:
+        specs.append(NetSpec("tail", []))
+    return Netlist.from_specs("hpwl", die, cells, specs)
+
+
 def _congestion_scene(positions, fixed_mask, map_seed):
     """Scene plus a 12x12 grid, a random congestion map and its field."""
     netlist, die = _scene(positions, fixed_mask)
@@ -121,6 +157,56 @@ class TestOracleAgrees:
         raster = CellRasterizer(*args)
         _assert_match(raster.charge_map(), ref_charge, "charge")
         _assert_match(raster.gather(field), ref_gather, "gather")
+
+    @given(
+        first=coords16,
+        second=coords16,
+        wide=st.floats(0.25, 9.0, allow_nan=False),
+        field_seed=map_seeds,
+    )
+    # the wide cell is large at the center and small clipped at the corner
+    @example(first=[0.5] * 16, second=[0.0] * 16, wide=8.0, field_seed=1)
+    @settings(max_examples=30, deadline=None)
+    def test_moved_rasterizer(self, first, second, wide, field_seed):
+        """``move_to`` equals the per-call rasterizer built at the new centers."""
+        grid = Grid2D(Rect(0.0, 0.0, 12.0, 12.0), 12, 12)
+        w = np.array([0.75] * 7 + [wide])
+        h = np.array([0.5] * 7 + [0.8 * wide])
+        xa, ya = (13.0 * np.array(first[k::2]) - 0.5 for k in (0, 1))
+        xb, yb = (13.0 * np.array(second[k::2]) - 0.5 for k in (0, 1))
+        fx, fy = np.random.default_rng(field_seed).normal(size=(2, *grid.shape))
+        raster = CellRasterizer(grid, xa, ya, w, h)
+        for x, y in ((xa, ya), (xb, yb)):
+            raster.move_to(x, y)
+            ref = oracle.CellRasterizer(grid, x, y, w, h)
+            _assert_match(raster.charge_map(), ref.charge_map(), "charge")
+            _assert_match(raster.gather(fx), ref.gather(fx), "gather")
+            both = raster.gather_xy(fx, fy)
+            _assert_match(both[0], ref.gather(fx), "gather_xy x")
+            _assert_match(both[1], ref.gather(fy), "gather_xy y")
+            assert raster.total_charge() == ref.total_charge()
+
+    @given(
+        positions=coords16,
+        nets=pin_lists,
+        trailing_empty=st.booleans(),
+        weight_seed=map_seeds,
+    )
+    @example(
+        positions=[0.5] * 16,
+        nets=[[(0, 0.0), (1, 0.125)], [], [(2, 0.0)], [(3, 0.0), (3, 0.0), (4, -0.25)]],
+        trailing_empty=True,
+        weight_seed=0,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_hpwl(self, positions, nets, trailing_empty, weight_seed):
+        """HPWL from the WA buckets equals the ``reduceat`` form."""
+        netlist = _net_scene(positions, nets, trailing_empty)
+        weights = np.random.default_rng(weight_seed).uniform(0.5, 2.0, netlist.n_nets)
+        for w in (None, weights):
+            ref = oracle.hpwl_per_net(netlist, w)
+            _assert_match(hpwl_per_net(netlist, w), ref, "hpwl_per_net")
+            assert hpwl(netlist, w) == float(ref.sum())
 
     @given(positions=coords16, fixed_mask=fixed8, map_seed=map_seeds)
     @settings(max_examples=30, deadline=None)

@@ -157,10 +157,14 @@ def eco_placer(placed_design):
     routing = rd.router.route(frozen)
     fld = CongestionField(rd.gp.grid, routing.utilization_map)
     rd.gp.extra_grad_fn = rd._make_congestion_grad(fld, routing.congestion_map)
-    return rd.gp
+    # the closure serves only while its RD placer lives, so keep the RD
+    # placer, not just its GlobalPlacer
+    return rd
 
 
 def test_one_eco_placer_iteration(benchmark, eco_placer):
     benchmark.pedantic(
-        lambda: eco_placer.run(max_iters=1, min_iters=1), iterations=1, rounds=5
+        lambda: eco_placer.gp.run(max_iters=1, min_iters=1),
+        iterations=1,
+        rounds=5,
     )

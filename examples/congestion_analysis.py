@@ -10,7 +10,7 @@ Run:  python examples/congestion_analysis.py
 
 import numpy as np
 
-from repro.place import GlobalPlacer, GPConfig, converge_placement, initial_placement
+from repro.place import GPConfig, converge_placement, initial_placement, placement_grid
 from repro.route import GlobalRouter, rudy_map
 from repro.synth import suite_design
 
@@ -20,12 +20,12 @@ def main() -> None:
     initial_placement(netlist, 0)
     converge_placement(netlist, GPConfig(max_iters=600), max_batches=3)
 
-    placer = GlobalPlacer(netlist, GPConfig())
-    routed = GlobalRouter(placer.grid).route(netlist)
+    grid = placement_grid(netlist)
+    routed = GlobalRouter(grid).route(netlist)
 
     util = routed.utilization_map
     cong = routed.congestion_map
-    rudy = rudy_map(netlist, placer.grid)
+    rudy = rudy_map(netlist, grid)
     rudy_norm = rudy / max(rudy.max(), 1e-12)
 
     print(f"router: mean util {util.mean():.3f}, max {util.max():.2f}, "
@@ -47,7 +47,7 @@ def main() -> None:
     scale = util.mean() / max(rudy_norm.mean(), 1e-12)
     diff = rudy_norm * scale - util
     i, j = np.unravel_index(np.argmax(diff), diff.shape)
-    cx, cy = placer.grid.center_of(i, j)
+    cx, cy = grid.center_of(i, j)
     print(f"largest RUDY over-estimate at G-cell ({i},{j}) ~ ({cx:.1f},{cy:.1f}): "
           f"rudy_scaled={rudy_norm[i, j] * scale:.2f} vs routed={util[i, j]:.2f}")
     print("(bounding boxes spread demand over regions the router never uses)")

@@ -20,7 +20,7 @@ from repro.synth import suite_design
 
 def report(label: str, netlist, grid, eval_cfg) -> None:
     routed = GlobalRouter(grid, eval_cfg.router).route(netlist)
-    rep = pin_access_violations(netlist, grid, routed.utilization_map, eval_cfg)
+    rep = pin_access_violations(netlist, grid, routed.utilization_map)
     print(
         f"{label:22s} pins under rails: {rep.n_covered_pins:5d}  "
         f"expected access DRVs: {rep.covered_pin_drvs:7.1f}  "

@@ -246,17 +246,19 @@ def _cmd_eco(args: argparse.Namespace) -> int:
 def _cmd_route(args: argparse.Namespace) -> int:
     """One routing pass on the auto (or ``--grid``) G-cell grid."""
     from repro.geometry import Grid2D
-    from repro.place.config import auto_grid_dim
+    from repro.place.config import placement_grid
     from repro.route import GlobalRouter, RouterConfig
     from repro.utils.profile import StageProfiler
 
     netlist = _load_validated(args.input)
-    dim = args.grid or auto_grid_dim(netlist.n_cells)
+    if args.grid:
+        grid = Grid2D(netlist.die, args.grid, args.grid)
+    else:
+        grid = placement_grid(netlist)
     profiler = StageProfiler()
     metrics, finish_metrics = _open_metrics(args, profiler)
     result = GlobalRouter(
-        Grid2D(netlist.die, dim, dim), RouterConfig(),
-        profiler=profiler, metrics=metrics,
+        grid, RouterConfig(), profiler=profiler, metrics=metrics,
     ).route(netlist)
     report = finish_metrics()
     util = result.utilization_map
@@ -289,14 +291,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    from repro.geometry import Grid2D
-    from repro.place.config import auto_grid_dim
+    from repro.place.config import placement_grid
     from repro.route import GlobalRouter, RouterConfig
     from repro.viz import save_heatmap_ppm, save_placement_svg
 
     netlist = _load_validated(args.input)
-    dim = auto_grid_dim(netlist.n_cells)
-    grid = Grid2D(netlist.die, dim, dim)
+    grid = placement_grid(netlist)
     result = GlobalRouter(grid, RouterConfig()).route(netlist)
     svg_path = args.prefix + "_placement.svg"
     ppm_path = args.prefix + "_congestion.ppm"

@@ -39,6 +39,7 @@ The loop never returns garbage and never dies mid-flow:
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -66,6 +67,10 @@ from repro.utils.profile import StageProfiler
 from repro.wirelength.hpwl import hpwl as hpwl_of
 
 logger = get_logger("core.rd_placer")
+
+#: Consecutive failed (rolled-back) rounds tolerated before the loop
+#: gives up and returns the best snapshot.
+MAX_ROUND_FAILURES = 2
 
 
 def design_fingerprint(netlist: Netlist) -> dict:
@@ -105,9 +110,6 @@ class RDConfig:
     # negligible: there is nothing to mitigate, and perturbing a
     # converged placement can only hurt
     stop_mean_congestion: float = 1e-3
-    # consecutive failed (rolled-back) rounds tolerated before the
-    # loop gives up and returns the best snapshot
-    max_round_failures: int = 2
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
@@ -118,8 +120,6 @@ class RDConfig:
             raise ValueError(f"unknown inflation_mode {self.inflation_mode!r}")
         if self.pg_mode not in ("dynamic", "static", "off"):
             raise ValueError(f"unknown pg_mode {self.pg_mode!r}")
-        if self.max_round_failures < 1:
-            raise ValueError("max_round_failures must be >= 1")
 
     @property
     def enable_mci(self) -> bool:
@@ -298,7 +298,7 @@ class RoutabilityDrivenPlacer:
             except Exception as exc:  # noqa: BLE001 — rollback, don't die
                 failures += 1
                 self._rollback_round(state, round_id, exc)
-                if failures >= cfg.max_round_failures:
+                if failures >= MAX_ROUND_FAILURES:
                     logger.error(
                         "%d consecutive failed rounds; returning best snapshot",
                         failures,
@@ -685,6 +685,12 @@ class RoutabilityDrivenPlacer:
         with a movable endpoint and the movable multi-pin candidates
         are found once here, so each iteration touches only what can
         move.
+
+        The closure refers to this placer weakly, so it serves only
+        while the placer lives: the placer owns ``gp``, which owns the
+        closure, and a strong reference would make the three a
+        reference cycle that outlives the flow until the cyclic
+        collector runs.
         """
         nl = self.netlist
         grid = self.gp.grid
@@ -692,27 +698,28 @@ class RoutabilityDrivenPlacer:
         n_congested = count_cells_in_congestion(nl, grid, c_map)
         two_pin = TwoPinNets(nl)
         candidates = multi_pin_candidates(nl)
+        rd = weakref.proxy(self)
 
         def _grad() -> tuple[np.ndarray, np.ndarray]:
             net_gx, net_gy, _ = two_pin_net_gradients(
-                nl, grid, c_map, fld, self.virtual_area, cfg.netmove, two_pin
+                nl, grid, c_map, fld, rd.virtual_area, cfg.netmove, two_pin
             )
             cell_gx, cell_gy, _ = multi_pin_cell_gradients(
                 nl, grid, c_map, fld, cfg.multipin_threshold, candidates
             )
-            self.last_netmove_l1 = float(
+            rd.last_netmove_l1 = float(
                 np.abs(net_gx).sum() + np.abs(net_gy).sum()
             )
-            self.last_multipin_l1 = float(
+            rd.last_multipin_l1 = float(
                 np.abs(cell_gx).sum() + np.abs(cell_gy).sum()
             )
             gx = net_gx + cell_gx
             gy = net_gy + cell_gy
             l1 = float(np.abs(gx).sum() + np.abs(gy).sum())
             lam2 = congestion_penalty_weight(
-                self.gp.last_wl_grad_l1, l1, n_congested, nl.n_cells
+                rd.gp.last_wl_grad_l1, l1, n_congested, nl.n_cells
             )
-            self.last_lambda2 = lam2
+            rd.last_lambda2 = lam2
             if CONTRACTS.enabled:
                 # Eq. (10) weight: finite and non-negative by
                 # construction of congestion_penalty_weight

@@ -86,7 +86,7 @@ def _knob_table() -> dict:
         Knob("gp.seed", "gp", "seed", "int",
              "RNG seed for the initial placement spread"),
         Knob("inflation.alpha", "inflation", "alpha", "float",
-             "MCI inflation exponent alpha (Eq. 11)"),
+             "MCI momentum coefficient alpha (Eq. 11)"),
         Knob("inflation.r_min", "inflation", "r_min", "float",
              "Inflation-ratio lower clamp (deflation floor, Eq. 12)"),
         Knob("inflation.r_max", "inflation", "r_max", "float",
@@ -107,7 +107,8 @@ def _knob_table() -> dict:
              "Inflation accumulation mode",
              choices=("momentum", "present", "off")),
         Knob("rd.pg_mode", "rd", "pg_mode", "str",
-             "Pseudo-gradient weighting mode", choices=("dynamic", "static")),
+             "PG-rail density mode of DPA (Eq. 14)",
+             choices=("dynamic", "static")),
         Knob("rd.enable_dc", "rd", "enable_dc", "bool",
              "Enable differentiable-congestion gradients"),
         Knob("router.rrr_rounds", "router", "rrr_rounds", "int",

@@ -61,7 +61,7 @@ from repro.eco.warm import (
 from repro.geometry.grid import Grid2D
 from repro.legalize.api import check_legal
 from repro.netlist.netlist import Netlist
-from repro.place.config import auto_grid_dim
+from repro.place.config import placement_grid
 from repro.route.router import DemandSnapshot, GlobalRouter, RoutingResult
 from repro.utils.logging import get_logger
 from repro.utils.metrics import NULL
@@ -124,13 +124,6 @@ class _PartialRouter:
         )
 
 
-def _flow_grid(netlist: Netlist, cfg: RDConfig) -> Grid2D:
-    """The G-cell grid the RD flow will use (same rule as GlobalPlacer)."""
-    nx = cfg.gp.grid_nx or auto_grid_dim(netlist.n_cells)
-    ny = cfg.gp.grid_ny or auto_grid_dim(netlist.n_cells)
-    return Grid2D(netlist.die, nx, ny)
-
-
 def _finish(
     netlist: Netlist,
     frozen: Netlist,
@@ -185,7 +178,7 @@ def eco_place(
         metrics.emit("eco.diff", **diff.summary())
     logger.info("netlist diff: %s", diff.summary())
 
-    grid = _flow_grid(new, cfg.rd)
+    grid = placement_grid(new)
 
     # ------------------------------------------------------------------
     # warm start through the diff
@@ -304,7 +297,7 @@ def full_replace(
     """
     flow = run_flow("Ours", netlist, rd, profiler=profiler)
     routing = GlobalRouter(
-        _flow_grid(netlist, rd), rd.router, profiler=profiler
+        placement_grid(netlist), rd.router, profiler=profiler
     ).route(flow.netlist)
     return {
         "hpwl": float(hpwl(flow.netlist)),

@@ -23,37 +23,15 @@ class EvalConfig:
         grid dimension (finer grid = closer to detailed routing).
     router:
         Router settings for the evaluation pass.
-    overflow_drv_weight:
-        DRVs charged per unit of *squared* per-G-cell wire overflow
-        (shorts / spacing violations grow superlinearly with depth).
-    covered_pin_drv_weight:
-        DRVs charged per expected pin-access failure under PG rails.
-    crowding_drv_weight:
-        DRVs charged per pin beyond the accessible-pin budget of a
-        G-cell.
-    rail_margin_fraction:
-        Vertical margin (fraction of row height) around a rail within
-        which a pin counts as covered by the rail.
-    access_util_floor:
-        Utilization below which a covered pin is assumed routable;
-        failure probability ramps linearly from this floor to 1.0 at
-        ``access_util_ceil``.
-    pin_budget_per_area:
-        Accessible pins per unit area of a G-cell (track-limited).
+
+    The ``#DRVs`` weights are module constants of
+    :mod:`repro.evalrt.evaluator`, the pin-access model's thresholds
+    those of :mod:`repro.evalrt.pinaccess`.
     """
 
     grid_dim_factor: int = 2
     router: RouterConfig = field(default_factory=_default_eval_router)
-    overflow_drv_weight: float = 1.0
-    covered_pin_drv_weight: float = 3.0
-    crowding_drv_weight: float = 0.5
-    rail_margin_fraction: float = 0.2
-    access_util_floor: float = 0.5
-    access_util_ceil: float = 1.2
-    pin_budget_per_area: float = 4.0
 
     def __post_init__(self) -> None:
         if self.grid_dim_factor < 1:
             raise ValueError("grid_dim_factor must be >= 1")
-        if self.access_util_ceil <= self.access_util_floor:
-            raise ValueError("access_util_ceil must exceed access_util_floor")

@@ -14,6 +14,14 @@ from repro.netlist.netlist import Netlist
 from repro.place.config import auto_grid_dim
 from repro.route.router import GlobalRouter, RoutingResult
 
+#: DRVs charged per unit of *squared* per-G-cell wire overflow (shorts /
+#: spacing violations grow superlinearly with depth).
+OVERFLOW_DRV_WEIGHT = 1.0
+#: DRVs charged per expected pin-access failure under PG rails.
+COVERED_PIN_DRV_WEIGHT = 3.0
+#: DRVs charged per pin beyond the accessible-pin budget of a G-cell.
+CROWDING_DRV_WEIGHT = 0.5
+
 
 @dataclass
 class RoutingEvaluation:
@@ -62,7 +70,7 @@ def evaluate_routing(
     router = GlobalRouter(grid, cfg.router)
     routing = router.route(netlist)
     util = routing.utilization_map
-    pin_report = pin_access_violations(netlist, grid, util, cfg)
+    pin_report = pin_access_violations(netlist, grid, util)
     routing_time = time.perf_counter() - t0
 
     # violations scale superlinearly with overflow depth: a G-cell
@@ -72,13 +80,13 @@ def evaluate_routing(
     rgrid = routing.grid
     h_over = np.maximum(rgrid.h_demand - rgrid.h_cap, 0.0)
     v_over = np.maximum(rgrid.v_demand - rgrid.v_cap, 0.0)
-    overflow_drvs = cfg.overflow_drv_weight * float(
+    overflow_drvs = OVERFLOW_DRV_WEIGHT * float(
         (h_over**2).sum() + (v_over**2).sum()
     )
     n_drvs = (
         overflow_drvs
-        + cfg.covered_pin_drv_weight * pin_report.covered_pin_drvs
-        + cfg.crowding_drv_weight * pin_report.crowding_drvs
+        + COVERED_PIN_DRV_WEIGHT * pin_report.covered_pin_drvs
+        + CROWDING_DRV_WEIGHT * pin_report.crowding_drvs
     )
     return RoutingEvaluation(
         drwl=routing.wirelength,

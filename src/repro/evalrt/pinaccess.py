@@ -12,9 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.evalrt.config import EvalConfig
 from repro.geometry.grid import Grid2D
 from repro.netlist.netlist import Netlist
+
+#: Vertical margin (fraction of row height) around a rail within which
+#: a pin counts as covered by the rail.
+RAIL_MARGIN_FRACTION = 0.2
+#: Utilization below which a covered pin is assumed routable; failure
+#: probability ramps linearly from this floor to 1.0 at
+#: :data:`ACCESS_UTIL_CEIL`.
+ACCESS_UTIL_FLOOR = 0.5
+ACCESS_UTIL_CEIL = 1.2
+#: Accessible pins per unit area of a G-cell (track-limited).
+PIN_BUDGET_PER_AREA = 4.0
 
 
 @dataclass
@@ -41,7 +51,7 @@ def _covered_mask_1d(coords: np.ndarray, bands: list) -> np.ndarray:
 
 
 def pins_under_rails(
-    netlist: Netlist, margin_fraction: float = 0.2
+    netlist: Netlist, margin_fraction: float = RAIL_MARGIN_FRACTION
 ) -> np.ndarray:
     """Boolean mask over pins: within a PG-rail band (plus margin)."""
     px, py = netlist.pin_positions()
@@ -78,7 +88,6 @@ def pin_access_violations(
     netlist: Netlist,
     grid: Grid2D,
     utilization: np.ndarray,
-    config: EvalConfig | None = None,
 ) -> PinAccessReport:
     """Expected pin-access DRVs at the current placement.
 
@@ -87,16 +96,15 @@ def pin_access_violations(
     utilization:
         Routed utilization map (``Dmd/Cap``) on ``grid``.
     """
-    cfg = config or EvalConfig()
     px, py = netlist.pin_positions()
     if len(px) == 0:
         return PinAccessReport(0.0, 0.0, 0)
     i, j = grid.index_of(px, py)
     util_at_pin = utilization[i, j]
 
-    covered = pins_under_rails(netlist, cfg.rail_margin_fraction)
-    ramp = (util_at_pin - cfg.access_util_floor) / (
-        cfg.access_util_ceil - cfg.access_util_floor
+    covered = pins_under_rails(netlist)
+    ramp = (util_at_pin - ACCESS_UTIL_FLOOR) / (
+        ACCESS_UTIL_CEIL - ACCESS_UTIL_FLOOR
     )
     fail_prob = np.clip(ramp, 0.0, 1.0)
     covered_drvs = float(fail_prob[covered].sum())
@@ -105,7 +113,7 @@ def pin_access_violations(
     flat = np.bincount(i * grid.ny + j, minlength=grid.nx * grid.ny).astype(
         np.float64
     )
-    budget = cfg.pin_budget_per_area * grid.bin_area
+    budget = PIN_BUDGET_PER_AREA * grid.bin_area
     crowding = float(np.maximum(flat - budget, 0.0).sum())
 
     return PinAccessReport(

@@ -25,12 +25,13 @@ class LegalizeStats:
     n_cells: int
 
 
-def legalize(netlist: Netlist, use_abacus: bool = True) -> LegalizeStats:
+def legalize(netlist: Netlist) -> LegalizeStats:
     """Legalize all movable single-row cells in place.
 
     Tetris provides the row/segment assignment; Abacus then minimizes
-    quadratic displacement within each segment (disable with
-    ``use_abacus=False`` for the pure greedy result).
+    quadratic displacement within each segment (call
+    :func:`~repro.legalize.tetris.tetris_legalize` for the pure greedy
+    result).
     """
     old_x = netlist.x.copy()
     old_y = netlist.y.copy()
@@ -46,7 +47,7 @@ def legalize(netlist: Netlist, use_abacus: bool = True) -> LegalizeStats:
         netlist.y[:] = old_y
         rowmap = build_row_map(netlist)
         assignment = tetris_legalize(netlist, rowmap, compact=True)
-    if use_abacus and len(assignment.cell_ids):
+    if len(assignment.cell_ids):
         abacus_refine(netlist, rowmap, assignment, old_x)
 
     ids = assignment.cell_ids

@@ -26,11 +26,14 @@ import numpy as np
 
 from repro.utils import faults
 from repro.utils.guards import (
-    GuardConfig,
+    MAX_BACKOFFS,
     NumericalFault,
     all_finite,
     scrub_nonfinite,
 )
+
+#: Multiplier applied to the step length on every guard backoff.
+BACKOFF_FACTOR = 0.25
 
 
 class NesterovOptimizer:
@@ -44,7 +47,6 @@ class NesterovOptimizer:
         max_step: float | None = None,
         min_step: float = 1e-12,
         max_move: float | None = None,
-        guard: GuardConfig | None = None,
         on_guard: Callable[[str, str, str], None] | None = None,
     ) -> None:
         """
@@ -65,18 +67,18 @@ class NesterovOptimizer:
             coordinate in one step.  Prevents the secant estimate from
             exploding when successive gradients become nearly equal
             (e.g. when cells pile against the die boundary).
-        guard:
-            NaN/Inf sentinel policy.  A non-finite gradient triggers a
-            solver restart (momentum cleared, reference point pulled
-            back to the major point) with a shrunken step, retried up
-            to ``guard.max_backoffs`` times; a gradient that stays
-            corrupted afterwards has its bad entries scrubbed to zero
-            so the trajectory continues on the healthy coordinates.
-            Checks are read-only on the healthy path.
         on_guard:
             Called as ``on_guard(kind, detail, action)`` on every
             backoff and scrub, so the owning placer can record the
             trip.
+
+        A non-finite gradient triggers a solver restart (momentum
+        cleared, reference point pulled back to the major point) with
+        the step shrunk by :data:`BACKOFF_FACTOR`, retried up to
+        :data:`~repro.utils.guards.MAX_BACKOFFS` times; a gradient that
+        stays corrupted afterwards has its bad entries scrubbed to zero
+        so the trajectory continues on the healthy coordinates.  Checks
+        are read-only on the healthy path.
         """
         self.u = np.array(x0, dtype=np.float64, copy=True)
         self.v = self.u.copy()
@@ -86,7 +88,6 @@ class NesterovOptimizer:
         self.max_step = max_step
         self.min_step = min_step
         self.max_move = max_move
-        self.guard = guard or GuardConfig()
         self.on_guard = on_guard or (lambda kind, detail, action: None)
         self._prev_v: np.ndarray | None = None
         self._prev_g: np.ndarray | None = None
@@ -114,21 +115,19 @@ class NesterovOptimizer:
         self.v = self.u.copy()
         self._prev_v = None
         self._prev_g = None
-        self.step = max(self.step * self.guard.backoff_factor, self.min_step)
+        self.step = max(self.step * BACKOFF_FACTOR, self.min_step)
 
     def _eval_gradient(self) -> np.ndarray:
         """Gradient at ``v`` with the NaN/Inf sentinel applied.
 
         Non-finite entries (or an arithmetic error inside the
         callback) trigger backoff-and-retry; a gradient that is still
-        corrupted after ``max_backoffs`` attempts is scrubbed so the
+        corrupted after ``MAX_BACKOFFS`` attempts is scrubbed so the
         healthy coordinates keep descending.
         """
-        guard = self.guard
-        attempts = guard.max_backoffs if guard.enabled else 0
         g: np.ndarray | None = None
         error: str = ""
-        for attempt in range(attempts + 1):
+        for attempt in range(MAX_BACKOFFS + 1):
             if attempt:
                 self.on_guard("nonfinite", error, "backoff")
                 self._backoff()
@@ -141,15 +140,15 @@ class NesterovOptimizer:
             if all_finite(g):
                 return g
             error = f"{int((~np.isfinite(g)).sum())} non-finite gradient entries"
-            if not guard.enabled:
-                return g
         if g is None:
             raise NumericalFault(
-                f"gradient callback failed {attempts + 1} times: {error}"
+                f"gradient callback failed {MAX_BACKOFFS + 1} times: {error}"
             )
         _, n_bad = scrub_nonfinite(g)
         self.on_guard(
-            "nonfinite", f"scrubbed {n_bad} entries after {attempts} backoffs", "scrub"
+            "nonfinite",
+            f"scrubbed {n_bad} entries after {MAX_BACKOFFS} backoffs",
+            "scrub",
         )
         return g
 

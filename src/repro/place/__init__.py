@@ -7,7 +7,7 @@ gradient term — through which the routability-driven placer of
 :mod:`repro.core` injects the paper's three techniques.
 """
 
-from repro.place.config import GPConfig
+from repro.place.config import GPConfig, placement_grid
 from repro.place.initial import initial_placement, scatter_fillers
 from repro.place.global_placer import (
     GlobalPlacer,
@@ -17,6 +17,7 @@ from repro.place.global_placer import (
 
 __all__ = [
     "GPConfig",
+    "placement_grid",
     "initial_placement",
     "scatter_fillers",
     "GlobalPlacer",

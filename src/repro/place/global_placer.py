@@ -20,19 +20,24 @@ the full Eq. (5) engine without duplicating the machinery:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from repro.density.electrostatic import ElectrostaticSystem, FieldSolution
-from repro.geometry.grid import Grid2D
 from repro.netlist.netlist import Netlist
 from repro.optim.nesterov import NesterovOptimizer
-from repro.place.config import GPConfig, auto_grid_dim
+from repro.place.config import GPConfig, placement_grid
 from repro.place.initial import initial_placement, scatter_fillers
 from repro.utils.contracts import CONTRACTS
-from repro.utils.guards import DivergenceSentinel, NumericalFault, scrub_nonfinite
+from repro.utils.guards import (
+    MAX_BACKOFFS,
+    DivergenceSentinel,
+    NumericalFault,
+    scrub_nonfinite,
+)
 from repro.utils.logging import get_logger
 from repro.utils.metrics import NULL
 from repro.utils.profile import StageProfiler
@@ -40,6 +45,14 @@ from repro.wirelength.hpwl import hpwl
 from repro.wirelength.wa import WAWirelength
 
 logger = get_logger("place.global_placer")
+
+#: Convergence threshold on the density overflow ratio.
+STOP_OVERFLOW = 0.07
+#: Upper clamp on the density-to-wirelength force ratio used by the
+#: per-iteration force balancing.
+DENSITY_FORCE_CAP = 100.0
+#: First-step displacement target, as a fraction of a bin.
+INITIAL_MOVE_FRACTION = 0.1
 
 
 @dataclass
@@ -88,9 +101,7 @@ class GlobalPlacer:
         self.metrics = metrics if metrics is not None else NULL
         cfg = self.config
 
-        nx = cfg.grid_nx or auto_grid_dim(netlist.n_cells)
-        ny = cfg.grid_ny or auto_grid_dim(netlist.n_cells)
-        self.grid = Grid2D(netlist.die, nx, ny)
+        self.grid = placement_grid(netlist)
 
         mv = netlist.movable
         self.mv_ids = np.flatnonzero(mv)
@@ -108,10 +119,7 @@ class GlobalPlacer:
         else:
             self.fixed_charge = self.grid.zeros()
 
-        if cfg.use_fillers:
-            fx, fy, fw, fh = scatter_fillers(netlist, cfg.target_density, cfg.seed)
-        else:
-            fx = fy = fw = fh = np.zeros(0)
+        fx, fy, fw, fh = scatter_fillers(netlist, cfg.target_density, cfg.seed)
         self.filler_x, self.filler_y = fx.copy(), fy.copy()
         self.filler_w, self.filler_h = fw, fh
         self.n_fill = len(fx)
@@ -121,7 +129,7 @@ class GlobalPlacer:
         )
         self._lower, self._upper = self._entry_bounds()
         base_unit = 0.5 * (self.grid.dx + self.grid.dy)
-        self.wa = WAWirelength(base_unit=base_unit, gamma0=cfg.gamma0)
+        self.wa = WAWirelength(base_unit=base_unit)
 
         # extension hooks (see module docstring); size_scale and
         # extra_static_charge are rebound, not edited in place
@@ -142,7 +150,7 @@ class GlobalPlacer:
         # healthy parameter vector the loop can roll back to; trips of
         # both this loop and the optimizer are counted by _note_guard
         self.n_guard_trips = 0
-        self._sentinel = DivergenceSentinel(cfg.guard)
+        self._sentinel = DivergenceSentinel()
         self._last_good: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -286,7 +294,7 @@ class GlobalPlacer:
             # force (numerical guard; the mu feedback in run() is the
             # real controller)
             ratio_unit = self.last_wl_grad_l1 / max(d_l1, 1e-12)
-            cap = self.config.density_force_cap * ratio_unit
+            cap = DENSITY_FORCE_CAP * ratio_unit
             self.density_weight = min(self.density_weight, cap)
             # ...and never let it collapse while the placement is far
             # from legal: repeated mu-shrinks can trap the trajectory
@@ -325,14 +333,17 @@ class GlobalPlacer:
         g0 = self._gradient(pos0)
         gmax = float(np.abs(g0).max())
         bin_unit = 0.5 * (self.grid.dx + self.grid.dy)
-        step0 = self.config.initial_move_fraction * bin_unit / max(gmax, 1e-12)
+        step0 = INITIAL_MOVE_FRACTION * bin_unit / max(gmax, 1e-12)
+        # the optimizer calls back through a weak reference: a bound
+        # method would make placer and optimizer a reference cycle that
+        # keeps a dropped placer alive until the cyclic collector runs
+        placer = weakref.proxy(self)
         self._optimizer = NesterovOptimizer(
             pos0,
-            self._gradient,
+            lambda pos: placer._gradient(pos),
             initial_step=step0,
             max_move=1.0 * bin_unit,
-            guard=self.config.guard,
-            on_guard=self._note_guard,
+            on_guard=lambda *trip: placer._note_guard(*trip),
         )
 
     def prepare(self, reinitialize_positions: bool = False) -> None:
@@ -375,7 +386,7 @@ class GlobalPlacer:
             except NumericalFault as exc:
                 consecutive_trips += 1
                 self._recover_from_trip("exception", str(exc))
-                if consecutive_trips > cfg.guard.max_backoffs:
+                if consecutive_trips > MAX_BACKOFFS:
                     break
                 continue
             self._project()
@@ -383,14 +394,14 @@ class GlobalPlacer:
             overflow = sol.overflow if sol is not None else 1.0
             cur_hpwl = hpwl(self.netlist)
             verdict = self._sentinel.observe(cur_hpwl)
-            if cfg.guard.enabled and verdict != "ok":
+            if verdict != "ok":
                 consecutive_trips += 1
                 self._recover_from_trip(
                     verdict,
                     f"hpwl={cur_hpwl:.4e} vs baseline "
                     f"{self._sentinel.baseline:.4e}",
                 )
-                if consecutive_trips > cfg.guard.max_backoffs:
+                if consecutive_trips > MAX_BACKOFFS:
                     break
                 continue
             consecutive_trips = 0
@@ -417,7 +428,7 @@ class GlobalPlacer:
                     grad_norm=info["grad_norm"],
                     gamma=self.wa.gamma,
                 )
-            if it >= min_iters and overflow <= cfg.stop_overflow:
+            if it >= min_iters and overflow <= STOP_OVERFLOW:
                 break
         self._load(np.clip(self._optimizer.u, self._lower, self._upper))
         return self.history
@@ -534,11 +545,6 @@ def converge_placement(
             placer.run()
         placer.run_bursts(bursts_per_batch, burst_iters)
         total += len(placer.history)
-        # the optimizer's gradient callback refers back to the placer;
-        # dropping it frees this batch's placer, density caches included,
-        # as soon as the next batch replaces it rather than at a later
-        # garbage collection
-        placer._optimizer = None
         cur = hpwl(netlist)
         if prev is not None and prev > 0 and abs(prev - cur) / prev < hpwl_tol:
             break

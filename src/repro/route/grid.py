@@ -18,6 +18,23 @@ from repro.geometry.grid import Grid2D
 from repro.netlist.netlist import Netlist
 from repro.route.config import RouterConfig
 
+#: Number of routing layers; alternating preferred directions (layer 0
+#: horizontal).  The 2-D maps the placer consumes are layer sums, as in
+#: Sec. II-B of the paper.
+N_LAYERS = 4
+#: Contribution of one via to the demand of its G-cell, relative to one
+#: wire crossing.
+VIA_WEIGHT = 0.25
+#: Fraction of capacity blocked in G-cells covered by macros.
+MACRO_BLOCKAGE = 0.5
+#: Path cost per G-cell is ``1 + CONGESTION_WEIGHT *
+#: utilization^CONGESTION_EXPONENT``; steers segments away from
+#: nearly-full cells.
+CONGESTION_EXPONENT = 4.0
+CONGESTION_WEIGHT = 3.0
+#: Extra cost per accumulated overflow event (rip-up rounds).
+HISTORY_WEIGHT = 1.5
+
 
 class RoutingGrid:
     """Demand/capacity state for one routing pass."""
@@ -41,8 +58,8 @@ class RoutingGrid:
         self.config = config or RouterConfig()
         cfg = self.config
 
-        n_h_layers = (cfg.n_layers + 1) // 2  # layers 0, 2, ... are horizontal
-        n_v_layers = cfg.n_layers // 2
+        n_h_layers = (N_LAYERS + 1) // 2  # layers 0, 2, ... are horizontal
+        n_v_layers = N_LAYERS // 2
         tracks_h = grid.dy / cfg.wire_pitch  # horizontal wires stack vertically
         tracks_v = grid.dx / cfg.wire_pitch
         self.h_cap = np.full(grid.shape, tracks_h * n_h_layers, dtype=np.float64)
@@ -73,7 +90,7 @@ class RoutingGrid:
             smooth=False,
         )
         coverage = np.clip(raster.charge_map() / self.grid.bin_area, 0.0, 1.0)
-        factor = 1.0 - self.config.macro_blockage * coverage
+        factor = 1.0 - MACRO_BLOCKAGE * coverage
         self.h_cap *= factor
         self.v_cap *= factor
 
@@ -184,7 +201,7 @@ class RoutingGrid:
         return (
             self.h_demand
             + self.v_demand
-            + self.config.via_weight * self.via_demand
+            + VIA_WEIGHT * self.via_demand
         )
 
     def total_capacity(self) -> np.ndarray:
@@ -214,10 +231,9 @@ class RoutingGrid:
         ``1 + w * util^p + history`` — convex in utilization so paths
         spread around hotspots before they overflow.
         """
-        cfg = self.config
         h_util = self.h_demand / np.maximum(self.h_cap, 1e-12)
         v_util = self.v_demand / np.maximum(self.v_cap, 1e-12)
-        hist = cfg.history_weight * self.history
-        h_cost = 1.0 + cfg.congestion_weight * h_util**cfg.congestion_exponent + hist
-        v_cost = 1.0 + cfg.congestion_weight * v_util**cfg.congestion_exponent + hist
+        hist = HISTORY_WEIGHT * self.history
+        h_cost = 1.0 + CONGESTION_WEIGHT * h_util**CONGESTION_EXPONENT + hist
+        v_cost = 1.0 + CONGESTION_WEIGHT * v_util**CONGESTION_EXPONENT + hist
         return h_cost, v_cost

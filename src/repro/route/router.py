@@ -35,6 +35,9 @@ from repro.utils.profile import StageProfiler
 
 logger = get_logger("route.router")
 
+#: Bounding-box expansion margin of the maze fallback's search.
+MAZE_WINDOW = 8
+
 
 @dataclass
 class DemandSnapshot:
@@ -361,7 +364,7 @@ class GlobalRouter:
                 int(batch.i2[k]),
                 int(batch.j2[k]),
                 via_cost=1.0,
-                window=self.config.maze_window,
+                window=MAZE_WINDOW,
             )
             self._commit_path(rgrid, path, sign=1.0)
             after = float(rgrid.overflow_map().sum())

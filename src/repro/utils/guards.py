@@ -11,7 +11,9 @@ module centralizes the detection and the (cheap) recovery primitives:
 * :class:`DivergenceSentinel` — rolling-baseline watchdog over a scalar
   trajectory (HPWL, overflow); trips when the metric blows up relative
   to the best recently-seen value;
-* :class:`GuardConfig` — the tuning knobs.
+* the thresholds: :data:`BLOWUP_FACTOR`, :data:`WINDOW`, :data:`WARMUP`
+  and :data:`MAX_BACKOFFS` (the step backoff factor is
+  :data:`repro.optim.nesterov.BACKOFF_FACTOR`).
 
 Trips are recorded once, by the guarded component: ``gp.guard`` and
 ``rd.recovery`` telemetry events, counted in
@@ -26,8 +28,6 @@ abort the flow, never return non-finite positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -35,46 +35,18 @@ class NumericalFault(RuntimeError):
     """A non-recoverable numerical corruption (all backoffs exhausted)."""
 
 
-@dataclass
-class GuardConfig:
-    """Thresholds of the divergence/NaN guards.
-
-    Attributes
-    ----------
-    enabled:
-        Master switch; disabled guards never mutate solver state.
-    blowup_factor:
-        A metric observation above ``blowup_factor x`` the rolling
-        baseline counts as divergence.
-    window:
-        Number of recent observations forming the rolling baseline
-        (their minimum is the reference).
-    warmup:
-        Observations to collect before the sentinel can trip (the
-        first iterations after a restart legitimately move a lot).
-    max_backoffs:
-        Consecutive step-backoff attempts before the guard gives up
-        and scrubs/restores instead.
-    backoff_factor:
-        Multiplier applied to the step length on every backoff.
-    """
-
-    enabled: bool = True
-    blowup_factor: float = 10.0
-    window: int = 8
-    warmup: int = 3
-    max_backoffs: int = 4
-    backoff_factor: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.blowup_factor <= 1.0:
-            raise ValueError("blowup_factor must exceed 1")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.max_backoffs < 1:
-            raise ValueError("max_backoffs must be >= 1")
-        if not 0.0 < self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be in (0, 1)")
+#: A metric observation above ``BLOWUP_FACTOR x`` the rolling baseline
+#: counts as divergence.
+BLOWUP_FACTOR = 10.0
+#: Number of recent observations forming the rolling baseline (their
+#: minimum is the reference).
+WINDOW = 8
+#: Observations to collect before the sentinel can trip (the first
+#: iterations after a restart legitimately move a lot).
+WARMUP = 3
+#: Consecutive step-backoff attempts before a guard gives up and
+#: scrubs/restores instead.
+MAX_BACKOFFS = 4
 
 
 def all_finite(arr: np.ndarray) -> bool:
@@ -104,18 +76,17 @@ class DivergenceSentinel:
 
     ``observe(value)`` returns a verdict string:
 
-    * ``"ok"`` — finite and within ``blowup_factor x`` the baseline;
+    * ``"ok"`` — finite and within ``BLOWUP_FACTOR x`` the baseline;
     * ``"nonfinite"`` — NaN/Inf observation;
     * ``"diverging"`` — blow-up relative to the rolling minimum of the
-      last ``window`` healthy observations (only after ``warmup``
+      last ``WINDOW`` healthy observations (only after ``WARMUP``
       healthy points, so restarts are not punished for moving).
 
     Unhealthy observations never enter the baseline, so one excursion
     cannot raise the bar for detecting the next one.
     """
 
-    def __init__(self, config: GuardConfig | None = None) -> None:
-        self.config = config or GuardConfig()
+    def __init__(self) -> None:
         self._recent: list = []
         self.trips = 0
 
@@ -126,20 +97,17 @@ class DivergenceSentinel:
 
     def observe(self, value: float) -> str:
         """Classify one observation: ``ok``, ``nonfinite`` or ``diverging``."""
-        cfg = self.config
         v = float(value)
         if not np.isfinite(v):
             self.trips += 1
             return "nonfinite"
-        if (
-            cfg.enabled
-            and len(self._recent) >= cfg.warmup
-            and v > cfg.blowup_factor * max(self.baseline, 1e-300)
+        if len(self._recent) >= WARMUP and v > BLOWUP_FACTOR * max(
+            self.baseline, 1e-300
         ):
             self.trips += 1
             return "diverging"
         self._recent.append(v)
-        if len(self._recent) > cfg.window:
+        if len(self._recent) > WINDOW:
             self._recent.pop(0)
         return "ok"
 

@@ -369,6 +369,10 @@ def wa_wirelength_and_grad(
     return _wa_eval(netlist, _wa_structure(netlist), gamma, net_weights)
 
 
+#: WA smoothness base factor ``gamma_0``, scaled by the bin size.
+GAMMA0 = 0.5
+
+
 @dataclass
 class WAWirelength:
     """Stateful WA objective with the ePlace-style gamma schedule.
@@ -385,18 +389,17 @@ class WAWirelength:
     """
 
     base_unit: float
-    gamma0: float = 0.5
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
         if self.gamma <= 0.0:
-            self.gamma = 8.0 * self.gamma0 * self.base_unit
+            self.gamma = 8.0 * GAMMA0 * self.base_unit
 
     def update_gamma(self, overflow: float) -> float:
         """Adapt gamma to the current density overflow (in [0, ~1])."""
         k, b = 20.0 / 9.0, -11.0 / 9.0
         coef = 10.0 ** (k * min(max(overflow, 0.0), 1.0) + b)
-        self.gamma = self.gamma0 * self.base_unit * 8.0 * coef
+        self.gamma = GAMMA0 * self.base_unit * 8.0 * coef
         return self.gamma
 
     def __call__(

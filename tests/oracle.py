@@ -58,7 +58,7 @@ from repro.route.congestion import congestion_from_demand
 from repro.route.grid import RoutingGrid
 from repro.route.maze import maze_route
 from repro.route.patterns import PatternRouter, RoutedPath, RoutedPathBatch
-from repro.route.router import GlobalRouter, RoutingResult
+from repro.route.router import MAZE_WINDOW, GlobalRouter, RoutingResult
 from repro.wirelength import wa
 from repro.wirelength.wa import WAWirelength
 
@@ -696,7 +696,7 @@ def route_scalar(grid, config, netlist):
             commit(rgrid, old, -1.0)
             new = maze_route(
                 *rgrid.cost_maps(), *seg[:4], via_cost=1.0,
-                window=config.maze_window,
+                window=MAZE_WINDOW,
             )
             commit(rgrid, new, 1.0)
             if float(rgrid.overflow_map().sum()) >= before - 1e-9:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.evalrt import EvalConfig, MetricRow, evaluate_routing, format_table, pin_access_violations, ratio_row
 from repro.evalrt.evaluator import evaluation_grid
-from repro.evalrt.pinaccess import pins_under_rails
+from repro.evalrt.pinaccess import PIN_BUDGET_PER_AREA, pins_under_rails
 from repro.geometry import Grid2D, Rect
 from repro.legalize import legalize
 from repro.netlist import CellSpec, Netlist, NetSpec, PGRailSpec, PinSpec
@@ -59,10 +59,9 @@ class TestViolationModel:
         rails = [PGRailSpec(Rect(0, 1.95, 10, 2.05), horizontal=True)]
         nl = Netlist.from_specs("d", die, cells, nets, pg_rails=rails)
         grid = Grid2D(die, 10, 10)
-        cfg = EvalConfig()
-        low = pin_access_violations(nl, grid, np.full(grid.shape, 0.4), cfg)
-        mid = pin_access_violations(nl, grid, np.full(grid.shape, 0.85), cfg)
-        high = pin_access_violations(nl, grid, np.full(grid.shape, 2.0), cfg)
+        low = pin_access_violations(nl, grid, np.full(grid.shape, 0.4))
+        mid = pin_access_violations(nl, grid, np.full(grid.shape, 0.85))
+        high = pin_access_violations(nl, grid, np.full(grid.shape, 2.0))
         assert low.covered_pin_drvs == 0.0
         assert 0 < mid.covered_pin_drvs < high.covered_pin_drvs
         assert high.covered_pin_drvs == pytest.approx(2.0)  # both pins certain to fail
@@ -77,8 +76,8 @@ class TestViolationModel:
         ]
         nl = Netlist.from_specs("crowd", die, cells, nets)
         grid = Grid2D(die, 10, 10)
-        rep = pin_access_violations(nl, grid, np.zeros(grid.shape), EvalConfig())
-        budget = EvalConfig().pin_budget_per_area * grid.bin_area
+        rep = pin_access_violations(nl, grid, np.zeros(grid.shape))
+        budget = PIN_BUDGET_PER_AREA * grid.bin_area
         assert rep.crowding_drvs == pytest.approx(60 - budget)
 
 
@@ -103,8 +102,6 @@ class TestEvaluator:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvalConfig(grid_dim_factor=0)
-        with pytest.raises(ValueError):
-            EvalConfig(access_util_floor=1.0, access_util_ceil=0.5)
 
     def test_grid_dim_scales(self, toy120):
         g1 = evaluation_grid(toy120, EvalConfig(grid_dim_factor=1))

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from repro.evalrt.config import EvalConfig
-from repro.evalrt.evaluator import evaluate_routing, evaluation_grid
+from repro.evalrt.evaluator import (
+    COVERED_PIN_DRV_WEIGHT,
+    CROWDING_DRV_WEIGHT,
+    evaluate_routing,
+    evaluation_grid,
+)
 from repro.evalrt.pinaccess import (
     PinAccessReport,
     pin_access_violations,
@@ -113,12 +118,11 @@ class TestEvaluatorPlumbing:
         assert ev.routing.grid.h_cap.shape == (24, 24)
 
     def test_drv_composition(self, placed150):
-        cfg = EvalConfig()
-        ev = evaluate_routing(placed150, cfg)
+        ev = evaluate_routing(placed150)
         recomposed = (
             ev.overflow_drvs
-            + cfg.covered_pin_drv_weight * ev.pin_report.covered_pin_drvs
-            + cfg.crowding_drv_weight * ev.pin_report.crowding_drvs
+            + COVERED_PIN_DRV_WEIGHT * ev.pin_report.covered_pin_drvs
+            + CROWDING_DRV_WEIGHT * ev.pin_report.crowding_drvs
         )
         assert ev.n_drvs == pytest.approx(round(recomposed))
         assert ev.overflow_drvs >= 0.0

@@ -38,19 +38,41 @@ from repro.density.poisson import PoissonSolver, SpectralWorkspace
 from repro.density.rasterize import CellRasterizer
 from repro.dse.grid import apply_knobs
 from repro.dse.runner import run_grid, run_unit
+from repro.core.rd_placer import RDConfig
 from repro.eco import EcoConfig, eco_place, full_replace
+from repro.evalrt import EvalConfig, pin_access_violations
 from repro.geometry import Grid2D, Rect
+from repro.legalize import legalize
+from repro.optim.nesterov import NesterovOptimizer
 from repro.place.config import GPConfig
 from repro.place.initial import initial_placement
 from repro.route import GlobalRouter, RouterConfig
 from repro.synth import toy_design
 from repro.utils.faults import FaultPlan
+from repro.utils.guards import DivergenceSentinel
 from repro.utils.metrics import EVENT_FIELDS, JsonlSink, validate_event
-from repro.wirelength.wa import wa_wirelength_and_grad
+from repro.wirelength.wa import WAWirelength, wa_wirelength_and_grad
 from tests.oracle import oracle_kernels
 
 #: Repeated calls on one netlist, exercising the cached WA layout.
 N_REPEAT_CALLS = 4
+
+
+#: Config fields no caller varied, now module constants of the module
+#: that reads them; each must be rejected as a keyword.
+RETIRED_FIELDS = (
+    (GPConfig, ("grid_nx", "grid_ny", "gamma0", "stop_overflow",
+                "density_force_cap", "use_fillers", "initial_move_fraction",
+                "guard")),
+    (RouterConfig, ("n_layers", "via_weight", "macro_blockage",
+                    "congestion_exponent", "congestion_weight",
+                    "history_weight", "maze_window")),
+    (RDConfig, ("max_round_failures",)),
+    (EvalConfig, ("overflow_drv_weight", "covered_pin_drv_weight",
+                  "crowding_drv_weight", "rail_margin_fraction",
+                  "access_util_floor", "access_util_ceil",
+                  "pin_budget_per_area")),
+)
 
 
 def _assert_match(got, want, label):
@@ -311,12 +333,45 @@ class TestNoKernelSelection:
             pytest.param(
                 lambda g: apply_knobs({}, rd_base=None), id="apply_knobs-rd_base"
             ),
+            # nor the constants no caller varied
+            *(
+                pytest.param(
+                    lambda g, cls=cls, name=name: cls(**{name: None}),
+                    id=f"{cls.__name__}-{name}",
+                )
+                for cls, names in RETIRED_FIELDS
+                for name in names
+            ),
+            pytest.param(
+                lambda g: DivergenceSentinel(config=None),
+                id="DivergenceSentinel-config",
+            ),
+            pytest.param(
+                lambda g: NesterovOptimizer(np.zeros(1), None, guard=None),
+                id="NesterovOptimizer-guard",
+            ),
+            pytest.param(
+                lambda g: WAWirelength(base_unit=1.0, gamma0=0.5),
+                id="WAWirelength-gamma0",
+            ),
+            pytest.param(
+                lambda g: pin_access_violations(None, g, None, config=None),
+                id="pin_access_violations-config",
+            ),
+            pytest.param(
+                lambda g: legalize(None, use_abacus=False), id="legalize-use_abacus"
+            ),
         ],
     )
     def test_removed_keywords_rejected(self, make):
         grid = Grid2D(Rect(0.0, 0.0, 8.0, 8.0), 8, 8)
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             make(grid)
+
+    def test_guard_config_is_gone(self):
+        """The guard thresholds are constants of ``repro.utils.guards``."""
+        with pytest.raises(ImportError):
+            from repro.utils.guards import GuardConfig  # noqa: F401
 
     def test_kernel_backend_event_is_an_unknown_kind(self):
         """Old streams carrying the event still validate."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.geometry import Rect
 from repro.legalize import build_row_map, check_legal, legalize
 from repro.legalize.abacus import _place_segment
+from repro.legalize.tetris import tetris_legalize
 from repro.netlist import CellSpec, Netlist
 from repro.place import GlobalPlacer, GPConfig, initial_placement
 from repro.synth import suite_design
@@ -86,11 +87,10 @@ class TestAbacusPlaceSegment:
 
 
 class TestLegalizeEndToEnd:
-    def _place_and_legalize(self, nl, use_abacus=True):
+    def _place_and_legalize(self, nl):
         initial_placement(nl, 0)
         GlobalPlacer(nl, GPConfig(max_iters=150)).run()
-        stats = legalize(nl, use_abacus=use_abacus)
-        return stats
+        return legalize(nl)
 
     def test_toy_legal_after(self, toy120):
         self._place_and_legalize(toy120)
@@ -103,11 +103,14 @@ class TestLegalizeEndToEnd:
         GlobalPlacer(nl1, GPConfig(max_iters=150)).run()
         nl2.x[:] = nl1.x
         nl2.y[:] = nl1.y
-        s_tetris = legalize(nl1, use_abacus=False)
-        s_abacus = legalize(nl2, use_abacus=True)
+        ids = tetris_legalize(nl1, build_row_map(nl1)).cell_ids
+        tetris_displacement = float(
+            (np.abs(nl1.x[ids] - nl2.x[ids]) + np.abs(nl1.y[ids] - nl2.y[ids])).sum()
+        )
+        s_abacus = legalize(nl2)
         assert check_legal(nl1) == []
         assert check_legal(nl2) == []
-        assert s_abacus.total_displacement <= s_tetris.total_displacement * 1.05
+        assert s_abacus.total_displacement <= tetris_displacement * 1.05
 
     def test_high_utilization_compact_fallback(self):
         from repro.synth import toy_design

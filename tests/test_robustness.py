@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import RDConfig, RoutabilityDrivenPlacer
+from repro.core.rd_placer import MAX_ROUND_FAILURES
 from repro.geometry import Grid2D
 from repro.place import GPConfig
 from repro.route import GlobalRouter, RouterConfig
@@ -31,8 +32,10 @@ from repro.utils.checkpoint import (
 )
 from repro.utils.faults import FaultPlan, InjectedFault
 from repro.utils.guards import (
+    BLOWUP_FACTOR,
+    WARMUP,
+    WINDOW,
     DivergenceSentinel,
-    GuardConfig,
     all_finite,
     scrub_nonfinite,
 )
@@ -87,25 +90,31 @@ class TestGuardPrimitives:
         assert n_bad == 0 and out is a
 
     def test_sentinel_trips_on_blowup(self):
-        s = DivergenceSentinel(GuardConfig(blowup_factor=10.0, warmup=2))
+        s = DivergenceSentinel()
+        # no trip before WARMUP healthy observations
         assert s.observe(100.0) == "ok"
-        assert s.observe(101.0) == "ok"
-        assert s.observe(102.0) == "ok"
-        assert s.observe(5000.0) == "diverging"
+        for _ in range(WARMUP - 2):
+            assert s.observe(101.0) == "ok"
+        assert s.observe(BLOWUP_FACTOR * 100.0 * 1.5) == "ok"
+        assert s.baseline == 100.0
+        assert s.observe(BLOWUP_FACTOR * 100.0 * 1.01) == "diverging"
         # unhealthy values never enter the baseline
         assert s.observe(103.0) == "ok"
+        assert s.baseline == 100.0
+
+    def test_sentinel_baseline_is_rolling_window(self):
+        s = DivergenceSentinel()
+        for v in [1.0] + [2.0] * WINDOW:
+            assert s.observe(v) == "ok"
+        # the 1.0 left the window of the last WINDOW healthy points
+        assert s.baseline == 2.0
 
     def test_sentinel_nonfinite(self):
-        s = DivergenceSentinel(GuardConfig(warmup=1))
-        s.observe(1.0)
-        s.observe(1.0)
+        s = DivergenceSentinel()
         assert s.observe(float("nan")) == "nonfinite"
-
-    def test_guard_config_validation(self):
-        with pytest.raises(ValueError):
-            GuardConfig(blowup_factor=0.5)
-        with pytest.raises(ValueError):
-            GuardConfig(window=0)
+        s.observe(1.0)
+        assert s.observe(float("inf")) == "nonfinite"
+        assert s.trips == 2
 
 
 class TestFaultPlans:
@@ -262,8 +271,8 @@ class TestCongestionFaults:
         _, series = _run_streamed(nl, cfg)
         _assert_legal_positions(nl)
         rollbacks = [e for e in series["rd.recovery"] if e["action"] == "rollback"]
-        # gives up after max_round_failures consecutive failures
-        assert len(rollbacks) == cfg.max_round_failures
+        # gives up after MAX_ROUND_FAILURES consecutive failures
+        assert len(rollbacks) == MAX_ROUND_FAILURES
 
 
 @pytest.mark.faultinject

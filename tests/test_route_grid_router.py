@@ -11,6 +11,7 @@ from repro.route import (
     congestion_from_demand,
     rudy_map,
 )
+from repro.route.grid import N_LAYERS, VIA_WEIGHT
 
 
 @pytest.fixture
@@ -25,9 +26,9 @@ class TestRoutingGrid:
 
     def test_layer_split(self):
         g = Grid2D(Rect(0, 0, 8, 8), 16, 16)
-        cfg = RouterConfig(n_layers=4, wire_pitch=0.25)
-        rg = RoutingGrid(g, cfg)
-        # 2 horizontal layers x (dy / pitch) tracks
+        rg = RoutingGrid(g, RouterConfig(wire_pitch=0.25))
+        # N_LAYERS = 4: 2 horizontal layers x (dy / pitch) tracks
+        assert N_LAYERS == 4
         assert rg.h_cap[0, 0] == pytest.approx(2 * g.dy / 0.25)
         assert rg.v_cap[0, 0] == pytest.approx(2 * g.dx / 0.25)
 
@@ -41,7 +42,7 @@ class TestRoutingGrid:
         rgrid.add_via(4, 4, 2.0)
         assert rgrid.via_demand[4, 4] == 2.0
         td = rgrid.total_demand()
-        assert td[4, 4] == pytest.approx(2.0 * rgrid.config.via_weight)
+        assert td[4, 4] == pytest.approx(2.0 * VIA_WEIGHT)
 
     def test_utilization_and_overflow(self, rgrid):
         rgrid.h_demand[5, 5] = rgrid.h_cap[5, 5] + 3.0
@@ -77,8 +78,6 @@ class TestRoutingGrid:
         assert rgrid.history[3, 3] == 2.0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RouterConfig(n_layers=1)
         with pytest.raises(ValueError):
             RouterConfig(wire_pitch=0)
 

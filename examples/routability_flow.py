@@ -12,7 +12,7 @@ Run:  python examples/routability_flow.py
 from repro.core import RDConfig, RoutabilityDrivenPlacer
 from repro.detail import detailed_place
 from repro.legalize import check_legal, legalize
-from repro.place import GPConfig
+from repro.place import GPConfig, converge_placement, initial_placement
 from repro.synth import suite_design
 from repro.wirelength import hpwl
 
@@ -20,12 +20,16 @@ from repro.wirelength import hpwl
 def main() -> None:
     netlist = suite_design("edit_dist_a", scale=0.5)
     cfg = RDConfig(gp=GPConfig(max_iters=600), max_rounds=6, iters_per_round=40)
-    placer = RoutabilityDrivenPlacer(netlist, cfg)
 
+    # the wirelength-driven placement the routability loop starts from
+    initial_placement(netlist, cfg.gp.seed)
+    gp_iters = converge_placement(netlist, cfg.gp)
+    print(f"initial GP iterations: {gp_iters}")
+
+    placer = RoutabilityDrivenPlacer(netlist, cfg)
     result = placer.run()
     print(f"PG rails selected: {len(result.selected_rails)} pieces "
           f"(of {len(netlist.pg_rails)} raw rails)")
-    print(f"initial GP iterations: {result.initial_gp_iters}")
     print(f"placement time: {result.placement_time:.1f}s\n")
 
     print("routability rounds:")

@@ -106,26 +106,27 @@ def run_flow(
 ) -> FlowResult:
     """Routability-driven flow with an arbitrary :class:`RDConfig`.
 
-    ``checkpoint_path`` passes straight through to
-    :meth:`RoutabilityDrivenPlacer.run`, which writes the best-placement
-    snapshot there after every round (ECO warm starts read it back).
+    Without ``seed_gp`` the flow first makes its own seed
+    (:func:`make_gp_seed` with ``rd_config.gp``).  ``checkpoint_path``
+    passes straight through to :meth:`RoutabilityDrivenPlacer.run`,
+    which writes the best-placement snapshot there after every round
+    (ECO warm starts read it back).
     """
-    seed_time = 0.0
-    if seed_gp is not None:
-        nl = seed_gp.netlist.copy()
-        seed_time = seed_gp.time
-    else:
-        nl = netlist.copy()
-    t0 = time.perf_counter()
     if profiler is None:
         profiler = StageProfiler()
+    if seed_gp is None:
+        # the caller never sees this seed: place on its netlist
+        seed_gp = make_gp_seed(
+            netlist, rd_config.gp, metrics=metrics, profiler=profiler
+        )
+        nl = seed_gp.netlist
+    else:
+        nl = seed_gp.netlist.copy()
+    t0 = time.perf_counter()
     placer = RoutabilityDrivenPlacer(
         nl, rd_config, profiler=profiler, metrics=metrics
     )
-    rd_result = placer.run(
-        skip_initial_gp=seed_gp is not None,
-        checkpoint_path=checkpoint_path,
-    )
+    rd_result = placer.run(checkpoint_path=checkpoint_path)
     with profiler.timer("flow.legalize"):
         lstats = legalize(nl)
     # congestion-aware detailed placement: do not move cells into the
@@ -140,7 +141,7 @@ def run_flow(
     return FlowResult(
         name=name,
         netlist=nl,
-        placement_time=seed_time + (time.perf_counter() - t0),
+        placement_time=seed_gp.time + (time.perf_counter() - t0),
         legalize_stats=lstats,
         detail_stats=dstats,
         rd_result=rd_result,

@@ -1,11 +1,11 @@
 """The integrated routability-driven global placement flow (Fig. 2).
 
-Stages, in the paper's order:
+The loop starts from a wirelength-driven global placement that the
+caller has already made (:func:`repro.baselines.flows.make_gp_seed`,
+the Xplace stand-in).  Stages, in the paper's order:
 
 1. select PG rails from macro positions (pin-accessibility prep);
-2. wirelength-driven global placement (Xplace stand-in) for the
-   initial solution;
-3. routability loop — each round:
+2. routability loop — each round:
    a. global routing (Z-shape router) -> congestion map (Eq. 3) and
       utilization (the congestion Poisson charge);
    b. momentum-based cell inflation update (MCI, Eq. 11-12);
@@ -13,25 +13,29 @@ Stages, in the paper's order:
    d. solve problem (5) with Nesterov, where the congestion gradient
       is assembled per Alg. 1 + Alg. 2 and weighted by Eq. (10) (DC);
    repeated until C(x, y) stops decreasing or the round cap;
-4. hand the result to legalization / detailed placement (separate
+3. hand the result to legalization / detailed placement (separate
    modules — see :mod:`repro.legalize` and :mod:`repro.detail`).
 
-Each of MCI / DC / DPA can be disabled independently, which is exactly
-the ablation axis of Table II.
+Each of MCI / DC / DPA can independently fall back to its baseline form
+(present-congestion inflation, no congestion gradient, static PG
+density), which is exactly the ablation axis of Table II.
 
 Robustness layer
 ----------------
 The loop never returns garbage and never dies mid-flow:
 
-* every round snapshots positions + inflation state + congestion
-  score; the lowest-score snapshot is restored at the end, and a
-  diverged or crashed round *rolls back* to it before continuing;
+* every routing is scored once, as soon as it is produced (the first
+  routing, each round's closing routing, a rollback's re-routing);
+  the lowest-score positions + inflation state are kept as the best
+  snapshot, restored at the end, and a diverged or crashed round
+  *rolls back* to it before continuing;
 * congestion maps are sanitized (NaN/Inf scrubbed) before they feed
   inflation, DPA or the congestion gradient, and the recovery is
   reported in that round's record;
 * with ``checkpoint_path`` set, a snapshot of the current and the
-  best-so-far positions is written to disk after the initial routing
-  and after every completed round.  The snapshot is write-only: the
+  best-so-far positions is written to disk after the first routing
+  and after every completed round, so it always holds the placement
+  the flow would return at that point.  The snapshot is write-only: the
   flow never resumes from it; the ECO warm start
   (:func:`repro.eco.warm.baseline_positions`) reads it.
 """
@@ -47,14 +51,18 @@ import numpy as np
 from repro.core.congestion_field import CongestionField
 from repro.core.inflation import InflationConfig, MomentumInflation
 from repro.core.multipin import multi_pin_candidates, multi_pin_cell_gradients
-from repro.core.netmove import NetMoveConfig, TwoPinNets, two_pin_net_gradients
+from repro.core.netmove import (
+    NetMoveConfig,
+    TwoPinNets,
+    two_pin_net_gradients,
+    virtual_cell_positions,
+)
 from repro.core.pgrails import rail_area_map, select_pg_rails
 from repro.core.pinaccess import PinAccessConfig, pg_density_charge
 from repro.core.weights import congestion_penalty_weight, count_cells_in_congestion
 from repro.netlist.netlist import Netlist
 from repro.place.config import GPConfig
 from repro.place.global_placer import GlobalPlacer
-from repro.place.initial import initial_placement
 from repro.route.config import RouterConfig
 from repro.route.router import GlobalRouter, RoutingResult
 from repro.utils import faults
@@ -71,6 +79,14 @@ logger = get_logger("core.rd_placer")
 #: Consecutive failed (rolled-back) rounds tolerated before the loop
 #: gives up and returns the best snapshot.
 MAX_ROUND_FAILURES = 2
+#: Rounds in a row without a C(x, y) improvement before the loop stops.
+PATIENCE = 2
+#: Relative drop of C(x, y) below its best value that counts as an
+#: improvement.
+C_IMPROVE_TOL = 1e-3
+#: Mean routed congestion below which the loop stops: there is nothing
+#: to mitigate, and perturbing a converged placement can only hurt.
+STOP_MEAN_CONGESTION = 1e-3
 
 
 def design_fingerprint(netlist: Netlist) -> dict:
@@ -89,8 +105,10 @@ def design_fingerprint(netlist: Netlist) -> dict:
 class RDConfig:
     """Configuration of the routability-driven flow.
 
-    ``enable_mci`` / ``enable_dc`` / ``enable_dpa`` toggle the paper's
-    three techniques (Table II ablation axis).
+    ``inflation_mode`` / ``enable_dc`` / ``pg_mode`` select the paper's
+    three techniques (Table II ablation axis): ``"momentum"`` (MCI) or
+    ``"present"`` inflation, the congestion gradient (DC) on or off,
+    ``"dynamic"`` (DPA) or ``"static"`` PG-rail density.
     """
 
     gp: GPConfig = field(default_factory=GPConfig)
@@ -98,38 +116,22 @@ class RDConfig:
     inflation: InflationConfig = field(default_factory=InflationConfig)
     netmove: NetMoveConfig = field(default_factory=NetMoveConfig)
     pinaccess: PinAccessConfig = field(default_factory=PinAccessConfig)
-    inflation_mode: str = "momentum"  # "momentum" (MCI) | "present" | "off"
-    pg_mode: str = "dynamic"  # "dynamic" (DPA) | "static" | "off"
+    inflation_mode: str = "momentum"  # "momentum" (MCI) | "present"
+    pg_mode: str = "dynamic"  # "dynamic" (DPA) | "static"
     enable_dc: bool = True
     max_rounds: int = 8
     iters_per_round: int = 50
     multipin_threshold: float = 0.7
-    patience: int = 2
-    c_improve_tol: float = 1e-3
-    # skip/stop the routability loop when the routed congestion is
-    # negligible: there is nothing to mitigate, and perturbing a
-    # converged placement can only hurt
-    stop_mean_congestion: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.iters_per_round < 1:
             raise ValueError("iters_per_round must be >= 1")
-        if self.inflation_mode not in ("momentum", "present", "off"):
+        if self.inflation_mode not in ("momentum", "present"):
             raise ValueError(f"unknown inflation_mode {self.inflation_mode!r}")
-        if self.pg_mode not in ("dynamic", "static", "off"):
+        if self.pg_mode not in ("dynamic", "static"):
             raise ValueError(f"unknown pg_mode {self.pg_mode!r}")
-
-    @property
-    def enable_mci(self) -> bool:
-        """Momentum-based cell inflation active (Table II column MCI)."""
-        return self.inflation_mode == "momentum"
-
-    @property
-    def enable_dpa(self) -> bool:
-        """Dynamic pin-accessibility density active (column DPA)."""
-        return self.pg_mode == "dynamic"
 
 
 @dataclass
@@ -189,7 +191,6 @@ class RDResult:
     final_routing: RoutingResult
     selected_rails: list
     placement_time: float
-    initial_gp_iters: int
     best_round: int = -1
     n_guard_events: int = 0
 
@@ -210,6 +211,7 @@ class _FlowState:
     rounds: list = field(default_factory=list)
     hpwl_ref: float = 1.0
     best_score: float = np.inf
+    # the best_* snapshot is set by the first routing (_start_flow)
     best_positions: tuple | None = None
     best_inflation: dict | None = None
     best_size_scale: np.ndarray | None = None
@@ -218,7 +220,6 @@ class _FlowState:
     stall: int = 0
     selected_rails: list = field(default_factory=list)
     rail_area: np.ndarray | None = None
-    initial_iters: int = 0
     routing: RoutingResult | None = None
     best_routing: RoutingResult | None = None
 
@@ -265,29 +266,25 @@ class RoutabilityDrivenPlacer:
         self._pending_recovery: list = []
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        skip_initial_gp: bool = False,
-        checkpoint_path: str | None = None,
-    ) -> RDResult:
-        """Execute the full flow.
+    def run(self, checkpoint_path: str | None = None) -> RDResult:
+        """Run the routability loop from the netlist's current placement.
+
+        The netlist must already hold the wirelength-driven global
+        placement the loop starts from
+        (:func:`repro.baselines.flows.make_gp_seed`).
 
         Parameters
         ----------
-        skip_initial_gp:
-            When True, assume ``netlist`` already holds a
-            wirelength-driven global placement (used by benchmarks
-            that share one initial placement across placers).
         checkpoint_path:
             When set, a snapshot of the current and best-so-far
-            positions is written there after the initial routing and
+            positions is written there after the first routing and
             after every completed round (atomic ``.npz``, the previous
             one kept as ``.bak``).  The flow never reads it back.
         """
         cfg = self.config
         t0 = time.perf_counter()
 
-        state = self._start_flow(skip_initial_gp)
+        state = self._start_flow()
         if checkpoint_path:
             self._save_flow_checkpoint(checkpoint_path, state, next_round=0)
 
@@ -311,29 +308,16 @@ class RoutabilityDrivenPlacer:
             if checkpoint_path:
                 self._save_flow_checkpoint(checkpoint_path, state, round_id + 1)
 
-        routing = state.routing
-        # the loop's very last routing may beat every snapshot
-        final_score = self._routing_score(
-            routing, hpwl_of(self.netlist), state.hpwl_ref
-        )
-        if final_score < state.best_score:
-            state.best_positions = None
-            state.best_routing = routing
-            state.best_round = len(state.rounds)
-
-        if state.best_positions is not None:
-            self.netlist.x[:] = state.best_positions[0]
-            self.netlist.y[:] = state.best_positions[1]
-            routing = state.best_routing
-            logger.info("restored best placement from round %d", state.best_round)
+        self.netlist.x[:] = state.best_positions[0]
+        self.netlist.y[:] = state.best_positions[1]
+        logger.info("restored best placement from round %d", state.best_round)
 
         return RDResult(
             netlist=self.netlist,
             rounds=state.rounds,
-            final_routing=routing,
+            final_routing=state.best_routing,
             selected_rails=state.selected_rails,
             placement_time=time.perf_counter() - t0,
-            initial_gp_iters=state.initial_iters,
             best_round=state.best_round,
             n_guard_events=self.gp.n_guard_trips + self.n_recoveries,
         )
@@ -341,8 +325,8 @@ class RoutabilityDrivenPlacer:
     # ------------------------------------------------------------------
     # flow setup / one round
     # ------------------------------------------------------------------
-    def _start_flow(self, skip_initial_gp: bool) -> _FlowState:
-        """Rails + initial wirelength-driven GP + first routing pass."""
+    def _start_flow(self) -> _FlowState:
+        """Rails + first routing pass, scored as round 0's start."""
         cfg = self.config
         if self.metrics.enabled:
             nl = self.netlist
@@ -356,12 +340,11 @@ class RoutabilityDrivenPlacer:
                 enable_dc=cfg.enable_dc,
             )
         state = _FlowState()
-        state.rail_area = self.gp.grid.zeros()
         if cfg.pg_mode == "dynamic":
             state.selected_rails = select_pg_rails(self.netlist)
             state.rail_area = rail_area_map(state.selected_rails, self.gp.grid)
             logger.info("selected %d PG rail pieces", len(state.selected_rails))
-        elif cfg.pg_mode == "static":
+        else:
             # Xplace-Route-style: all rails, adjusted once before
             # placement, independent of congestion
             state.rail_area = rail_area_map(self.netlist.pg_rails, self.gp.grid)
@@ -369,41 +352,37 @@ class RoutabilityDrivenPlacer:
                 cfg.pinaccess.density_scale * state.rail_area
             )
 
-        if not skip_initial_gp:
-            from repro.place.global_placer import converge_placement
-
-            with self.profiler.timer("rd.initial_gp"):
-                initial_placement(self.netlist, cfg.gp.seed)
-                converge_placement(
-                    self.netlist,
-                    cfg.gp,
-                    profiler=self.profiler,
-                    metrics=self.metrics,
-                )
-        state.initial_iters = len(self.gp.history)
-
         with self.profiler.timer("rd.route"):
             state.routing = self.router.route(self.netlist)
         state.hpwl_ref = max(hpwl_of(self.netlist), 1e-12)
+        self._keep_if_best(state, 0)
         return state
+
+    def _keep_if_best(self, state: _FlowState, round_id: int) -> None:
+        """Score the routing just produced; keep it if it is the best.
+
+        Called once per routing, right after it is produced:
+        ``round_id`` is the round that starts from it.  The first
+        routing is always kept, so the best snapshot exists from
+        :meth:`_start_flow` on.  The snapshot holds positions +
+        inflation state + congestion score, so a rollback restores a
+        *consistent* flow state.
+        """
+        score = self._routing_score(
+            state.routing, hpwl_of(self.netlist), state.hpwl_ref
+        )
+        if state.best_positions is None or score < state.best_score:
+            state.best_score = score
+            state.best_positions = (self.netlist.x.copy(), self.netlist.y.copy())
+            state.best_inflation = self.inflation.state_dict()
+            state.best_size_scale = self.gp.size_scale.copy()
+            state.best_routing = state.routing
+            state.best_round = round_id
 
     def _run_round(self, round_id: int, state: _FlowState) -> str:
         """One routability round; returns ``"continue"`` or ``"stop"``."""
         cfg = self.config
         routing = state.routing
-        score = self._routing_score(
-            routing, hpwl_of(self.netlist), state.hpwl_ref
-        )
-        if score < state.best_score:
-            # best snapshot: positions + inflation state + congestion
-            # score, so a rollback restores a *consistent* flow state
-            state.best_score = score
-            state.best_positions = (self.netlist.x.copy(), self.netlist.y.copy())
-            state.best_inflation = self.inflation.state_dict()
-            state.best_size_scale = self.gp.size_scale.copy()
-            state.best_routing = routing
-            state.best_round = round_id
-
         c_map, utilization = self._sanitized_maps(routing, round_id)
         fld = CongestionField(self.gp.grid, utilization)
 
@@ -412,7 +391,7 @@ class RoutabilityDrivenPlacer:
             with self.profiler.timer("rd.inflate"):
                 rates = self.inflation.update(cell_cong)
                 self.gp.size_scale = np.sqrt(self._budgeted_rates(rates))
-        elif cfg.inflation_mode == "present":
+        else:
             # present-congestion-only inflation ([3, 5] style): the
             # rate follows the current map with no history, so cells
             # deflate instantly after leaving a hotspot
@@ -431,8 +410,6 @@ class RoutabilityDrivenPlacer:
                 )
                 self.gp.extra_static_charge = charge
                 self._last_dpa = (int((charge > 0).sum()), float(charge.sum()))
-        else:
-            self._last_dpa = (0, 0.0)
 
         if cfg.enable_dc:
             self.gp.extra_grad_fn = self._make_congestion_grad(fld, c_map)
@@ -444,7 +421,7 @@ class RoutabilityDrivenPlacer:
         state.rounds.append(record)
         if self.metrics.enabled:
             self._emit_round(record)
-        if record.mean_congestion < cfg.stop_mean_congestion:
+        if record.mean_congestion < STOP_MEAN_CONGESTION:
             logger.info(
                 "round %d: congestion negligible (%.2e), stopping",
                 round_id,
@@ -474,12 +451,12 @@ class RoutabilityDrivenPlacer:
         )
 
         # stop when C(x, y) no longer decreases (Fig. 2 exit arc)
-        if record.c_value < state.best_c * (1.0 - cfg.c_improve_tol):
+        if record.c_value < state.best_c * (1.0 - C_IMPROVE_TOL):
             state.best_c = record.c_value
             state.stall = 0
         else:
             state.stall += 1
-            if state.stall >= cfg.patience:
+            if state.stall >= PATIENCE:
                 return "stop"
 
         self.gp.reset_solver()
@@ -491,6 +468,7 @@ class RoutabilityDrivenPlacer:
         self._ensure_finite_positions(round_id)
         with self.profiler.timer("rd.route"):
             state.routing = self.router.route(self.netlist)
+        self._keep_if_best(state, round_id + 1)
         return "continue"
 
     # ------------------------------------------------------------------
@@ -577,17 +555,10 @@ class RoutabilityDrivenPlacer:
             action="rollback",
         )
         nl = self.netlist
-        if state.best_positions is not None:
-            nl.x[:] = state.best_positions[0]
-            nl.y[:] = state.best_positions[1]
-        else:
-            scrub_nonfinite(nl.x, float(nl.die.cx))
-            scrub_nonfinite(nl.y, float(nl.die.cy))
-            nl.clamp_to_die()
-        if state.best_inflation is not None:
-            self.inflation.load_state_dict(state.best_inflation)
-        if state.best_size_scale is not None:
-            self.gp.size_scale = state.best_size_scale.copy()
+        nl.x[:] = state.best_positions[0]
+        nl.y[:] = state.best_positions[1]
+        self.inflation.load_state_dict(state.best_inflation)
+        self.gp.size_scale = state.best_size_scale.copy()
         # the solver state may be arbitrarily corrupted: rebuild it
         # from scratch at the restored point next round
         self.gp._optimizer = None
@@ -595,6 +566,7 @@ class RoutabilityDrivenPlacer:
         self.gp.reset_solver()
         with self.profiler.timer("rd.route"):
             state.routing = self.router.route(nl)
+        self._keep_if_best(state, round_id + 1)
 
     # ------------------------------------------------------------------
     # best-placement snapshot
@@ -605,18 +577,19 @@ class RoutabilityDrivenPlacer:
         """Write the current and best-so-far positions to ``path``.
 
         The meta block carries the design fingerprint that
-        :func:`repro.eco.warm.baseline_positions` validates; ``best_x``
-        / ``best_y`` are present when ``has_best`` is set.
+        :func:`repro.eco.warm.baseline_positions` validates.  A snapshot
+        always holds ``best_x`` / ``best_y``; ``has_best`` is always
+        true and stays because that reader also takes snapshots
+        written without them.
         """
         nl = self.netlist
-        meta = {
-            "design": design_fingerprint(nl),
-            "has_best": state.best_positions is not None,
+        meta = {"design": design_fingerprint(nl), "has_best": True}
+        arrays = {
+            "x": nl.x,
+            "y": nl.y,
+            "best_x": state.best_positions[0],
+            "best_y": state.best_positions[1],
         }
-        arrays = {"x": nl.x, "y": nl.y}
-        if state.best_positions is not None:
-            arrays["best_x"] = state.best_positions[0]
-            arrays["best_y"] = state.best_positions[1]
         with self.profiler.timer("rd.checkpoint"):
             # keep the predecessor: a torn write of this file must not
             # cost the warm start its only snapshot
@@ -742,8 +715,6 @@ class RoutabilityDrivenPlacer:
         cfg = self.config
 
         # C(x, y) over V' = selected multi-pin cells + virtual cells
-        from repro.core.netmove import virtual_cell_positions
-
         info = virtual_cell_positions(nl, grid, c_map, cfg.netmove)
         act = info["active"]
         c_value = 0.0
@@ -758,8 +729,6 @@ class RoutabilityDrivenPlacer:
             ids = np.flatnonzero(selected)
             c_value += fld.penalty(nl.x[ids], nl.y[ids], nl.cell_area[ids])
 
-        from repro.wirelength.hpwl import hpwl
-
         n_congested = count_cells_in_congestion(nl, grid, c_map)
         recovery, self._pending_recovery = self._pending_recovery, []
         return RoundRecord(
@@ -769,7 +738,7 @@ class RoutabilityDrivenPlacer:
             max_congestion=float(c_map.max()),
             congested_fraction=float((c_map > 0).mean()),
             total_overflow=routing.total_overflow,
-            hpwl=hpwl(nl),
+            hpwl=hpwl_of(nl),
             lambda2=self.last_lambda2,
             n_congested_cells=n_congested,
             mean_inflation=float((self.gp.size_scale**2).mean()),

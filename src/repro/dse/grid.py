@@ -105,7 +105,7 @@ def _knob_table() -> dict:
              "Congestion threshold enabling multi-pin net moving (Alg. 2)"),
         Knob("rd.inflation_mode", "rd", "inflation_mode", "str",
              "Inflation accumulation mode",
-             choices=("momentum", "present", "off")),
+             choices=("momentum", "present")),
         Knob("rd.pg_mode", "rd", "pg_mode", "str",
              "PG-rail density mode of DPA (Eq. 14)",
              choices=("dynamic", "static")),

@@ -54,10 +54,6 @@ CREATE TABLE IF NOT EXISTS rounds (
     netmove_grad_l1 REAL, multipin_grad_l1 REAL,
     dpa_bins REAL, dpa_charge REAL, router_fallbacks REAL,
     PRIMARY KEY (unit_id, flow, round));
-CREATE TABLE IF NOT EXISTS kernel_events (
-    unit_id TEXT, requested TEXT, resolved TEXT,
-    numba_available INTEGER,
-    PRIMARY KEY (unit_id, requested, resolved));
 CREATE TABLE IF NOT EXISTS supervisor_events (
     sweep TEXT, seq INTEGER, kind TEXT, job TEXT,
     attempt INTEGER, payload TEXT,
@@ -165,7 +161,7 @@ class RunDB:
         return True
 
     def _ingest_unit_events(self, unit_id: str, events: list) -> None:
-        """Extract ``rd.round`` and ``kernel.backend`` rows from a stream."""
+        """Extract ``rd.round`` rows from a stream; other kinds are ignored."""
         flow = -1
         for event in events:
             kind = event.get("kind")
@@ -178,13 +174,6 @@ class RunDB:
                     f"(unit_id, flow, {', '.join(ROUND_FIELDS)}) "
                     f"VALUES (?, ?, {', '.join('?' * len(ROUND_FIELDS))})",
                     [unit_id, max(flow, 0)] + cols)
-            elif kind == "kernel.backend":
-                self.conn.execute(
-                    "INSERT OR REPLACE INTO kernel_events "
-                    "(unit_id, requested, resolved, numba_available) "
-                    "VALUES (?, ?, ?, ?)",
-                    (unit_id, event.get("requested"), event.get("resolved"),
-                     int(bool(event.get("numba_available")))))
 
     def ingest_jsonl(self, path) -> bool:
         """Ingest a telemetry JSONL stream (sweep/supervisor events)."""
@@ -406,8 +395,7 @@ class RunDB:
         """
         out = {}
         for table in ("units", "knobs", "runs", "metrics", "rounds",
-                      "kernel_events", "supervisor_events", "bench_payloads",
-                      "bench_metrics"):
+                      "supervisor_events", "bench_payloads", "bench_metrics"):
             # table_info rows: (cid, name, type, notnull, default, pk)
             pk = sorted((c[5], c[1]) for c in
                         self.conn.execute(f"PRAGMA table_info({table})") if c[5])

@@ -183,9 +183,16 @@ def eco_place(
     # ------------------------------------------------------------------
     # warm start through the diff
     # ------------------------------------------------------------------
+    # Every surviving cell starts from the baseline *file* (the
+    # legalized output), so the dirty region below is measured where
+    # the edit lands in the placement the frozen clean cells keep.
+    # Measured on the snapshot's best GP positions instead, the region
+    # would re-place cells the file keeps elsewhere and could freeze
+    # ones it keeps next to the edit; frozen at those positions, the
+    # clean region would also sit off-row/off-site.
     with profiler.timer("eco.warm"):
-        old_x, old_y, source = baseline_positions(old, baseline_checkpoint)
-        warm = apply_warm_start(new, diff, old_x, old_y)
+        snap_x, snap_y, source = baseline_positions(old, baseline_checkpoint)
+        warm = apply_warm_start(new, diff, old.x, old.y)
         warm.source = source
     if metrics.enabled:
         metrics.emit("eco.warm", source=warm.source,
@@ -194,16 +201,13 @@ def eco_place(
     with profiler.timer("eco.region"):
         region = dirty_region(new, old, diff, grid, cfg.halo_bins)
 
-    # Clean cells are frozen, so they must hold the baseline *file's*
-    # positions (the legalized output), not the snapshot's best GP
-    # positions — those are analytic, pre-legalization, and would pin
-    # the whole clean region off-row/off-site.  Dirty cells keep the
-    # snapshot start: they get legalized again anyway.
+    # only the dirty cells start from the snapshot: they get legalized
+    # again anyway
     if warm.source == "checkpoint":
         survives = diff.cell_new_to_old >= 0
-        clean = survives & ~region.dirty_cells
-        new.x[clean] = old.x[diff.cell_new_to_old[clean]]
-        new.y[clean] = old.y[diff.cell_new_to_old[clean]]
+        moved = survives & region.dirty_cells
+        new.x[moved] = snap_x[diff.cell_new_to_old[moved]]
+        new.y[moved] = snap_y[diff.cell_new_to_old[moved]]
 
     n_movable = int(new.movable.sum())
     if metrics.enabled:
@@ -248,7 +252,7 @@ def eco_place(
         placer.router = _PartialRouter(
             placer.router, dirty_net_ids, DemandSnapshot.from_result(base)
         )
-    result = placer.run(skip_initial_gp=True)
+    result = placer.run()
     _finish(new, frozen, placer.gp.grid,
             result.final_routing.congestion_map, profiler)
 

@@ -30,7 +30,7 @@ from repro.density.electrostatic import ElectrostaticSystem, FieldSolution
 from repro.netlist.netlist import Netlist
 from repro.optim.nesterov import NesterovOptimizer
 from repro.place.config import GPConfig, placement_grid
-from repro.place.initial import initial_placement, scatter_fillers
+from repro.place.initial import scatter_fillers
 from repro.utils.contracts import CONTRACTS
 from repro.utils.guards import (
     MAX_BACKOFFS,
@@ -142,7 +142,6 @@ class GlobalPlacer:
         self._prev_hpwl: float | None = None
         self.last_solution: FieldSolution | None = None
         self.last_wl_grad_l1 = 0.0
-        self.last_density_grad_l1 = 0.0
         self.history = PlacementHistory()
         self._optimizer = None
 
@@ -285,7 +284,6 @@ class GlobalPlacer:
         sol = self.solve_density()
 
         d_l1 = float(np.abs(sol.grad_x).sum() + np.abs(sol.grad_y).sum())
-        self.last_density_grad_l1 = d_l1
         if self.density_weight == 0.0:
             # ePlace initialisation: equal L1 force norms
             self.density_weight = self.last_wl_grad_l1 / max(d_l1, 1e-12)
@@ -346,10 +344,8 @@ class GlobalPlacer:
             on_guard=lambda *trip: placer._note_guard(*trip),
         )
 
-    def prepare(self, reinitialize_positions: bool = False) -> None:
-        """Build the optimizer (optionally re-centering cells first)."""
-        if reinitialize_positions:
-            initial_placement(self.netlist, self.config.seed)
+    def prepare(self) -> None:
+        """Build the optimizer at the current positions (once)."""
         if self._optimizer is None:
             self._make_optimizer()
 
@@ -498,18 +494,6 @@ class GlobalPlacer:
             mu = float(np.clip(mu, 0.75, 1.1))
             self.density_weight *= mu
         self._prev_hpwl = cur_hpwl
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def overflow(self) -> float:
-        """Current density overflow (solves the density system)."""
-        sol = self.solve_density()
-        return sol.overflow
-
-    def hpwl(self) -> float:
-        """Current half-perimeter wirelength of the netlist."""
-        return hpwl(self.netlist)
 
 
 def converge_placement(

@@ -1,11 +1,14 @@
 """Flow runners and benchmark harness tests."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.baselines import (
     ablation_config,
     make_gp_seed,
+    run_flow,
     run_ours,
     run_xplace,
     run_xplace_route,
@@ -18,6 +21,7 @@ from repro.legalize import check_legal
 from repro.place import GPConfig
 from repro.route import RouterConfig
 from repro.synth import suite_design, toy_design
+from repro.utils.metrics import MemorySink, MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +87,30 @@ class TestFlows:
         f1 = run_xplace(nl, gp, seed)
         f2 = run_xplace(nl, gp, seed)
         assert np.array_equal(f1.netlist.x, f2.netlist.x)
+
+    def test_unseeded_flow_is_the_seeded_flow(self):
+        """Without ``seed_gp``, ``run_flow`` makes ``make_gp_seed``'s seed:
+        same positions, same kept round, same event stream (the seed's
+        ``gp.iter`` events before ``rd.start``)."""
+        rd = RDConfig(
+            gp=GPConfig(max_iters=40, seed=1), max_rounds=2, iters_per_round=8
+        )
+
+        def flow(seeded):
+            nl = toy_design(150, seed=5)
+            metrics = MetricsRegistry(sink=MemorySink())
+            metrics.start_run(command="test")
+            seed = make_gp_seed(nl, rd.gp, metrics=metrics) if seeded else None
+            out = run_flow("Ours", nl, rd, seed_gp=seed, metrics=metrics)
+            return out, metrics.sink.lines
+
+        (a, stream_a), (b, stream_b) = flow(False), flow(True)
+        assert np.array_equal(a.netlist.x, b.netlist.x)
+        assert np.array_equal(a.netlist.y, b.netlist.y)
+        assert a.rd_result.best_round == b.rd_result.best_round
+        assert stream_a == stream_b
+        kinds = [json.loads(line)["kind"] for line in stream_a]
+        assert kinds.index("gp.iter") < kinds.index("rd.start")
 
 
 class TestHarness:

@@ -13,6 +13,7 @@ from repro.core import (
     RDConfig,
     RoutabilityDrivenPlacer,
 )
+from repro.baselines.flows import make_gp_seed
 from repro.place import GlobalPlacer, GPConfig, initial_placement
 from repro.route import GlobalRouter
 from repro.synth import toy_design
@@ -84,8 +85,8 @@ class TestRDPlacerSafety:
         regress relative to the incoming placement."""
         from repro.wirelength import hpwl
 
-        nl = toy_design(300, seed=23, utilization=0.7)
         cfg = RDConfig(gp=GPConfig(max_iters=250), max_rounds=4, iters_per_round=20)
+        nl = make_gp_seed(toy_design(300, seed=23, utilization=0.7), cfg.gp).netlist
         placer = RoutabilityDrivenPlacer(nl, cfg)
         result = placer.run()
         if result.rounds:
@@ -97,8 +98,8 @@ class TestRDPlacerSafety:
             assert final_score >= 0
 
     def test_best_round_recorded(self):
-        nl = toy_design(250, seed=29, utilization=0.7)
         cfg = RDConfig(gp=GPConfig(max_iters=200), max_rounds=3, iters_per_round=15)
+        nl = make_gp_seed(toy_design(250, seed=29, utilization=0.7), cfg.gp).netlist
         result = RoutabilityDrivenPlacer(nl, cfg).run()
         assert -1 <= result.best_round <= result.n_rounds
 

@@ -38,9 +38,7 @@ def _run_flow(tmp_path, tag: str):
         iters_per_round=10,
     )
     placer = RoutabilityDrivenPlacer(netlist, config, metrics=metrics)
-    result = placer.run(
-        skip_initial_gp=True, checkpoint_path=str(ckpt_path)
-    )
+    result = placer.run(checkpoint_path=str(ckpt_path))
     metrics.close()
     return {
         "x": netlist.x.copy(),

@@ -60,11 +60,6 @@ class TestIngestion:
         assert db.ingest_bench_json(manifest) is False
         assert "manifest.json" not in db.bench_files()
 
-    def test_kernel_events_extracted(self, db):
-        rows = list(db.conn.execute(
-            "SELECT requested, resolved FROM kernel_events ORDER BY unit_id"))
-        assert rows and all(r == ("auto", "fastnp") for r in rows)
-
 
 class TestQueries:
     def test_best_by_minimizes_and_carries_knobs(self, db):

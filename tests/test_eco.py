@@ -13,7 +13,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.rd_placer import RDConfig, RoutabilityDrivenPlacer
+from repro.baselines.flows import make_gp_seed
+from repro.core.rd_placer import (
+    RDConfig,
+    RoutabilityDrivenPlacer,
+    design_fingerprint,
+)
 from repro.detail import detailed_place
 from repro.eco import (
     EcoConfig,
@@ -29,8 +34,9 @@ from repro.geometry import Grid2D, Rect
 from repro.io.bookshelf import dumps_design, loads_design
 from repro.legalize import check_legal, legalize
 from repro.netlist import CellSpec, Netlist, NetSpec, PinSpec
-from repro.place.config import GPConfig
+from repro.place.config import GPConfig, placement_grid
 from repro.synth import toy_design
+from repro.utils.checkpoint import write_checkpoint
 from repro.utils.metrics import MemorySink, MetricsRegistry, validate_stream
 from repro.wirelength import hpwl
 
@@ -351,6 +357,7 @@ class TestEcoFlowUnit:
         snapshot = None
         if with_snapshot:
             snapshot = str(tmp_path / "base.npz")
+            old = make_gp_seed(old, rd.gp).netlist
             RoutabilityDrivenPlacer(old, rd).run(checkpoint_path=snapshot)
             legalize(old)
         text = dumps_design(old)
@@ -367,6 +374,39 @@ class TestEcoFlowUnit:
         assert result.region.n_dirty_cells == 0
         assert np.array_equal(new.x, old.x)
         assert np.array_equal(new.y, old.y)
+
+    def test_region_is_measured_on_the_baseline_file(self, tmp_path):
+        """The dirty region is where the edit lands among the cells
+        the ECO loop keeps frozen, i.e. on the baseline file's
+        positions, even when the snapshot places cells elsewhere."""
+        rd = RDConfig(gp=GPConfig(max_iters=30), max_rounds=1, iters_per_round=5)
+        text = dumps_design(toy_design(80, seed=9))
+        old = loads_design(text)
+        # a snapshot whose best positions swap the cells around
+        snapshot = str(tmp_path / "base.npz")
+        best_x, best_y = np.roll(old.x, 7), np.roll(old.y, 7)
+        write_checkpoint(
+            snapshot,
+            {"design": design_fingerprint(old), "has_best": True},
+            {"x": best_x, "y": best_y, "best_x": best_x, "best_y": best_y},
+        )
+        edited = _resize_cell(text, "c10", 2.0)
+
+        expected = loads_design(edited)
+        diff = diff_netlists(old, expected)
+        apply_warm_start(expected, diff, old.x, old.y)
+        region = dirty_region(expected, old, diff, placement_grid(expected))
+
+        new = loads_design(edited)
+        result = eco_place(
+            new, old, EcoConfig(rd=rd), baseline_checkpoint=snapshot
+        )
+        assert result.warm.source == "checkpoint"
+        assert result.region.n_dirty_cells > 0
+        assert np.array_equal(result.region.dirty_cells, region.dirty_cells)
+        clean = ~region.dirty_cells
+        assert np.array_equal(new.x[clean], old.x[clean])
+        assert np.array_equal(new.y[clean], old.y[clean])
 
     def test_telemetry_stream_valid_and_complete(self):
         rd = RDConfig(gp=GPConfig(max_iters=30), max_rounds=1, iters_per_round=5)
@@ -392,9 +432,15 @@ class TestEcoEndToEnd:
     RD = dict(max_rounds=4, iters_per_round=15)
 
     def _baseline(self, tmp_path, n_cells=150, seed=5, utilization=0.8):
-        """Place a toy design through the full RD flow + finishing."""
+        """Place a toy design through the full RD flow + finishing.
+
+        This baseline keeps round 1: the snapshot's best positions,
+        which seed the ECO warm start, are that round's placement.
+        """
         rd = RDConfig(gp=GPConfig(max_iters=100), **self.RD)
-        netlist = toy_design(n_cells, seed=seed, utilization=utilization)
+        netlist = make_gp_seed(
+            toy_design(n_cells, seed=seed, utilization=utilization), rd.gp
+        ).netlist
         placer = RoutabilityDrivenPlacer(netlist, rd)
         checkpoint = str(tmp_path / "base.npz")
         result = placer.run(checkpoint_path=checkpoint)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines.flows import make_gp_seed
 from repro.core import RDConfig, RoutabilityDrivenPlacer
 from repro.detail import detailed_place
 from repro.evalrt import evaluate_routing
@@ -18,12 +19,12 @@ from repro.wirelength import hpwl
 
 class TestFullPipeline:
     def test_place_route_legalize_refine_evaluate(self):
-        nl = toy_design(250, seed=21)
         cfg = RDConfig(
             gp=GPConfig(max_iters=200),
             max_rounds=2,
             iters_per_round=15,
         )
+        nl = make_gp_seed(toy_design(250, seed=21), cfg.gp).netlist
         placer = RoutabilityDrivenPlacer(nl, cfg)
         result = placer.run()
         validate_netlist(nl)
@@ -44,8 +45,8 @@ class TestFullPipeline:
         assert ev.drwl > 0
 
     def test_save_place_load_consistency(self):
-        nl = toy_design(150, seed=5)
         cfg = RDConfig(gp=GPConfig(max_iters=100), max_rounds=1, iters_per_round=10)
+        nl = make_gp_seed(toy_design(150, seed=5), cfg.gp).netlist
         RoutabilityDrivenPlacer(nl, cfg).run()
         legalize(nl)
         back = loads_design(dumps_design(nl))
@@ -54,9 +55,9 @@ class TestFullPipeline:
 
     def test_routing_reflects_placement_quality(self):
         """A clumped placement must route worse than a spread one."""
-        nl_spread = toy_design(250, seed=8)
-        nl_clump = nl_spread.copy()
         cfg = RDConfig(gp=GPConfig(max_iters=250), max_rounds=1, iters_per_round=5)
+        nl_clump = toy_design(250, seed=8)
+        nl_spread = make_gp_seed(nl_clump, cfg.gp).netlist
         RoutabilityDrivenPlacer(nl_spread, cfg).run()
 
         # clump: everything at die center
@@ -74,8 +75,8 @@ class TestFullPipeline:
     def test_determinism_of_whole_flow(self):
         results = []
         for _ in range(2):
-            nl = toy_design(150, seed=13)
             cfg = RDConfig(gp=GPConfig(max_iters=80), max_rounds=1, iters_per_round=5)
+            nl = make_gp_seed(toy_design(150, seed=13), cfg.gp).netlist
             RoutabilityDrivenPlacer(nl, cfg).run()
             results.append(nl.x.copy())
         assert np.array_equal(results[0], results[1])

@@ -45,6 +45,7 @@ from repro.geometry import Grid2D, Rect
 from repro.legalize import legalize
 from repro.optim.nesterov import NesterovOptimizer
 from repro.place.config import GPConfig
+from repro.place.global_placer import GlobalPlacer
 from repro.place.initial import initial_placement
 from repro.route import GlobalRouter, RouterConfig
 from repro.synth import toy_design
@@ -67,7 +68,8 @@ RETIRED_FIELDS = (
     (RouterConfig, ("n_layers", "via_weight", "macro_blockage",
                     "congestion_exponent", "congestion_weight",
                     "history_weight", "maze_window")),
-    (RDConfig, ("max_round_failures",)),
+    (RDConfig, ("max_round_failures", "patience", "c_improve_tol",
+                "stop_mean_congestion")),
     (EvalConfig, ("overflow_drv_weight", "covered_pin_drv_weight",
                   "crowding_drv_weight", "rail_margin_fraction",
                   "access_util_floor", "access_util_ceil",
@@ -294,6 +296,16 @@ class TestNoKernelSelection:
             pytest.param(
                 lambda g: RoutabilityDrivenPlacer.run(None, resume=True),
                 id="RoutabilityDrivenPlacer.run-resume",
+            ),
+            # nor a second copy of the initial GP: the loop starts from
+            # the placement it is given
+            pytest.param(
+                lambda g: RoutabilityDrivenPlacer.run(None, skip_initial_gp=True),
+                id="RoutabilityDrivenPlacer.run-skip_initial_gp",
+            ),
+            pytest.param(
+                lambda g: GlobalPlacer.prepare(None, reinitialize_positions=True),
+                id="GlobalPlacer.prepare-reinitialize_positions",
             ),
             pytest.param(
                 lambda g: eco_place(None, None, checkpoint_path="e.npz"),

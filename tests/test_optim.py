@@ -27,7 +27,9 @@ class TestNesterov:
         assert opt.step == pytest.approx(0.1, rel=0.2)
 
     def test_trust_region_caps_displacement(self):
-        big_grad = lambda x: np.full_like(x, 1e6)
+        def big_grad(x):
+            return np.full_like(x, 1e6)
+
         opt = NesterovOptimizer(np.zeros(4), big_grad, initial_step=1.0,
                                 max_move=0.5)
         u0 = opt.u.copy()

@@ -14,6 +14,8 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.baselines.flows import make_gp_seed
+from repro.core import rd_placer
 from repro.core.rd_placer import RDConfig, RoutabilityDrivenPlacer
 from repro.eco import EcoConfig, eco_place
 from repro.eco import flow as eco_flow
@@ -21,10 +23,12 @@ from repro.io.bookshelf import dumps_design, loads_design
 from repro.place import GlobalPlacer, GPConfig, initial_placement
 from repro.synth import toy_design
 
-RD = dict(
-    gp=GPConfig(max_iters=20), max_rounds=2, iters_per_round=5,
-    stop_mean_congestion=0.0,
-)
+RD = dict(gp=GPConfig(max_iters=20), max_rounds=2, iters_per_round=5)
+
+
+@pytest.fixture(autouse=True)
+def _quiet_maps_do_not_stop_the_loop(monkeypatch):
+    monkeypatch.setattr(rd_placer, "STOP_MEAN_CONGESTION", 0.0)
 
 
 @pytest.fixture
@@ -48,7 +52,10 @@ def test_global_placer_freed_after_run(no_cyclic_gc):
 
 
 def test_rd_placer_freed_after_run(no_cyclic_gc):
-    placer = RoutabilityDrivenPlacer(toy_design(80, seed=1), RDConfig(**RD))
+    cfg = RDConfig(**RD)
+    placer = RoutabilityDrivenPlacer(
+        make_gp_seed(toy_design(80, seed=1), cfg.gp).netlist, cfg
+    )
     result = placer.run()
     # a round ran with the congestion closure installed
     assert result.n_rounds >= 1 and placer.gp.extra_grad_fn is not None

@@ -18,7 +18,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import RDConfig, RoutabilityDrivenPlacer
+from repro.baselines.flows import make_gp_seed
+from repro.core import RDConfig, RoutabilityDrivenPlacer, rd_placer
 from repro.core.rd_placer import MAX_ROUND_FAILURES
 from repro.geometry import Grid2D
 from repro.place import GPConfig
@@ -42,23 +43,34 @@ from repro.utils.guards import (
 from repro.utils.metrics import MemorySink, MetricsRegistry
 
 
+@pytest.fixture(autouse=True)
+def _loop_runs_every_round(monkeypatch):
+    """Neither a stall nor a quiet map ends the loop early here."""
+    monkeypatch.setattr(rd_placer, "PATIENCE", 10)
+    monkeypatch.setattr(rd_placer, "STOP_MEAN_CONGESTION", 0.0)
+
+
 def _rd_config(**kw):
     base = dict(
         gp=GPConfig(max_iters=40, seed=1),
         max_rounds=3,
         iters_per_round=8,
-        patience=10,
-        stop_mean_congestion=0.0,
     )
     base.update(kw)
     return RDConfig(**base)
 
 
-def _run_streamed(netlist, cfg, **run_kw):
+def _placed(cells=150, seed=5):
+    """``toy_design(cells, seed)`` at the wirelength-driven seed the
+    routability loop starts from."""
+    return make_gp_seed(toy_design(cells, seed=seed), _rd_config().gp).netlist
+
+
+def _run_streamed(netlist, cfg):
     """Run the flow with a memory-sink registry; (result, series)."""
     metrics = MetricsRegistry(sink=MemorySink())
     metrics.start_run(command="test")
-    result = RoutabilityDrivenPlacer(netlist, cfg, metrics=metrics).run(**run_kw)
+    result = RoutabilityDrivenPlacer(netlist, cfg, metrics=metrics).run()
     return result, metrics.series
 
 
@@ -216,15 +228,13 @@ class TestGradientFaults:
         each backoff is one ``gp.guard`` event, counted once in the
         round record and in ``n_guard_events``."""
         nl = toy_design(150, seed=5)
-        # skip the initial GP so the fault hits the flow's own solver
-        # (the initial placement runs a separate placer instance whose
+        # no wirelength-driven seed, so the fault hits the flow's own
+        # solver (a seed GP runs separate placer instances whose
         # recovery would not show up in this flow's records)
         injector = inject_faults(
             FaultPlan("optim.gradient", mode="nan", trigger=3, count=2)
         )
-        result, series = _run_streamed(
-            nl, _rd_config(max_rounds=2), skip_initial_gp=True
-        )
+        result, series = _run_streamed(nl, _rd_config(max_rounds=2))
         assert injector.count_fired("optim.gradient") == 2
         _assert_legal_positions(nl)
         guards = series["gp.guard"]
@@ -239,7 +249,7 @@ class TestGradientFaults:
 @pytest.mark.faultinject
 class TestCongestionFaults:
     def test_poisoned_map_is_scrubbed_and_reported(self, inject_faults):
-        nl = toy_design(150, seed=5)
+        nl = _placed()
         inject_faults(FaultPlan("rd.congestion", mode="poison", trigger=0))
         placer = RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=2))
         result = placer.run()
@@ -253,7 +263,7 @@ class TestCongestionFaults:
         assert (rates <= placer.config.inflation.r_max + 1e-12).all()
 
     def test_crashing_round_rolls_back(self, inject_faults):
-        nl = toy_design(150, seed=5)
+        nl = _placed()
         # raising at the congestion site aborts round 1 itself ->
         # the loop must roll back and keep going
         inject_faults(FaultPlan("rd.congestion", mode="raise", trigger=1, count=1))
@@ -265,7 +275,7 @@ class TestCongestionFaults:
         assert result.n_rounds >= 1
 
     def test_persistent_failure_returns_best_snapshot(self, inject_faults):
-        nl = toy_design(150, seed=5)
+        nl = _placed()
         inject_faults(FaultPlan("rd.congestion", mode="raise", trigger=1, count=-1))
         cfg = _rd_config()
         _, series = _run_streamed(nl, cfg)
@@ -297,10 +307,10 @@ class TestRouterFaults:
         assert np.array_equal(clean.grid.v_demand, degraded.grid.v_demand)
 
     def test_chunk_faults_keep_flow_bit_identical(self, inject_faults):
-        clean = toy_design(150, seed=5)
+        clean = _placed()
         RoutabilityDrivenPlacer(clean, _rd_config(max_rounds=2)).run()
 
-        nl = toy_design(150, seed=5)
+        nl = _placed()
         inject_faults(FaultPlan("route.batched_chunk", mode="raise", count=-1))
         result = RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=2)).run()
         assert result.rounds
@@ -309,7 +319,7 @@ class TestRouterFaults:
         assert np.array_equal(clean.y, nl.y)
 
     def test_failed_pass_rolls_back_round(self, inject_faults):
-        nl = toy_design(150, seed=5)
+        nl = _placed()
         # pass 0 is the initial routing; pass 1 closes round 0
         injector = inject_faults(
             FaultPlan("route.batched", mode="raise", trigger=1, count=1)
@@ -330,7 +340,7 @@ class TestRouterFaults:
 class TestFlowCheckpoint:
     def test_fresh_run_when_no_checkpoint_exists(self, tmp_path):
         path = str(tmp_path / "missing.npz")
-        nl = toy_design(150, seed=5)
+        nl = _placed()
         result = RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=1)).run(
             checkpoint_path=path
         )
@@ -339,7 +349,7 @@ class TestFlowCheckpoint:
 
     def test_snapshot_holds_only_warm_start_fields(self, tmp_path):
         path = str(tmp_path / "flow.npz")
-        nl = toy_design(150, seed=5)
+        nl = _placed()
         RoutabilityDrivenPlacer(nl, _rd_config()).run(checkpoint_path=path)
         meta, arrays = read_checkpoint(path)
         assert meta == {
@@ -354,23 +364,38 @@ class TestFlowCheckpoint:
         assert set(arrays) == {"x", "y", "best_x", "best_y"}
 
     def test_snapshot_does_not_change_the_flow(self, tmp_path):
-        ref = toy_design(150, seed=5)
+        ref = _placed()
         RoutabilityDrivenPlacer(ref, _rd_config()).run()
-        nl = toy_design(150, seed=5)
+        nl = _placed()
         RoutabilityDrivenPlacer(nl, _rd_config()).run(
             checkpoint_path=str(tmp_path / "flow.npz")
         )
         assert np.array_equal(ref.x, nl.x)
         assert np.array_equal(ref.y, nl.y)
 
+    def test_snapshot_holds_the_returned_placement(self, tmp_path):
+        """The last round's routing wins here: the snapshot written
+        after that round already holds the placement ``run()`` returns."""
+        path = str(tmp_path / "flow.npz")
+        cfg = RDConfig(
+            gp=GPConfig(max_iters=60, seed=1), max_rounds=3, iters_per_round=15
+        )
+        nl = make_gp_seed(toy_design(300, seed=3), cfg.gp).netlist
+        result = RoutabilityDrivenPlacer(nl, cfg).run(checkpoint_path=path)
+        assert result.best_round == 3
+        meta, arrays = read_checkpoint(path)
+        assert meta["has_best"]
+        assert np.array_equal(arrays["best_x"], nl.x)
+        assert np.array_equal(arrays["best_y"], nl.y)
+
     def test_existing_file_is_overwritten_not_resumed(self, tmp_path):
         """A snapshot of another design at the path is replaced (kept
         as ``.bak``), never read."""
         path = str(tmp_path / "flow.npz")
         RoutabilityDrivenPlacer(
-            toy_design(120, seed=7), _rd_config(max_rounds=1)
+            _placed(120, 7), _rd_config(max_rounds=1)
         ).run(checkpoint_path=path)
-        nl = toy_design(150, seed=5)
+        nl = _placed()
         result = RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=1)).run(
             checkpoint_path=path
         )
